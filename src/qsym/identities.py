@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -24,10 +25,9 @@ from .qbernoulli import (
     beta_number,
     beta_weighted,
     classical_bernoulli_higher,
-    composition_counts,
+    q_power_weights,
     t_sum,
     t_sum_h,
-    MAX_TUPLES,
 )
 from .qcore import q_bracket
 from .ratfun import LaurentPoly, RatFun, ResourceLimitError
@@ -74,13 +74,8 @@ def _report(identity: str, params: dict, lhs: RatFun, rhs: RatFun) -> CheckRepor
     return CheckReport(identity, params, lhs, rhs, lhs == rhs)
 
 
-def _mono(e: int, c: int = 1) -> RatFun:
-    return RatFun(LaurentPoly({e: c}))
-
-
-def _guard_tuples(wlim: int, r: int) -> None:
-    if wlim**r > MAX_TUPLES:
-        raise ResourceLimitError(f"{wlim}^{r} index tuples exceed MAX_TUPLES={MAX_TUPLES}")
+def _mono(e: int) -> RatFun:
+    return RatFun(LaurentPoly({e: 1}))
 
 
 # -- single-family identities -------------------------------------------------
@@ -133,10 +128,9 @@ def check_limit_q1(n: int, r: int, x: int) -> CheckReport:
 def check_multiplication(n: int, r: int, w1: int, x: int) -> CheckReport:
     """Multiplication formula: beta_n^(r) at w1*x as a [w1]-scaled sum over shifts."""
     lhs = beta_higher(n, r, 1, w1 * x)
-    counts = composition_counts(r, w1)
     acc = RatFun(0)
-    for s, cnt in enumerate(counts):
-        acc = acc + _mono(s, cnt) * beta_higher(n, r, w1, w1 * x + s)
+    for s, ws in enumerate(q_power_weights([1] * r, w1)):
+        acc = acc + RatFun(ws) * beta_higher(n, r, w1, w1 * x + s)
     rhs = q_bracket(w1, 1) ** (n - r) * acc
     return _report("multiplication", {"n": n, "r": r, "w1": w1, "x": x}, lhs, rhs)
 
@@ -145,11 +139,9 @@ def check_multiplication(n: int, r: int, w1: int, x: int) -> CheckReport:
 
 
 def _thm3_side(n: int, r: int, wa: int, wb: int, x: int) -> RatFun:
-    _guard_tuples(wa, r)
-    counts = composition_counts(r, wa)
     acc = RatFun(0)
-    for s, cnt in enumerate(counts):
-        acc = acc + _mono(wb * s, cnt) * beta_higher(n, r, wa, wa * wb * x + wb * s)
+    for s, ws in enumerate(q_power_weights([wb] * r, wa)):
+        acc = acc + RatFun(ws) * beta_higher(n, r, wa, wa * wb * x + wb * s)
     return q_bracket(wa, 1) ** (n - r) * acc
 
 
@@ -191,12 +183,17 @@ def check_thm4(n: int, r: int, w1: int, w2: int, x: int) -> CheckReport:
 
 
 def _thm5_side(n: int, h: int, r: int, wa: int, wb: int, x: int) -> RatFun:
-    _guard_tuples(wa, r)
+    """[wa]^(n-r) * sum over j in {0..wa-1}^r of q^(wb sum_l (h-l+1) j_l)
+    * beta_weighted(n, h, r, wa, wa wb x + wb sum j), l one-based.
+
+    The beta_weighted factor depends on j only through s = sum j, so the
+    tuple sum regroups exactly as sum_s W[s] * beta_weighted(..., wa wb x + wb s)
+    with W[s] = sum over the tuples with sum s of the weight monomials, which
+    composition_weights builds from the per-coordinate ratios q^(wb(h-l+1)).
+    """
     acc = RatFun(0)
-    for jt in itertools.product(range(wa), repeat=r):
-        s = sum(jt)
-        e = wb * sum((h - l) * j for l, j in enumerate(jt))  # h - l + 1, l one-based
-        acc = acc + _mono(e) * beta_weighted(n, h, r, wa, wa * wb * x + wb * s)
+    for s, ws in enumerate(q_power_weights([wb * (h - l) for l in range(r)], wa)):
+        acc = acc + RatFun(ws) * beta_weighted(n, h, r, wa, wa * wb * x + wb * s)
     return q_bracket(wa, 1) ** (n - r) * acc
 
 
@@ -344,10 +341,15 @@ def _run_job(job) -> CheckReport:
 
 
 def sweep(cfg: SweepConfig, threads: int = 1) -> list[CheckReport]:
-    """Run every selected checker over the grid; deterministic report order."""
+    """Run every selected checker over the grid; deterministic report order.
+
+    The pool gets min(threads, jobs, cpu_count) workers: with the fork start
+    method every worker starts at once, so more would only cost memory.
+    """
     jobs = cfg.jobs()
-    if threads <= 1 or len(jobs) < 2:
+    workers = min(threads, len(jobs), os.cpu_count() or 1)
+    if workers <= 1:
         return [_run_job(j) for j in jobs]
-    chunk = max(1, math.ceil(len(jobs) / (threads * 4)))
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    chunk = max(1, math.ceil(len(jobs) / (workers * 4)))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_run_job, jobs, chunksize=chunk))

@@ -21,7 +21,6 @@ numbers generated by their additive recurrence.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,7 +29,7 @@ from functools import lru_cache
 from .qcore import bracket_poly
 from .ratfun import LaurentPoly, RatFun, ResourceLimitError
 
-# Largest index-tuple enumeration allowed in the r-fold sums.
+# Largest index-tuple grid wlim**r that t_sum_h accepts, checked before any work.
 MAX_TUPLES = 200_000
 
 
@@ -189,22 +188,35 @@ def beta_weighted(n: int, h: int, r: int = 1, w: int = 1, arg: int = 0) -> RatFu
     return RatFun(LaurentPoly(num), den)
 
 
-def composition_counts(r: int, limit: int) -> list[int]:
-    """counts[s] = number of r-tuples over {0, ..., limit-1} with sum s."""
-    if r < 0 or limit < 1:
-        raise ValueError("composition_counts wants r >= 0 and limit >= 1")
-    counts = [1]
-    for _ in range(r):
-        prefix = [0]
-        for c in counts:
-            prefix.append(prefix[-1] + c)
-        out = []
-        for s in range(len(counts) + limit - 1):
-            hi = min(s, len(counts) - 1)
-            lo = max(0, s - limit + 1)
-            out.append(prefix[hi + 1] - prefix[lo])
-        counts = out
-    return counts
+def composition_weights(ratios, limit: int) -> list:
+    """W[s] = sum over j in {0..limit-1}^r with sum j = s of prod_l ratios[l]^(j_l).
+
+    r = len(ratios).  The tuple sum is a product of r geometric windows, so it
+    is built one coordinate at a time with the running-window recurrence
+    out[s] = z*out[s-1] + W[s] - z^limit * W[s-limit]: O(r * smax) ring
+    operations, smax = r(limit-1), over int, Fraction or LaurentPoly.  Unit
+    ratios give the number of r-tuples with sum s.
+    """
+    if limit < 1:
+        raise ValueError("composition_weights wants limit >= 1")
+    weights = [ratios[0] ** 0 if ratios else 1]
+    for z in ratios:
+        z_limit = z**limit
+        out = [weights[0]]
+        for s in range(1, len(weights) + limit - 1):
+            v = z * out[s - 1]
+            if s < len(weights):
+                v = v + weights[s]
+            if s >= limit:
+                v = v - z_limit * weights[s - limit]
+            out.append(v)
+        weights = out
+    return weights
+
+
+def q_power_weights(exps, limit: int) -> list[LaurentPoly]:
+    """composition_weights over the monomial ratios q^e, e in exps."""
+    return composition_weights([LaurentPoly({e: 1}) for e in exps], limit)
 
 
 def _check_t_args(n: int, i: int, r: int, wlim: int, base: int) -> None:
@@ -218,67 +230,52 @@ def _check_t_args(n: int, i: int, r: int, wlim: int, base: int) -> None:
         raise ValueError(f"base exponent must be >= 1, got {base}")
 
 
+def _t_sum_grouped(n: int, i: int, exps: tuple, wlim: int, base: int) -> RatFun:
+    """sum over tuples j in {0..wlim-1}^r of [sum j]^(n-i) q^(sum_l exps[l] j_l),
+    brackets in base q^base, grouped by s = sum j through composition_weights."""
+    acc: dict = {}
+    for s, ws in enumerate(q_power_weights(exps, wlim)):
+        if n == i:
+            p = {0: 1}
+        elif s == 0:
+            continue
+        else:
+            p = (bracket_poly(s, base) ** (n - i)).terms
+        for e1, c1 in ws.terms.items():
+            for e2, c2 in p.items():
+                e = e1 + e2
+                v = acc.get(e, 0) + c1 * c2
+                if v:
+                    acc[e] = v
+                else:
+                    del acc[e]
+    return RatFun(LaurentPoly(acc))
+
+
 @lru_cache(maxsize=None)
 def t_sum(n: int, i: int, r: int, wlim: int, base: int = 1) -> RatFun:
     """The r-fold sum over tuples j in {0..wlim-1}^r of [sum j]^(n-i) q^((i+1) sum j),
     brackets and weights in base q^base.  Convention: [0]^0 = 1.
 
-    The summand depends on the tuple only through s = sum j, so the tuple sum
-    collapses to a sum over s with multiplicities.
+    Every coordinate carries the ratio q^(base(i+1)), so the tuple sum
+    collapses to a sum over s = sum j with composition weights.
     """
     _check_t_args(n, i, r, wlim, base)
-    counts = composition_counts(r, wlim)
-    acc: dict = {}
-    for s, cnt in enumerate(counts):
-        weight_exp = base * (i + 1) * s
-        if n == i:
-            acc[weight_exp] = acc.get(weight_exp, 0) + cnt
-            continue
-        if s == 0:
-            continue
-        p = bracket_poly(s, base) ** (n - i)
-        for e, c in p.terms.items():
-            e += weight_exp
-            v = acc.get(e, 0) + cnt * c
-            if v:
-                acc[e] = v
-            else:
-                del acc[e]
-    return RatFun(LaurentPoly(acc))
+    return _t_sum_grouped(n, i, (base * (i + 1),) * r, wlim, base)
 
 
 @lru_cache(maxsize=None)
 def t_sum_h(n: int, i: int, h: int, r: int, wlim: int, base: int = 1) -> RatFun:
     """Weighted T-sum: sum over tuples j of [sum j]^(n-i) q^(base * sum_l (i+h-l+1) j_l).
 
-    The weight exponent sees each coordinate separately, so the tuples are
-    enumerated directly (guarded by MAX_TUPLES).
+    The weight gives coordinate l (one-based) the ratio q^(base(i+h-l+1)); the
+    bracket depends on the tuple only through s = sum j, so the sum is grouped
+    by s with composition_weights over those ratios, exactly as in t_sum.
     """
     _check_t_args(n, i, r, wlim, base)
     if wlim**r > MAX_TUPLES:
         raise ResourceLimitError(f"{wlim}^{r} index tuples exceed MAX_TUPLES={MAX_TUPLES}")
-    smax = r * (wlim - 1)
-    powers = [None] * (smax + 1)
-    for s in range(smax + 1):
-        if n == i:
-            powers[s] = LaurentPoly.one()
-        elif s > 0:
-            powers[s] = bracket_poly(s, base) ** (n - i)
-    acc: dict = {}
-    for jt in itertools.product(range(wlim), repeat=r):
-        s = sum(jt)
-        p = powers[s]
-        if p is None:
-            continue
-        weight_exp = base * sum((i + h - l) * j for l, j in enumerate(jt))
-        for e, c in p.terms.items():
-            e += weight_exp
-            v = acc.get(e, 0) + c
-            if v:
-                acc[e] = v
-            else:
-                del acc[e]
-    return RatFun(LaurentPoly(acc))
+    return _t_sum_grouped(n, i, tuple(base * (i + h - l) for l in range(r)), wlim, base)
 
 
 # -- classical (q = 1) oracle -------------------------------------------------

@@ -147,6 +147,8 @@ class LaurentPoly:
         c = _norm_coeff(c if isinstance(c, (int, Fraction)) else Fraction(c))
         if not c:
             return LaurentPoly()
+        if c == 1:
+            return self
         return LaurentPoly({e: v * c for e, v in self.terms.items()})
 
     def shift(self, k: int) -> LaurentPoly:

@@ -15,13 +15,12 @@ closed-form value being nondecreasing in N.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .qbernoulli import WeightedBetaQuery, beta_higher, beta_weighted, composition_counts
+from .qbernoulli import WeightedBetaQuery, beta_higher, beta_weighted, composition_weights
 from .ratfun import ResourceLimitError
 
 FAMILIES = ("single", "multi", "weighted")
@@ -103,58 +102,45 @@ def _check_budget(ctx: PadicContext, r: int, N: int) -> int:
     return ctx.p**N
 
 
-def riemann_sum_multi(n: int, r: int, x: int, ctx: PadicContext, N: int) -> Fraction:
-    """Stage-N r-fold sum for the unweighted family, as an exact rational.
+def _riemann_sum(n: int, x: int, ctx: PadicContext, N: int, exps) -> Fraction:
+    """(1 / [p^N])^r * sum over y in {0..p^N-1}^r of [x + sum y]^n * q0^(sum_l exps[l] y_l),
+    r = len(exps).
 
-    The summand depends on y only through s = sum(y), so tuples are grouped
-    by s with multiplicities.
+    The bracket depends on y only through s = sum y, and the per-coordinate
+    weights factor into r geometric windows, so composition_weights groups
+    the tuples by s exactly: O(r^2 * p^N) Fraction operations, not p^(rN).
     """
     if not 1 <= N <= ctx.Nmax:
         raise ValueError(f"N must be in 1..{ctx.Nmax}")
+    r = len(exps)
     if n < 0 or r < 1:
         raise ValueError("need n >= 0 and r >= 1")
     m = _check_budget(ctx, r, N)
-    q0 = ctx.q0
-    counts = composition_counts(r, m)
+    weights = composition_weights([ctx.q0**e for e in exps], m)
     total = Fraction(0)
-    qpow = Fraction(1)
-    for s, cnt in enumerate(counts):
-        total += cnt * _bracket_at(x + s, q0) ** n * qpow
-        qpow *= q0
-    return total / _bracket_at(m, q0) ** r
+    for s, ws in enumerate(weights):
+        total += ws * _bracket_at(x + s, ctx.q0) ** n
+    return total / _bracket_at(m, ctx.q0) ** r
+
+
+def riemann_sum_multi(n: int, r: int, x: int, ctx: PadicContext, N: int) -> Fraction:
+    """Stage-N r-fold sum for the unweighted family, as an exact rational.
+
+    The measure gives every coordinate the ratio q0, so the tuples are grouped
+    by s = sum y with composition_weights([q0] * r): W[s] = #tuples * q0^s.
+    """
+    return _riemann_sum(n, x, ctx, N, [1] * r)
 
 
 def riemann_sum_weighted(n: int, h: int, r: int, x: int, ctx: PadicContext, N: int) -> Fraction:
     """Stage-N r-fold sum with the extra per-coordinate weight q0^((h - l) y_l).
 
-    Computable for every integer h; only the closed-form comparison is
-    restricted to non-degenerate h.
+    With the measure, coordinate l (one-based) carries the ratio q0^(h - l + 1),
+    and composition_weights over those ratios groups the tuples by s = sum y
+    exactly, with no enumeration.  Computable for every integer h; only the
+    closed-form comparison is restricted to non-degenerate h.
     """
-    if not 1 <= N <= ctx.Nmax:
-        raise ValueError(f"N must be in 1..{ctx.Nmax}")
-    if n < 0 or r < 1:
-        raise ValueError("need n >= 0 and r >= 1")
-    m = _check_budget(ctx, r, N)
-    q0 = ctx.q0
-    smax = r * (m - 1)
-    bracket_pow = []
-    for s in range(smax + 1):
-        bracket_pow.append(_bracket_at(x + s, q0) ** n)
-    # weight + measure exponent for coordinate l (1-based): (h - l + 1) * y_l
-    coord_pows = []
-    for l in range(1, r + 1):
-        base = q0 ** (h - l + 1)
-        pows = [Fraction(1)]
-        for _ in range(m - 1):
-            pows.append(pows[-1] * base)
-        coord_pows.append(pows)
-    total = Fraction(0)
-    for yt in itertools.product(range(m), repeat=r):
-        term = bracket_pow[sum(yt)]
-        for l, y in enumerate(yt):
-            term *= coord_pows[l][y]
-        total += term
-    return total / _bracket_at(m, q0) ** r
+    return _riemann_sum(n, x, ctx, N, [h - l + 1 for l in range(1, r + 1)])
 
 
 @dataclass

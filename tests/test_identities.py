@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -17,7 +18,7 @@ from qsym.identities import (
     check_thm6,
     sweep,
 )
-from qsym.qbernoulli import DegenerateWeightError
+from qsym.qbernoulli import DegenerateWeightError, beta_weighted
 from qsym.qcore import q_bracket
 from qsym.ratfun import LaurentPoly, RatFun, ResourceLimitError, ratfun_eq
 
@@ -109,6 +110,26 @@ def test_thm6_spots():
     t6 = check_thm6(2, 1, 1, 2, 3, 0)
     t4 = check_thm4(2, 1, 2, 3, 0)
     assert t6.holds and ratfun_eq(t6.lhs, t4.lhs)
+
+
+def thm5_side_by_tuples(n, h, r, wa, wb, x):
+    """The thm5 side as the paper states it: one term per index tuple."""
+    acc = RatFun(0)
+    for jt in itertools.product(range(wa), repeat=r):
+        s = sum(jt)
+        e = wb * sum((h - l) * j for l, j in enumerate(jt))  # h - l + 1, l one-based
+        acc = acc + RatFun(LaurentPoly({e: 1})) * beta_weighted(n, h, r, wa, wa * wb * x + wb * s)
+    return q_bracket(wa, 1) ** (n - r) * acc
+
+
+@pytest.mark.parametrize("n, r", [(1, 1), (2, 1), (1, 2), (2, 2), (1, 3), (2, 3)])
+def test_thm5_side_matches_tuple_enumeration(n, r):
+    # every (h, wa, wb, x) inside the old wa**r <= MAX_TUPLES guard at w <= 4, r <= 3
+    for h in (r, r + 1, r + 3, -n - 1):
+        for wa, wb in itertools.product(range(1, 5), repeat=2):
+            for x in (0, 1):
+                got = idn._thm5_side(n, h, r, wa, wb, x)
+                assert ratfun_eq(got, thm5_side_by_tuples(n, h, r, wa, wb, x)), (h, wa, wb, x)
 
 
 def test_thm5_degenerate_h_propagates():
@@ -205,3 +226,34 @@ def test_guard_limits_configurable():
     g = GuardLimits(max_n=20)
     cfg = SweepConfig(identities=("recurrence",), ns=(14,), guards=g)
     assert all(r.holds for r in sweep(cfg))
+
+
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+    seen = []
+
+    def __init__(self, max_workers):
+        self.seen.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("threads, cpus, expected", [
+    (10_000, 3, 3), (2, 8, 2), (64, None, None), (5, 8, 4),
+])
+def test_sweep_clamps_workers_before_the_pool_starts(monkeypatch, threads, cpus, expected):
+    cfg = SweepConfig(identities=("recurrence",), ns=(0, 1, 2, 3))
+    monkeypatch.setattr(idn.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(idn, "ProcessPoolExecutor", _SerialPool)
+    _SerialPool.seen = []
+    reports = [r.to_json_line() for r in sweep(cfg, threads=threads)]
+    assert _SerialPool.seen == ([] if expected is None else [expected])
+    assert reports == [r.to_json_line() for r in sweep(cfg, threads=1)]

@@ -17,7 +17,7 @@ from qsym.qbernoulli import (
     beta_weighted,
     classical_bernoulli,
     classical_bernoulli_higher,
-    composition_counts,
+    composition_weights,
     t_sum,
     t_sum_h,
 )
@@ -239,12 +239,58 @@ def test_t_sum_h_diagonal_two_fold():
 
 
 def test_composition_counts():
-    assert composition_counts(1, 4) == [1, 1, 1, 1]
-    assert composition_counts(2, 2) == [1, 2, 1]
-    assert composition_counts(3, 2) == [1, 3, 3, 1]
+    assert composition_weights([1] * 1, 4) == [1, 1, 1, 1]
+    assert composition_weights([1] * 2, 2) == [1, 2, 1]
+    assert composition_weights([1] * 3, 2) == [1, 3, 3, 1]
     for r, lim in [(2, 3), (3, 3)]:
-        counts = composition_counts(r, lim)
+        counts = composition_weights([1] * r, lim)
         brute = [0] * (r * (lim - 1) + 1)
         for jt in itertools.product(range(lim), repeat=r):
             brute[sum(jt)] += 1
         assert counts == brute
+
+
+def composition_weights_brute(ratios, limit, one):
+    """Plain tuple enumeration of the composition weights, as an oracle."""
+    out = [one * 0 for _ in range(len(ratios) * (limit - 1) + 1)]
+    for jt in itertools.product(range(limit), repeat=len(ratios)):
+        term = one
+        for z, j in zip(ratios, jt):
+            term = term * z**j
+        out[sum(jt)] = out[sum(jt)] + term
+    return out
+
+
+@pytest.mark.parametrize("exps, limit", [
+    ((1,), 4), ((2, 3), 3), ((0, 1, 5), 3), ((3, 2, 1), 2), ((4, 4), 1), ((), 3),
+])
+def test_composition_weights_int_matches_enumeration(exps, limit):
+    ratios = [2**e for e in exps]
+    assert composition_weights(ratios, limit) == composition_weights_brute(ratios, limit, 1)
+
+
+@pytest.mark.parametrize("exps, limit", [
+    ((-3, -4), 3), ((2, -1, -5), 3), ((-7,), 5), ((1, 0, -1), 1),
+])
+def test_composition_weights_fraction_matches_enumeration(exps, limit):
+    # q0 = 4 as in the p = 3 Volkenborn sums; negative exponents are the h < -n weights.
+    ratios = [Fraction(4) ** e for e in exps]
+    got = composition_weights(ratios, limit)
+    assert got == composition_weights_brute(ratios, limit, Fraction(1))
+    assert all(isinstance(w, Fraction) for w in got)
+
+
+@pytest.mark.parametrize("exps, limit", [
+    ((3, 2, 1), 3), ((-4, -5), 4), ((2, -3, 0), 2), ((5,), 1), ((), 2),
+])
+def test_composition_weights_laurent_matches_enumeration(exps, limit):
+    ratios = [LaurentPoly({e: 1}) for e in exps]
+    got = composition_weights(ratios, limit)
+    assert got == composition_weights_brute(ratios, limit, LaurentPoly.one())
+    if exps:
+        assert all(isinstance(w, LaurentPoly) for w in got)
+
+
+def test_composition_weights_rejects_empty_window():
+    with pytest.raises(ValueError):
+        composition_weights([1, 1], 0)
