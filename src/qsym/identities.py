@@ -242,7 +242,9 @@ _CHECKERS = {
 
 @dataclass(frozen=True)
 class GuardLimits:
-    """Grid guards; r-fold sums grow like w**r, so sweeps refuse larger ranges."""
+    """Grid guards, checked before any work: a sweep refuses n, r, w, x or h
+    outside these ranges, which bound the degree of every closed form and the
+    r(w-1)+1 weights of each composition kernel."""
 
     max_n: int = 12
     max_r: int = 4

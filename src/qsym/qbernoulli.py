@@ -26,11 +26,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from . import ratfun
 from .qcore import bracket_poly
 from .ratfun import LaurentPoly, RatFun, ResourceLimitError
-
-# Largest index-tuple grid wlim**r that t_sum_h accepts, checked before any work.
-MAX_TUPLES = 200_000
 
 
 class DegenerateWeightError(ValueError):
@@ -117,20 +115,11 @@ def beta_higher(n: int, r: int = 1, w: int = 1, arg: int = 0) -> RatFun:
     """Order-r Carlitz q-Bernoulli polynomial in base q^w at scaled argument arg."""
     BetaQuery(n, r, w, arg)
     den, cof = _higher_scaffold(n, r, w)
-    num: dict = {}
+    num = LaurentPoly.zero()
     for l in range(n + 1):
         scalar = math.comb(n, l) * (l + 1) ** r
-        if l % 2:
-            scalar = -scalar
-        shift = l * arg
-        for e, c in cof[l].terms.items():
-            e += shift
-            s = num.get(e, 0) + scalar * c
-            if s:
-                num[e] = s
-            else:
-                del num[e]
-    return RatFun(LaurentPoly(num), den)
+        num = num + cof[l].scale(-scalar if l % 2 else scalar).shift(l * arg)
+    return RatFun(num, den)
 
 
 def beta_number(n: int) -> RatFun:
@@ -168,24 +157,13 @@ def beta_weighted(n: int, h: int, r: int = 1, w: int = 1, arg: int = 0) -> RatFu
     """
     WeightedBetaQuery(n, h, r, w, arg)
     den, cof = _weighted_scaffold(n, h, r, w)
-    num: dict = {}
+    num = LaurentPoly.zero()
     for j in range(n + 1):
         scalar = math.comb(n, j)
         for k in range(r):
             scalar *= j + h - k
-        if j % 2:
-            scalar = -scalar
-        if not scalar:
-            continue
-        shift = j * arg
-        for e, c in cof[j].terms.items():
-            e += shift
-            s = num.get(e, 0) + scalar * c
-            if s:
-                num[e] = s
-            else:
-                del num[e]
-    return RatFun(LaurentPoly(num), den)
+        num = num + cof[j].scale(-scalar if j % 2 else scalar).shift(j * arg)
+    return RatFun(num, den)
 
 
 def composition_weights(ratios, limit: int) -> list:
@@ -219,7 +197,16 @@ def q_power_weights(exps, limit: int) -> list[LaurentPoly]:
     return composition_weights([LaurentPoly({e: 1}) for e in exps], limit)
 
 
-def _check_t_args(n: int, i: int, r: int, wlim: int, base: int) -> None:
+def _check_t_args(n: int, i: int, r: int, wlim: int, base: int, h: int | None = None) -> tuple:
+    """Validate the T-sum arguments and return the per-coordinate ratio
+    exponents: base(i+1) for t_sum, base(i+h-l) (l = 0..r-1) for t_sum_h.
+
+    Before any work, refuse a sum whose order, composition kernel length
+    smax + 1 (smax = r(wlim-1)) or result span exceeds ratfun.MAX_SPAN.  The
+    exponents of W[s] lie between (wlim-1) times the sum of the negative ratio
+    exponents and (wlim-1) times the sum of the positive ones, and [s]^(n-i)
+    in base q^base adds 0 .. base(s-1)(n-i).
+    """
     if not 0 <= i <= n:
         raise ValueError(f"need 0 <= i <= n, got i={i}, n={n}")
     if r < 1:
@@ -228,28 +215,30 @@ def _check_t_args(n: int, i: int, r: int, wlim: int, base: int) -> None:
         raise ValueError(f"summation limit must be >= 1, got {wlim}")
     if base < 1:
         raise ValueError(f"base exponent must be >= 1, got {base}")
+    smax = r * (wlim - 1)
+    for what, size in (("order r", r), ("composition kernel length", smax + 1)):
+        if size > ratfun.MAX_SPAN:
+            raise ResourceLimitError(f"{what} {size} exceeds the guard MAX_SPAN={ratfun.MAX_SPAN}")
+    exps = (base * (i + 1),) * r if h is None else tuple(base * (i + h - l) for l in range(r))
+    lo = (wlim - 1) * sum(e for e in exps if e < 0)
+    hi = (wlim - 1) * sum(e for e in exps if e > 0) + base * max(smax - 1, 0) * (n - i)
+    if hi - lo > ratfun.MAX_SPAN:
+        raise ResourceLimitError(
+            f"predicted exponent span {hi - lo} exceeds the guard MAX_SPAN={ratfun.MAX_SPAN}"
+        )
+    return exps
 
 
 def _t_sum_grouped(n: int, i: int, exps: tuple, wlim: int, base: int) -> RatFun:
     """sum over tuples j in {0..wlim-1}^r of [sum j]^(n-i) q^(sum_l exps[l] j_l),
     brackets in base q^base, grouped by s = sum j through composition_weights."""
-    acc: dict = {}
+    acc = LaurentPoly.zero()
     for s, ws in enumerate(q_power_weights(exps, wlim)):
         if n == i:
-            p = {0: 1}
-        elif s == 0:
-            continue
-        else:
-            p = (bracket_poly(s, base) ** (n - i)).terms
-        for e1, c1 in ws.terms.items():
-            for e2, c2 in p.items():
-                e = e1 + e2
-                v = acc.get(e, 0) + c1 * c2
-                if v:
-                    acc[e] = v
-                else:
-                    del acc[e]
-    return RatFun(LaurentPoly(acc))
+            acc = acc + ws
+        elif s:
+            acc = acc + ws * bracket_poly(s, base) ** (n - i)
+    return RatFun(acc)
 
 
 @lru_cache(maxsize=None)
@@ -260,8 +249,7 @@ def t_sum(n: int, i: int, r: int, wlim: int, base: int = 1) -> RatFun:
     Every coordinate carries the ratio q^(base(i+1)), so the tuple sum
     collapses to a sum over s = sum j with composition weights.
     """
-    _check_t_args(n, i, r, wlim, base)
-    return _t_sum_grouped(n, i, (base * (i + 1),) * r, wlim, base)
+    return _t_sum_grouped(n, i, _check_t_args(n, i, r, wlim, base), wlim, base)
 
 
 @lru_cache(maxsize=None)
@@ -272,10 +260,7 @@ def t_sum_h(n: int, i: int, h: int, r: int, wlim: int, base: int = 1) -> RatFun:
     bracket depends on the tuple only through s = sum j, so the sum is grouped
     by s with composition_weights over those ratios, exactly as in t_sum.
     """
-    _check_t_args(n, i, r, wlim, base)
-    if wlim**r > MAX_TUPLES:
-        raise ResourceLimitError(f"{wlim}^{r} index tuples exceed MAX_TUPLES={MAX_TUPLES}")
-    return _t_sum_grouped(n, i, tuple(base * (i + h - l) for l in range(r)), wlim, base)
+    return _t_sum_grouped(n, i, _check_t_args(n, i, r, wlim, base, h), wlim, base)
 
 
 # -- classical (q = 1) oracle -------------------------------------------------

@@ -1,6 +1,11 @@
 import json
+import time
 
+import pytest
+
+import qsym.ratfun as ratfun_mod
 from qsym.cli import main
+from qsym.qbernoulli import t_sum, t_sum_h
 
 
 def run(capsys, *argv):
@@ -31,6 +36,36 @@ def test_compute_tsum(capsys):
     code, out, _ = run(capsys, "compute", "tsum", "--n", "1", "--i", "0", "--r", "1",
                        "--wlim", "2", "--format", "pretty")
     assert code == 0 and out == "q\n"
+
+
+R9_TSUM_H = ("tsum-h", "--n", "2", "--i", "0", "--h", "3", "--r", "9", "--wlim", "4")
+
+
+def test_compute_tsum_h_many_coordinates_exits_0(capsys):
+    # 4^9 index tuples, but the composition kernel has 28 weights.
+    code, out, _ = run(capsys, "compute", *R9_TSUM_H)
+    assert code == 0 and json.loads(out)["num"]
+
+
+@pytest.mark.parametrize("argv, max_span, expected", [
+    (R9_TSUM_H, 115, 0),  # predicted span 115: exponents -45 .. 70
+    (R9_TSUM_H, 114, 3),
+    (("tsum", "--n", "3", "--i", "1", "--r", "2", "--wlim", "3"), 14, 0),  # exponents 0 .. 14
+    (("tsum", "--n", "3", "--i", "1", "--r", "2", "--wlim", "3"), 13, 3),
+    (("tsum", "--n", "1", "--i", "0", "--r", "1", "--wlim", "200000"), None, 3),  # kernel length
+    (("tsum", "--n", "1", "--i", "0", "--r", "1000000000"), None, 3),  # order r
+])
+def test_compute_tsum_guard_runs_before_work(capsys, monkeypatch, argv, max_span, expected):
+    if max_span is not None:
+        monkeypatch.setattr(ratfun_mod, "MAX_SPAN", max_span)
+    t_sum.cache_clear()
+    t_sum_h.cache_clear()
+    t0 = time.perf_counter()
+    code, _, err = run(capsys, "compute", *argv)
+    assert code == expected
+    if expected == 3:
+        assert "guard" in err
+        assert time.perf_counter() - t0 < 1.0
 
 
 def test_verify_recurrence(capsys):

@@ -1,4 +1,6 @@
 import json
+import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -93,6 +95,22 @@ def test_span_guard(monkeypatch):
     with pytest.raises(ResourceLimitError):
         LaurentPoly({0: 1, 11: 1})
     LaurentPoly({0: 1, 10: 1})  # at the bound: fine
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError):
+            LaurentPoly({0: 1, 10**12: 1})
+        assert tracemalloc.get_traced_memory()[1] < 10**6  # no dense list was allocated
+    finally:
+        tracemalloc.stop()
+
+    def no_conv(a, b):
+        raise AssertionError("a product past the span guard was convolved")
+
+    monkeypatch.setattr(ratfun_mod, "_conv", no_conv)
+    with pytest.raises(ResourceLimitError):
+        LaurentPoly({0: 1, 6: 1}) * LaurentPoly({0: 1, 5: 2})  # span 6 + 5 > 10
+    with pytest.raises(ResourceLimitError):
+        LaurentPoly({0: 1}) + LaurentPoly({11: 1})
 
 
 def test_canonical_pushes_monomials_into_numerator():
@@ -218,9 +236,45 @@ def test_gcd_divides_both(a, b):
     assert b.exact_div(g) is not None
 
 
-def test_big_integer_product_uses_kronecker_path():
-    a = LaurentPoly({i: (i % 11) - 5 for i in range(400)})
-    b = LaurentPoly({i: (i % 7) - 3 for i in range(350)})
+_rng = random.Random(20261018)
+_K = ratfun_mod.KRONECKER_MIN
+
+
+def _signed(bits_lo: int, bits_hi: int) -> int:
+    return _rng.choice((-1, 1)) * _rng.getrandbits(_rng.randint(bits_lo, bits_hi)) or 1
+
+
+def _dense_case(la: int, lb: int, bits_lo: int = 1, bits_hi: int = 200) -> tuple:
+    return ({i: _signed(bits_lo, bits_hi) for i in range(la)},
+            {i - 3: _signed(bits_lo, bits_hi) for i in range(lb)})
+
+
+def _extreme_case(bits: int, lb: int, sign: int) -> tuple:
+    """The middle product coefficients reach max|a| * max|b| * len(b), the
+    bound the digit width is chosen from.  Over the cases below its bit
+    length falls just under and on a byte boundary (with KRONECKER_MIN = 8:
+    15 and 16 bits at bits = 6)."""
+    m = 2**bits - 1
+    return {i: m for i in range(lb + 3)}, {i: sign * m for i in range(lb)}
+
+
+KRONECKER_CASES = {
+    "400x350": ({i: (i % 11) - 5 for i in range(400)}, {i: (i % 7) - 3 for i in range(350)}),
+    "square-below-crossover": _dense_case(_K - 1, _K - 1),
+    "square-at-crossover": _dense_case(_K, _K),
+    "long-below-crossover": _dense_case(300, _K - 1),
+    "long-at-crossover": _dense_case(300, _K),
+    "wide-digits": _dense_case(60, 40, 150, 200),
+    "q6-sparse": ({6 * i: _signed(1, 40) for i in range(60)},
+                  {i: _signed(1, 40) for i in range(25)}),
+    **{f"digit-bound-{bits}x{lb}{'-+'[s > 0]}": _extreme_case(bits, lb, s)
+       for bits in (1, 2, 6, 8, 63, 100) for lb in (_K, _K + 1) for s in (1, -1)},
+}
+
+
+@pytest.mark.parametrize("a, b", KRONECKER_CASES.values(), ids=KRONECKER_CASES.keys())
+def test_big_integer_product_uses_kronecker_path(a, b):
+    a, b = LaurentPoly(a), LaurentPoly(b)
     prod = a * b
     ref = {}
     for e1, c1 in a.terms.items():
