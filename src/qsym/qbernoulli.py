@@ -237,7 +237,7 @@ def _t_sum_grouped(n: int, i: int, exps: tuple, wlim: int, base: int) -> RatFun:
         if n == i:
             acc = acc + ws
         elif s:
-            acc = acc + ws * bracket_poly(s, base) ** (n - i)
+            acc = acc + ws * bracket_poly(s, base, n - i)
     return RatFun(acc)
 
 

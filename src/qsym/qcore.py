@@ -19,9 +19,12 @@ def _check_base(w: int) -> None:
 
 
 @lru_cache(maxsize=None)
-def bracket_poly(m: int, w: int = 1) -> LaurentPoly:
-    """[m] in base q^w as a Laurent polynomial."""
+def bracket_poly(m: int, w: int = 1, k: int = 1) -> LaurentPoly:
+    """[m]^k in base q^w as a Laurent polynomial.  The powers share the cache
+    because the T-sums raise the same brackets to the same powers on every call."""
     _check_base(w)
+    if k != 1:
+        return bracket_poly(m, w) ** k
     if m >= 0:
         return LaurentPoly({w * i: 1 for i in range(m)})
     return LaurentPoly({-w * i: -1 for i in range(1, -m + 1)})

@@ -12,6 +12,16 @@ denominator.  Equality is decided by cross-multiplication
 presentation choice for display and serialization, never a correctness
 dependency.
 
+``canonical()`` reduces by the heuristic gcd of Char, Geddes and Gonnet
+(J. Symb. Comput. 7, 1989) on the primitive integer parts: both are packed at
+the evaluation point x = 2**(8*size) used by Kronecker products, with half a
+digit above 2*max|coefficient| + 29; the integer gcd of the two values is read
+back from its symmetric base-x digits, and its primitive part is accepted only
+when trial division by it leaves no remainder on either side, which proves it
+is the gcd and yields the reduced numerator and denominator.  A failed
+candidate is retried at a few wider digit sizes, and then the Euclidean
+algorithm with primitive pseudo-remainders decides.
+
 All values are immutable after construction and safe to share across threads;
 coefficient lists are shared between values and never mutated.
 """
@@ -378,20 +388,61 @@ def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     integer polynomial with positive leading coefficient (monomial factors of
     the inputs are units and are discarded).
 
-    Euclidean algorithm with pseudo-remainders on primitive integer parts.
+    Heuristic gcd (Char, Geddes and Gonnet, J. Symb. Comput. 7, 1989) on the
+    primitive integer parts A and B: both are evaluated at x = 2**(8*size),
+    with half a digit above 2*max(|A|, |B|) + 29, and the integer gcd of the
+    two values is read back as a polynomial from its symmetric base-x digits.
+    Its primitive part is the gcd when it divides A and B exactly, which trial
+    division proves; otherwise a few wider digits are tried, and then the
+    Euclidean algorithm with pseudo-remainders decides.
     """
-    if a.is_zero:
-        return b.content_and_primitive()[1].shift(-b.min_exp) if not b.is_zero else a
-    if b.is_zero:
-        return a.content_and_primitive()[1].shift(-a.min_exp)
+    if a.is_zero or b.is_zero:
+        c = b if a.is_zero else a
+        return c if c.is_zero else _make(0, c.content_and_primitive()[1].coeffs)
     A = a.content_and_primitive()[1].coeffs
     B = b.content_and_primitive()[1].coeffs
+    return _make(0, _gcd_cofactors(A, B)[0])
+
+
+# Evaluation points the heuristic gcd tries, each with wider digits, before it
+# falls back to the pseudo-remainder sequence.
+_HEU_ATTEMPTS = 4
+
+
+def _gcd_cofactors(A: list, B: list) -> tuple:
+    """(G, A/G, B/G) for primitive integer lists A and B with positive leading
+    coefficients, G their gcd (primitive, positive leading coefficient)."""
+    bound = 2 * max(max(map(abs, A)), max(map(abs, B))) + 29
+    size = bound.bit_length() // 8 + 1  # half a digit, 2**(8*size - 1), exceeds bound
+    for _ in range(_HEU_ATTEMPTS):
+        h = math.gcd(_pack_int(A, size), _pack_int(B, size))
+        G = _prim_dense(_symmetric_digits(h, size))
+        qa = _int_div(A, G)
+        if qa is not None:
+            qb = _int_div(B, G)
+            if qb is not None:
+                return G, qa, qb
+        size += size // 2 + 1
+    G = _prs_gcd(A, B)
+    return G, _int_div(A, G), _int_div(B, G)
+
+
+def _symmetric_digits(h: int, size: int) -> list:
+    """The digits d_i of h >= 0 in base 2**(8*size) with |d_i| <= half a digit.
+    h has h.bit_length() // (8*size) + 1 unsigned digits; one more absorbs the
+    carry of the half-digit bias, so to_bytes in _unpack_int cannot overflow."""
+    return _unpack_int(h, h.bit_length() // (8 * size) + 2, size)
+
+
+def _prs_gcd(A: list, B: list) -> list:
+    """Primitive gcd of integer lists by the Euclidean algorithm with primitive
+    pseudo-remainders: the fallback of the heuristic gcd, and its test oracle."""
     if len(A) < len(B):
         A, B = B, A
     while B:
         R = _pseudo_rem(A, B)
         A, B = B, _prim_dense(R)
-    return _make(0, A)
+    return A
 
 
 def _prim_dense(arr: list) -> list:
@@ -531,16 +582,11 @@ class RatFun:
         factor with the numerator; monomial factors live in the numerator."""
         if self.num.is_zero:
             return RatFun(LaurentPoly.zero(), LaurentPoly.one())
-        a, b = self.num.min_exp, self.den.min_exp
-        n_poly = self.num.shift(-a)
-        d_poly = self.den.shift(-b)
-        g = poly_gcd(n_poly, d_poly)
-        if g != 1:
-            n_poly = n_poly.exact_div(g)
-            d_poly = d_poly.exact_div(g)
-        content, d_prim = d_poly.content_and_primitive()
-        n_poly = n_poly.scale(Fraction(1) / content)
-        return RatFun(n_poly.shift(a - b), d_prim)
+        n_content, n_prim = self.num.content_and_primitive()
+        d_content, d_prim = self.den.content_and_primitive()
+        _, n_red, d_red = _gcd_cofactors(n_prim.coeffs, d_prim.coeffs)
+        num = _make(self.num.lo - self.den.lo, n_red).scale(n_content / d_content)
+        return RatFun(num, _make(0, d_red))
 
     # -- evaluation ----------------------------------------------------------
 
@@ -581,13 +627,15 @@ class RatFun:
     # -- presentation --------------------------------------------------------
 
     def __str__(self) -> str:
-        num_s = str(self.num)
-        if self.den == LaurentPoly.one():
+        num, den = self.num, self.den
+        num_s = str(num)
+        if den.lo == 0 and den.den == 1 and den.coeffs == [1]:
             return num_s
-        den_s = str(self.den)
-        if len(self.num.terms) > 1:
+        den_s = str(den)
+        # coeffs has nonzero ends, so more than one entry means more than one term.
+        if len(num.coeffs) > 1:
             num_s = f"({num_s})"
-        if len(self.den.terms) > 1:
+        if len(den.coeffs) > 1:
             den_s = f"({den_s})"
         return f"{num_s}/{den_s}"
 

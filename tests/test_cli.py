@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 
@@ -36,6 +37,19 @@ def test_compute_tsum(capsys):
     code, out, _ = run(capsys, "compute", "tsum", "--n", "1", "--i", "0", "--r", "1",
                        "--wlim", "2", "--format", "pretty")
     assert code == 0 and out == "q\n"
+
+
+@pytest.mark.parametrize("argv, sha256", [
+    ("compute beta --n 8 --r 3 --w 3 --arg 1",
+     "7269e4542b0adcce61adf93ba24a3e8b5ce37f5fd1d4ed47610484a6265c00f5"),
+    ("table --n 0..8 --r 2 --w 2 --arg 0,1",
+     "86f5a032e0f18b6a74a3d222136ac07e402dcd6d827259cb4081e131a2732a41"),
+], ids=["beta8", "table"])
+def test_reduced_output_is_byte_identical(capsys, argv, sha256):
+    # Digests of the output reduced by the PRS gcd alone; the heuristic gcd must match it.
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
 R9_TSUM_H = ("tsum-h", "--n", "2", "--i", "0", "--h", "3", "--r", "9", "--wlim", "4")

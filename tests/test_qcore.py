@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from qsym.qcore import q_bracket, q_binomial, q_factorial
+from qsym.qcore import bracket_poly, q_bracket, q_binomial, q_factorial
 from qsym.ratfun import LaurentPoly, RatFun, limit_at_one
 
 
@@ -71,3 +71,12 @@ def test_base_validation():
         q_bracket(2, 0)
     with pytest.raises(ValueError):
         q_factorial(2, -1)
+
+
+def test_bracket_power_is_the_repeated_product():
+    for w in (1, 2):
+        for m in range(-3, 6):
+            prod = LaurentPoly.one()
+            for k in range(5):
+                assert bracket_poly(m, w, k) == prod, (m, w, k)
+                prod = prod * bracket_poly(m, w)

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -126,6 +127,14 @@ def test_canonical_denominator_is_primitive_positive():
     assert c.den.leading_coeff() > 0
     assert all(isinstance(v, int) for v in c.den.terms.values())
     assert c == f
+
+
+def test_str_parenthesises_sums_only():
+    assert str(RatFun(P({0: -1}), ONE_PLUS_Q)) == "-1/(q + 1)"
+    assert str(RatFun(P({3: 1, 0: 2}), P({2: 1}))) == "(q^3 + 2)/q^2"
+    assert str(RatFun(P({1: Fraction(1, 2)}), P({0: 3}))) == "1/2*q/3"
+    assert str(RatFun(ONE_MINUS_Q2)) == "-q^2 + 1"
+    assert str(RatFun(0, ONE_PLUS_Q)) == "0/(q + 1)"
 
 
 # -- serialization ------------------------------------------------------------
@@ -281,3 +290,96 @@ def test_big_integer_product_uses_kronecker_path(a, b):
         for e2, c2 in b.terms.items():
             ref[e1 + e2] = ref.get(e1 + e2, 0) + c1 * c2
     assert prod.terms == {e: c for e, c in ref.items() if c}
+
+
+# -- heuristic gcd ---------------------------------------------------------------
+
+
+def _prim(p: LaurentPoly) -> list:
+    return p.content_and_primitive()[1].coeffs
+
+
+def _reduce_by(f: RatFun, g: list) -> RatFun:
+    """f reduced by its gcd g the long way: shift out the monomials, exact_div
+    both sides by g, move the denominator's content into the numerator."""
+    a, b = f.num.min_exp, f.den.min_exp
+    g = LaurentPoly(dict(enumerate(g)))
+    n_poly, d_poly = f.num.shift(-a).exact_div(g), f.den.shift(-b).exact_div(g)
+    content, d_prim = d_poly.content_and_primitive()
+    return RatFun(n_poly.scale(1 / content).shift(a - b), d_prim)
+
+
+def _assert_matches_prs(f: RatFun) -> None:
+    g = ratfun_mod._prs_gcd(_prim(f.num), _prim(f.den))
+    assert poly_gcd(f.num, f.den).coeffs == g
+    c, ref = f.canonical(), _reduce_by(f, g)
+    assert c.num == ref.num and c.den == ref.den
+
+
+wide_coeffs = st.one_of(coeffs, st.integers(-10**12, 10**12))
+
+
+@st.composite
+def wide_polys(draw):
+    p = LaurentPoly(draw(st.dictionaries(st.integers(-3, 8), wide_coeffs, max_size=6)))
+    return p if p else LaurentPoly({draw(st.integers(-3, 3)): draw(st.integers(1, 10**6))})
+
+
+@settings(derandomize=True, max_examples=150)
+@given(st.one_of(nonzero_polys(), wide_polys()), st.one_of(nonzero_polys(), wide_polys()),
+       st.one_of(nonzero_polys(), wide_polys()))
+def test_heuristic_gcd_matches_prs_on_planted_factor(a, b, c):
+    _assert_matches_prs(RatFun(a * c, b * c))
+
+
+@pytest.mark.parametrize("n", range(7))
+@pytest.mark.parametrize("arg", (0, 1))
+def test_heuristic_gcd_matches_prs_on_beta_higher(n, arg):
+    from qsym.qbernoulli import beta_higher
+
+    for r in (1, 2, 3):
+        for w in (1, 2, 3):
+            _assert_matches_prs(beta_higher(n, r, w, arg))
+
+
+@pytest.mark.parametrize("size", (1, 2, 3))
+def test_symmetric_digits_read_back_every_value(size):
+    x = 2 ** (8 * size)
+    half = x // 2
+    edges = [0, 1, half - 1, half, x - 1, x, half * x - 1, half * x, x * x - 1, half * x * x - 1]
+    for h in edges + [_rng.getrandbits(_rng.randint(1, 300)) for _ in range(200)]:
+        digits = ratfun_mod._symmetric_digits(h, size)
+        assert sum(d * x**i for i, d in enumerate(digits)) == h
+        assert all(-half <= d < half for d in digits)
+
+
+def test_heuristic_gcd_retries_then_falls_back(monkeypatch):
+    # A = q^3 - 2q^2 + 23q - 22 and B = q + 50 are coprime, but the first
+    # evaluation point is x = 2**16 (half a digit above 2*50 + 29), and
+    # A(-50) = -2 * (x + 50), so B(x) divides A(x): the gcd of the packed
+    # values reads back as q + 50, which fails trial division.
+    A, B = [-22, 23, -2, 1], [50, 1]
+    pack = ratfun_mod._pack_int
+    assert math.gcd(pack(A, 2), pack(B, 2)) == pack(B, 2) == 2**16 + 50
+    prs_calls = []
+    prs = ratfun_mod._prs_gcd
+
+    def spy(*lists):
+        prs_calls.append(lists)
+        return prs(*lists)
+
+    monkeypatch.setattr(ratfun_mod, "_prs_gcd", spy)
+    assert ratfun_mod._gcd_cofactors(A, B) == ([1], A, B)
+    assert ratfun_mod._gcd_cofactors(B, A) == ([1], B, A)  # q + 50 divides the first only
+    assert prs_calls == []  # the second, wider point proved the gcd
+    monkeypatch.setattr(ratfun_mod, "_HEU_ATTEMPTS", 1)
+    assert ratfun_mod._gcd_cofactors(A, B) == ([1], A, B)
+    assert prs_calls == [(A, B)]
+
+    # With no heuristic attempt at all, canonical() reduces through PRS alone.
+    monkeypatch.setattr(ratfun_mod, "_HEU_ATTEMPTS", 0)
+    c = P({0: 1, 1: 3, 2: 1})
+    f = RatFun(P(dict(enumerate(A))) * c, P(dict(enumerate(B))) * c.shift(2))
+    reduced = f.canonical()
+    assert reduced.num == P({-2: -22, -1: 23, 0: -2, 1: 1}) and reduced.den == P({0: 50, 1: 1})
+    assert len(prs_calls) == 2
