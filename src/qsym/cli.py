@@ -16,7 +16,8 @@ import time
 from fractions import Fraction
 
 from .identities import IDENTITIES, SweepConfig, sweep
-from .qbernoulli import DegenerateWeightError, beta_higher, beta_weighted, t_sum, t_sum_h
+from .qbernoulli import (DegenerateWeightError, beta_higher, beta_weighted,
+                         denominator_brackets, t_sum, t_sum_h)
 from .ratfun import PoleError, ResourceLimitError
 from .volkenborn import FAMILIES, PadicContext, convergence_report
 
@@ -147,6 +148,9 @@ def run_verify(args) -> int:
 
 
 def run_table(args) -> int:
+    # The denominator span grows with n, r and w, so one guard at the largest
+    # corner refuses an oversized table before any row is built.
+    denominator_brackets(max(args.n), max(args.r), max(args.w))
     print("n,r,w,arg,ratfun")
     for n in sorted(set(args.n)):
         for r in sorted(set(args.r)):

@@ -28,6 +28,7 @@ from .qbernoulli import (
     q_power_weights,
     t_sum,
     t_sum_h,
+    weight_exponents,
 )
 from .qcore import q_bracket
 from .ratfun import LaurentPoly, RatFun, ResourceLimitError
@@ -128,21 +129,46 @@ def check_limit_q1(n: int, r: int, x: int) -> CheckReport:
 def check_multiplication(n: int, r: int, w1: int, x: int) -> CheckReport:
     """Multiplication formula: beta_n^(r) at w1*x as a [w1]-scaled sum over shifts."""
     lhs = beta_higher(n, r, 1, w1 * x)
-    acc = RatFun(0)
-    for s, ws in enumerate(q_power_weights([1] * r, w1)):
-        acc = acc + RatFun(ws) * beta_higher(n, r, w1, w1 * x + s)
-    rhs = q_bracket(w1, 1) ** (n - r) * acc
+    rhs = _swap_side(n, (1,) * r, w1, 1, x, lambda w, arg: beta_higher(n, r, w, arg))
     return _report("multiplication", {"n": n, "r": r, "w1": w1, "x": x}, lhs, rhs)
 
 
-# -- base-swap symmetry identities ---------------------------------------------
+# -- base-swap symmetry identities: one side builder per form, for both families
 
 
-def _thm3_side(n: int, r: int, wa: int, wb: int, x: int) -> RatFun:
+def _swap_side(n: int, cs, wa: int, wb: int, x: int, closed) -> RatFun:
+    """[wa]^(n-r) * sum over j in {0..wa-1}^r of q^(wb sum_k c_k j_k)
+    * closed(wa, wa wb x + wb sum j), r = len(cs); c = (1, ..., 1) for thm3 and
+    the multiplication formula, weight_exponents(h, r) for thm5.
+
+    The closed form depends on j only through s = sum j, so the tuple sum
+    regroups exactly as sum_s W[s] * closed(wa, wa wb x + wb s) with W[s] the
+    sum of the weight monomials over the tuples with sum s, which
+    composition_weights builds from the per-coordinate ratios q^(wb c_k).
+    """
     acc = RatFun(0)
-    for s, ws in enumerate(q_power_weights([wb] * r, wa)):
-        acc = acc + RatFun(ws) * beta_higher(n, r, wa, wa * wb * x + wb * s)
-    return q_bracket(wa, 1) ** (n - r) * acc
+    for s, ws in enumerate(q_power_weights([wb * c for c in cs], wa)):
+        acc = acc + RatFun(ws) * closed(wa, wa * wb * x + wb * s)
+    return q_bracket(wa, 1) ** (n - len(cs)) * acc
+
+
+def _convolution_side(n: int, r: int, wa: int, wb: int, x: int, closed, tsum,
+                      twist: int = 0) -> RatFun:
+    """sum_i C(n,i) [wa]^(n-i) [wb]^(i-r) closed(i, wb, wa wb x) tsum(i, wb, wa),
+    tsum(i, wlim, base) being t_sum (thm4) or t_sum_h (thm6) in base q^base."""
+    acc = RatFun(0)
+    for i in range(n + 1):
+        term = (
+            math.comb(n, i)
+            * q_bracket(wa, 1) ** (n - i)
+            * q_bracket(wb, 1) ** (i - r)
+            * closed(i, wb, wa * wb * x)
+            * tsum(i, wb, wa)
+        )
+        if twist and i == n:
+            term = term * _mono(twist)
+        acc = acc + term
+    return acc
 
 
 def check_thm3(n: int, r: int, w1: int, w2: int, x: int) -> CheckReport:
@@ -154,73 +180,39 @@ def check_thm3(n: int, r: int, w1: int, w2: int, x: int) -> CheckReport:
     corresponding side here.  Checking every degree n therefore certifies the
     series statement, and no separate series-level checker exists.
     """
-    lhs = _thm3_side(n, r, w1, w2, x)
-    rhs = _thm3_side(n, r, w2, w1, x)
+    closed = lambda w, arg: beta_higher(n, r, w, arg)
+    lhs = _swap_side(n, (1,) * r, w1, w2, x, closed)
+    rhs = _swap_side(n, (1,) * r, w2, w1, x, closed)
     return _report("thm3", {"n": n, "r": r, "w1": w1, "w2": w2, "x": x}, lhs, rhs)
-
-
-def _thm4_side(n: int, r: int, wa: int, wb: int, x: int, twist: int = 0) -> RatFun:
-    acc = RatFun(0)
-    for i in range(n + 1):
-        term = (
-            math.comb(n, i)
-            * q_bracket(wa, 1) ** (n - i)
-            * q_bracket(wb, 1) ** (i - r)
-            * beta_higher(i, r, wb, wa * wb * x)
-            * t_sum(n, i, r, wb, wa)
-        )
-        if twist and i == n:
-            term = term * _mono(twist)
-        acc = acc + term
-    return acc
 
 
 def check_thm4(n: int, r: int, w1: int, w2: int, x: int) -> CheckReport:
     """Convolution form of the base-swap symmetry, with T-sums."""
-    lhs = _thm4_side(n, r, w1, w2, x, twist=_THM4_LHS_TWIST)
-    rhs = _thm4_side(n, r, w2, w1, x)
+    closed = lambda i, w, arg: beta_higher(i, r, w, arg)
+    tsum = lambda i, wlim, base: t_sum(n, i, r, wlim, base)
+    lhs = _convolution_side(n, r, w1, w2, x, closed, tsum, twist=_THM4_LHS_TWIST)
+    rhs = _convolution_side(n, r, w2, w1, x, closed, tsum)
     return _report("thm4", {"n": n, "r": r, "w1": w1, "w2": w2, "x": x}, lhs, rhs)
-
-
-def _thm5_side(n: int, h: int, r: int, wa: int, wb: int, x: int) -> RatFun:
-    """[wa]^(n-r) * sum over j in {0..wa-1}^r of q^(wb sum_l (h-l+1) j_l)
-    * beta_weighted(n, h, r, wa, wa wb x + wb sum j), l one-based.
-
-    The beta_weighted factor depends on j only through s = sum j, so the
-    tuple sum regroups exactly as sum_s W[s] * beta_weighted(..., wa wb x + wb s)
-    with W[s] = sum over the tuples with sum s of the weight monomials, which
-    composition_weights builds from the per-coordinate ratios q^(wb(h-l+1)).
-    """
-    acc = RatFun(0)
-    for s, ws in enumerate(q_power_weights([wb * (h - l) for l in range(r)], wa)):
-        acc = acc + RatFun(ws) * beta_weighted(n, h, r, wa, wa * wb * x + wb * s)
-    return q_bracket(wa, 1) ** (n - r) * acc
 
 
 def check_thm5(n: int, h: int, r: int, w1: int, w2: int, x: int) -> CheckReport:
     """Base-swap symmetry of the weighted (h, r) polynomials."""
-    lhs = _thm5_side(n, h, r, w1, w2, x)
-    rhs = _thm5_side(n, h, r, w2, w1, x)
+    closed = lambda w, arg: beta_weighted(n, h, r, w, arg)
+    lhs = _swap_side(n, weight_exponents(h, r), w1, w2, x, closed)
+    rhs = _swap_side(n, weight_exponents(h, r), w2, w1, x, closed)
     return _report("thm5", {"n": n, "r": r, "h": h, "w1": w1, "w2": w2, "x": x}, lhs, rhs)
 
 
-def _thm6_side(n: int, h: int, r: int, wa: int, wb: int, x: int) -> RatFun:
-    acc = RatFun(0)
-    for i in range(n + 1):
-        acc = acc + (
-            math.comb(n, i)
-            * q_bracket(wb, 1) ** (n - i)
-            * q_bracket(wa, 1) ** (i - r)
-            * beta_weighted(i, h, r, wa, wa * wb * x)
-            * t_sum_h(n, i, h, r, wa, wb)
-        )
-    return acc
-
-
 def check_thm6(n: int, h: int, r: int, w1: int, w2: int, x: int) -> CheckReport:
-    """Convolution form of the weighted base-swap symmetry, with weighted T-sums."""
-    lhs = _thm6_side(n, h, r, w1, w2, x)
-    rhs = _thm6_side(n, h, r, w2, w1, x)
+    """Convolution form of the weighted base-swap symmetry, with weighted T-sums.
+
+    The weighted closed form and T-sum enter with the roles of the two bases
+    exchanged, so the lhs is the convolution side at (w2, w1).
+    """
+    closed = lambda i, w, arg: beta_weighted(i, h, r, w, arg)
+    tsum = lambda i, wlim, base: t_sum_h(n, i, h, r, wlim, base)
+    lhs = _convolution_side(n, r, w2, w1, x, closed, tsum)
+    rhs = _convolution_side(n, r, w1, w2, x, closed, tsum)
     return _report("thm6", {"n": n, "r": r, "h": h, "w1": w1, "w2": w2, "x": x}, lhs, rhs)
 
 

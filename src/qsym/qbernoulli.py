@@ -1,18 +1,16 @@
 """Closed-form evaluators for the Carlitz q-Bernoulli families.
 
-beta_higher(n, r, w, arg) is the order-r Carlitz q-Bernoulli polynomial in
-base q^w, written as the alternating binomial sum
+Both families come from one q-Volkenborn integral whose coordinate k carries
+the weight exponent c_k: c = (1, ..., 1) for the order-r polynomials
+beta_higher(n, r, w, arg), c = weight_exponents(h, r) = (h, ..., h-r+1) for
+the weighted ones beta_weighted(n, h, r, w, arg).  Both are
 
-    (1 / (1 - q^w)^n) * sum_{l=0}^{n} C(n,l) (-1)^l q^(l*arg) ((l+1)/[l+1])^r
+    (1 / (1 - q^w)^n) * sum_{j=0}^{n} C(n,j) (-1)^j q^(j*arg) prod_k (j+c_k)/[j+c_k]
 
-with every bracket taken in base q^w.  The integer ``arg`` is the scaled
-polynomial argument: a polynomial argument y contributes q^(w*l*y), so we
-require w*y to be the integer ``arg`` and exponents stay integral.
-
-beta_weighted adds an integer weight parameter h; its l-th bracket factor
-becomes the telescoped product over (j+h-k)/[j+h-k], which leaves the
-rational-function field when some j+h-k is zero, hence the domain
-restriction h > r-1 or h < -n.
+with every bracket in base q^w; the T-sums give coordinate k the ratio
+q^(base(i+c_k)).  A polynomial argument y contributes q^(w*j*y), so w*y must
+be the integer ``arg``.  The weighted product is 0/0 when some j+c_k is zero,
+hence the domain restriction h > r-1 or h < -n.
 
 classical_bernoulli_higher is an independent oracle for the q -> 1 limits:
 exact power series for (t/(e^t - 1))^r * e^(x t), with the ordinary Bernoulli
@@ -32,7 +30,7 @@ from .ratfun import LaurentPoly, RatFun, ResourceLimitError
 
 
 class DegenerateWeightError(ValueError):
-    """Weighted closed form requested at an h where a factor (j+h-k)/[j+h-k] is 0/0."""
+    """Weighted closed form requested at an h where a factor (j+c_k)/[j+c_k] is 0/0."""
 
 
 @dataclass(frozen=True)
@@ -73,53 +71,75 @@ class WeightedBetaQuery:
             )
 
 
-def _one_minus_qw(w: int) -> LaurentPoly:
-    return LaurentPoly({0: 1, w: -1})
+def weight_exponents(h: int, r: int) -> range:
+    """c = (h, h-1, ..., h-r+1), the weight exponents of the weighted (h, r)
+    family; a range, so an unbounded r costs nothing before a guard sees it."""
+    return range(h, h - r, -1)
 
 
-def _pre_suf(factors: list[LaurentPoly]) -> tuple[list, list]:
-    """Prefix and suffix products; pre[i] = f0*...*fi, suf[i] = fi*...*f_last."""
-    pre = []
-    acc = LaurentPoly.one()
+def denominator_brackets(n: int, r: int, w: int, h: int | None = None) -> range:
+    """The m of the denominator (1-q^w)^n * prod_m [m]^mult: m = 1..n+1 with
+    mult = r for beta_higher (h None), the union of the windows j + c with
+    mult = 1 for beta_weighted.  Refuses, before any work, a denominator
+    spanning more than ratfun.MAX_SPAN: [m] spans w(|m|-1) and no m is 0, so
+    sum |m| = |sum m| and the span costs O(1) for any n, r and h."""
+    if h is None:
+        ms, mult = range(1, n + 2), r
+    else:
+        c = weight_exponents(h, r)
+        ms, mult = range(c[-1], c[0] + n + 1), 1
+    span = w * (n + mult * (abs((ms.start + ms.stop - 1) * len(ms)) // 2 - len(ms)))
+    if span > ratfun.MAX_SPAN:
+        raise ResourceLimitError(
+            f"predicted denominator span {span} exceeds the guard MAX_SPAN={ratfun.MAX_SPAN}"
+        )
+    return ms
+
+
+def _scaffold(factors: list[LaurentPoly], width: int, w: int):
+    """Denominator (1-q^w)^n * prod(factors) and per-term cofactors of a closed
+    form whose term j divides by factors[j : j+width], n = len(factors) - width.
+    Cofactor j, the product outside that window, is a prefix times a suffix
+    product, so no term needs a division."""
+    pre = [LaurentPoly.one()]
     for f in factors:
-        acc = acc * f
-        pre.append(acc)
-    suf = [None] * len(factors)
-    acc = LaurentPoly.one()
-    for i in range(len(factors) - 1, -1, -1):
-        acc = factors[i] * acc
-        suf[i] = acc
-    return pre, suf
+        pre.append(pre[-1] * f)
+    suf = [LaurentPoly.one()]
+    for f in reversed(factors):
+        suf.append(f * suf[-1])
+    suf.reverse()
+    n = len(factors) - width
+    cof = tuple(pre[j] * suf[j + width] for j in range(n + 1))
+    return LaurentPoly({0: 1, w: -1}) ** n * pre[-1], cof
 
 
 @lru_cache(maxsize=None)
 def _higher_scaffold(n: int, r: int, w: int):
-    """Common denominator and per-term cofactors for beta_higher(n, r, w, .).
+    """Scaffold of beta_higher(n, r, w, .): factors [m]^r for m = 1..n+1, window width 1."""
+    return _scaffold([bracket_poly(m, w) ** r for m in denominator_brackets(n, r, w)], 1, w)
 
-    denominator = (1-q^w)^n * prod_{l=1..n} [l+1]^r
-    cofactor[l] = prod_{l' != l} [l'+1]^r   (so term l needs no division)
-    """
-    powers = [bracket_poly(l + 1, w) ** r for l in range(1, n + 1)]
-    pre, suf = _pre_suf(powers)
-    full = pre[-1] if powers else LaurentPoly.one()
-    cof = [full]
-    for l in range(1, n + 1):
-        left = pre[l - 2] if l >= 2 else LaurentPoly.one()
-        right = suf[l] if l <= n - 1 else LaurentPoly.one()
-        cof.append(left * right)
-    den = _one_minus_qw(w) ** n * full
-    return den, tuple(cof)
+
+@lru_cache(maxsize=None)
+def _weighted_scaffold(n: int, h: int, r: int, w: int):
+    """Scaffold of beta_weighted(n, h, r, w, .): factors [m] for m = h-r+1..h+n,
+    window width r (term j divides by [j + c_k] for every k)."""
+    return _scaffold([bracket_poly(m, w) for m in denominator_brackets(n, r, w, h)], r, w)
+
+
+def _closed_form(n: int, arg: int, scaffold, factor) -> RatFun:
+    """sum_j C(n,j) (-1)^j factor(j) q^(j arg) cofactor[j] / denominator."""
+    den, cof = scaffold
+    num = LaurentPoly.zero()
+    for j in range(n + 1):
+        scalar = math.comb(n, j) * factor(j)
+        num = num + cof[j].scale(-scalar if j % 2 else scalar).shift(j * arg)
+    return RatFun(num, den)
 
 
 def beta_higher(n: int, r: int = 1, w: int = 1, arg: int = 0) -> RatFun:
     """Order-r Carlitz q-Bernoulli polynomial in base q^w at scaled argument arg."""
     BetaQuery(n, r, w, arg)
-    den, cof = _higher_scaffold(n, r, w)
-    num = LaurentPoly.zero()
-    for l in range(n + 1):
-        scalar = math.comb(n, l) * (l + 1) ** r
-        num = num + cof[l].scale(-scalar if l % 2 else scalar).shift(l * arg)
-    return RatFun(num, den)
+    return _closed_form(n, arg, _higher_scaffold(n, r, w), lambda j: (j + 1) ** r)
 
 
 def beta_number(n: int) -> RatFun:
@@ -127,43 +147,16 @@ def beta_number(n: int) -> RatFun:
     return beta_higher(n, 1, 1, 0)
 
 
-@lru_cache(maxsize=None)
-def _weighted_scaffold(n: int, h: int, r: int, w: int):
-    """Common denominator and cofactors for beta_weighted(n, h, r, w, .).
-
-    Term j carries the bracket window [j+h-r+1 .. j+h]; the union over j is
-    the range [h-r+1 .. h+n] with each bracket appearing once, so
-    denominator = (1-q^w)^n * prod_{m in range} [m] and cofactor[j] is the
-    product outside the window.
-    """
-    ms = list(range(h - r + 1, h + n + 1))
-    brackets = [bracket_poly(m, w) for m in ms]
-    pre, suf = _pre_suf(brackets)
-    full = pre[-1] if brackets else LaurentPoly.one()
-    cof = []
-    for j in range(n + 1):
-        left = pre[j - 1] if j >= 1 else LaurentPoly.one()
-        right = suf[j + r] if j + r < len(brackets) else LaurentPoly.one()
-        cof.append(left * right)
-    den = _one_minus_qw(w) ** n * full
-    return den, tuple(cof)
-
-
 def beta_weighted(n: int, h: int, r: int = 1, w: int = 1, arg: int = 0) -> RatFun:
     """Weighted (h, r) q-Bernoulli polynomial in base q^w at scaled argument arg.
 
-    Uses the telescoped factor product prod_k (j+h-k)/[j+h-k]; raises
+    Uses the telescoped factor product prod_k (j+c_k)/[j+c_k]; raises
     DegenerateWeightError when some factor would be 0/0.
     """
     WeightedBetaQuery(n, h, r, w, arg)
-    den, cof = _weighted_scaffold(n, h, r, w)
-    num = LaurentPoly.zero()
-    for j in range(n + 1):
-        scalar = math.comb(n, j)
-        for k in range(r):
-            scalar *= j + h - k
-        num = num + cof[j].scale(-scalar if j % 2 else scalar).shift(j * arg)
-    return RatFun(num, den)
+    c = weight_exponents(h, r)
+    return _closed_form(n, arg, _weighted_scaffold(n, h, r, w),
+                        lambda j: math.prod(j + ck for ck in c))
 
 
 def composition_weights(ratios, limit: int) -> list:
@@ -198,8 +191,8 @@ def q_power_weights(exps, limit: int) -> list[LaurentPoly]:
 
 
 def _check_t_args(n: int, i: int, r: int, wlim: int, base: int, h: int | None = None) -> tuple:
-    """Validate the T-sum arguments and return the per-coordinate ratio
-    exponents: base(i+1) for t_sum, base(i+h-l) (l = 0..r-1) for t_sum_h.
+    """Validate the T-sum arguments and return the ratio exponents base(i+c_k),
+    c = (1, ..., 1) for t_sum and weight_exponents(h, r) for t_sum_h.
 
     Before any work, refuse a sum whose order, composition kernel length
     smax + 1 (smax = r(wlim-1)) or result span exceeds ratfun.MAX_SPAN.  The
@@ -219,7 +212,8 @@ def _check_t_args(n: int, i: int, r: int, wlim: int, base: int, h: int | None = 
     for what, size in (("order r", r), ("composition kernel length", smax + 1)):
         if size > ratfun.MAX_SPAN:
             raise ResourceLimitError(f"{what} {size} exceeds the guard MAX_SPAN={ratfun.MAX_SPAN}")
-    exps = (base * (i + 1),) * r if h is None else tuple(base * (i + h - l) for l in range(r))
+    cs = (1,) * r if h is None else weight_exponents(h, r)
+    exps = tuple(base * (i + ck) for ck in cs)
     lo = (wlim - 1) * sum(e for e in exps if e < 0)
     hi = (wlim - 1) * sum(e for e in exps if e > 0) + base * max(smax - 1, 0) * (n - i)
     if hi - lo > ratfun.MAX_SPAN:
@@ -254,11 +248,12 @@ def t_sum(n: int, i: int, r: int, wlim: int, base: int = 1) -> RatFun:
 
 @lru_cache(maxsize=None)
 def t_sum_h(n: int, i: int, h: int, r: int, wlim: int, base: int = 1) -> RatFun:
-    """Weighted T-sum: sum over tuples j of [sum j]^(n-i) q^(base * sum_l (i+h-l+1) j_l).
+    """Weighted T-sum: sum over tuples j of [sum j]^(n-i) q^(base * sum_k (i+c_k) j_k),
+    c = weight_exponents(h, r).
 
-    The weight gives coordinate l (one-based) the ratio q^(base(i+h-l+1)); the
-    bracket depends on the tuple only through s = sum j, so the sum is grouped
-    by s with composition_weights over those ratios, exactly as in t_sum.
+    The bracket depends on the tuple only through s = sum j, so the sum is
+    grouped by s with composition_weights over the ratios q^(base(i+c_k)),
+    exactly as in t_sum.
     """
     return _t_sum_grouped(n, i, _check_t_args(n, i, r, wlim, base, h), wlim, base)
 

@@ -6,10 +6,10 @@ stage-N sum over r coordinates is
     S_N = (1 / [p^N])^r * sum over y in {0..p^N-1}^r of
           [x + y_1 + ... + y_r]^n * weight(y)
 
-with brackets evaluated at q = q0, the measure contributing q0^(y_l) per
-coordinate, and (for the weighted family) the extra weight
-q0^(sum_l (h - l) y_l).  Everything is an exact rational; convergence to the
-matching closed form is certified by the p-adic valuations of S_N minus the
+with brackets evaluated at q = q0, the measure contributing q0^(y_k) per
+coordinate, and (for the weighted family) the extra weight q0^((c_k - 1) y_k)
+with c = weight_exponents(h, r).  Everything is an exact rational; convergence
+to the matching closed form is certified by the p-adic valuations of S_N minus the
 closed-form value being nondecreasing in N.
 """
 
@@ -20,7 +20,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .qbernoulli import WeightedBetaQuery, beta_higher, beta_weighted, composition_weights
+from .qbernoulli import (WeightedBetaQuery, beta_higher, beta_weighted, composition_weights,
+                         weight_exponents)
 from .ratfun import ResourceLimitError
 
 FAMILIES = ("single", "multi", "weighted")
@@ -66,7 +67,8 @@ def default_q0(p: int) -> Fraction:
 @dataclass(frozen=True)
 class PadicContext:
     """Prime p, evaluation point q0 with v_p(1 - q0) >= 1 (>= 2 for p = 2),
-    largest stage Nmax, and a budget on the p^(r N) summation grid."""
+    largest stage Nmax, and a budget on the p^(r N) index tuples a stage sum
+    stands for; those tuples are grouped by s = sum y, never enumerated."""
 
     p: int
     q0: Fraction = None
@@ -94,6 +96,8 @@ def _bracket_at(t: int, q0: Fraction) -> Fraction:
 
 
 def _check_budget(ctx: PadicContext, r: int, N: int) -> int:
+    """Refuse a stage sum that stands for more than ctx.budget index tuples
+    (p^(r N), grouped by s and not enumerated); return the window length p^N."""
     grid = ctx.p ** (r * N)
     if grid > ctx.budget:
         raise ResourceLimitError(
@@ -133,14 +137,15 @@ def riemann_sum_multi(n: int, r: int, x: int, ctx: PadicContext, N: int) -> Frac
 
 
 def riemann_sum_weighted(n: int, h: int, r: int, x: int, ctx: PadicContext, N: int) -> Fraction:
-    """Stage-N r-fold sum with the extra per-coordinate weight q0^((h - l) y_l).
+    """Stage-N r-fold sum with the extra per-coordinate weight q0^((c_k - 1) y_k),
+    c = weight_exponents(h, r).
 
-    With the measure, coordinate l (one-based) carries the ratio q0^(h - l + 1),
-    and composition_weights over those ratios groups the tuples by s = sum y
+    With the measure, coordinate k carries the ratio q0^(c_k), and
+    composition_weights over those ratios groups the tuples by s = sum y
     exactly, with no enumeration.  Computable for every integer h; only the
     closed-form comparison is restricted to non-degenerate h.
     """
-    return _riemann_sum(n, x, ctx, N, [h - l + 1 for l in range(1, r + 1)])
+    return _riemann_sum(n, x, ctx, N, weight_exponents(h, r))
 
 
 @dataclass

@@ -4,9 +4,10 @@ import time
 
 import pytest
 
+import qsym.qbernoulli as qbernoulli_mod
 import qsym.ratfun as ratfun_mod
 from qsym.cli import main
-from qsym.qbernoulli import t_sum, t_sum_h
+from qsym.qbernoulli import _higher_scaffold, _weighted_scaffold, t_sum, t_sum_h
 
 
 def run(capsys, *argv):
@@ -44,9 +45,16 @@ def test_compute_tsum(capsys):
      "7269e4542b0adcce61adf93ba24a3e8b5ce37f5fd1d4ed47610484a6265c00f5"),
     ("table --n 0..8 --r 2 --w 2 --arg 0,1",
      "86f5a032e0f18b6a74a3d222136ac07e402dcd6d827259cb4081e131a2732a41"),
-], ids=["beta8", "table"])
+    ("verify --identity multiplication --identity thm3 --identity thm4 --identity thm5 "
+     "--identity thm6 --max-n 3 --max-r 2 --max-w 3 --verbose",
+     "6a587eb932748794b8f04a1f58c91367b2c8dca6b286727edde0cc70846b1f4d"),
+    ("verify --identity thm5 --identity thm6 --max-n 2 --max-r 2 --max-w 3 --h=-4,4 --verbose",
+     "2333d669d762a2125e433fc3a56523fa6bb213688645fe7edf9f725fa4727b2b"),
+], ids=["beta8", "table", "verbose-thm3-6", "verbose-weighted-h"])
 def test_reduced_output_is_byte_identical(capsys, argv, sha256):
-    # Digests of the output reduced by the PRS gcd alone; the heuristic gcd must match it.
+    # Digests of beta8 and table were taken when the PRS gcd alone reduced the
+    # output, and those of the verbose sweeps while each family still had its
+    # own side builders: the heuristic gcd and the shared builders must match.
     code, out, _ = run(capsys, *argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
@@ -80,6 +88,47 @@ def test_compute_tsum_guard_runs_before_work(capsys, monkeypatch, argv, max_span
     if expected == 3:
         assert "guard" in err
         assert time.perf_counter() - t0 < 1.0
+
+
+BETA_3_2 = ("beta", "--n", "3", "--r", "2")
+BETA_H_NEG = ("beta-h", "--n", "2", "--h", "-4", "--r", "2", "--w", "2")
+
+
+@pytest.mark.parametrize("argv, max_span, expected", [
+    (BETA_3_2, 15, 0),  # (1-q)^3 [2]^2 [3]^2 [4]^2: 3 + 2 * (1 + 2 + 3)
+    (BETA_3_2, 14, 3),
+    (BETA_H_NEG, 24, 0),  # (1-q^2)^2 [-5] [-4] [-3] [-2] in base q^2: 2 * (2 + 4 + 3 + 2 + 1)
+    (BETA_H_NEG, 23, 3),
+    (("beta", "--n", "460", "--r", "1"), None, 3),  # span 106,490
+    (("beta-h", "--n", "0", "--h", "500", "--r", "500"), None, 3),  # span 124,750
+    (("beta", "--n", "0", "--r", "1000000000"), None, 0),  # span 0: the value is 1
+])
+def test_compute_beta_guard_runs_before_work(capsys, monkeypatch, argv, max_span, expected):
+    if max_span is not None:
+        monkeypatch.setattr(ratfun_mod, "MAX_SPAN", max_span)
+    if expected == 3:  # no bracket may be built before the refusal
+        monkeypatch.setattr(qbernoulli_mod, "bracket_poly", None)
+    _higher_scaffold.cache_clear()
+    _weighted_scaffold.cache_clear()
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "compute", *argv)
+    assert code == expected
+    if expected == 3:
+        assert out == "" and "guard" in err
+        assert max_span is None or f"span {max_span + 1} " in err
+        assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.parametrize("max_span, expected", [(15, 0), (14, 3)])
+def test_table_guard_runs_before_any_row(capsys, monkeypatch, max_span, expected):
+    # The largest corner (n, r, w) = (3, 2, 1) has the span 15 of compute beta --n 3 --r 2.
+    monkeypatch.setattr(ratfun_mod, "MAX_SPAN", max_span)
+    if expected == 3:
+        monkeypatch.setattr(qbernoulli_mod, "bracket_poly", None)
+    _higher_scaffold.cache_clear()
+    code, out, _ = run(capsys, "table", "--n", "0..3", "--r", "1..2", "--arg", "0,1")
+    assert code == expected
+    assert len(out.splitlines()) == (17 if expected == 0 else 0)
 
 
 def test_verify_recurrence(capsys):

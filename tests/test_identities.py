@@ -18,7 +18,7 @@ from qsym.identities import (
     check_thm6,
     sweep,
 )
-from qsym.qbernoulli import DegenerateWeightError, beta_weighted
+from qsym.qbernoulli import DegenerateWeightError, beta_weighted, weight_exponents
 from qsym.qcore import q_bracket
 from qsym.ratfun import LaurentPoly, RatFun, ResourceLimitError, ratfun_eq
 
@@ -128,7 +128,8 @@ def test_thm5_side_matches_tuple_enumeration(n, r):
     for h in (r, r + 1, r + 3, -n - 1):
         for wa, wb in itertools.product(range(1, 5), repeat=2):
             for x in (0, 1):
-                got = idn._thm5_side(n, h, r, wa, wb, x)
+                got = idn._swap_side(n, weight_exponents(h, r), wa, wb, x,
+                                     lambda w, arg: beta_weighted(n, h, r, w, arg))
                 assert ratfun_eq(got, thm5_side_by_tuples(n, h, r, wa, wb, x)), (h, wa, wb, x)
 
 

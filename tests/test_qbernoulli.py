@@ -12,6 +12,9 @@ from qsym.qbernoulli import (
     BetaQuery,
     DegenerateWeightError,
     WeightedBetaQuery,
+    _check_t_args,
+    _higher_scaffold,
+    _weighted_scaffold,
     beta_higher,
     beta_number,
     beta_weighted,
@@ -20,8 +23,9 @@ from qsym.qbernoulli import (
     composition_weights,
     t_sum,
     t_sum_h,
+    weight_exponents,
 )
-from qsym.qcore import q_bracket
+from qsym.qcore import bracket_poly, q_bracket
 from qsym.ratfun import LaurentPoly, RatFun, limit_at_one
 
 Q = RatFun(LaurentPoly({1: 1}))
@@ -294,3 +298,78 @@ def test_composition_weights_laurent_matches_enumeration(exps, limit):
 def test_composition_weights_rejects_empty_window():
     with pytest.raises(ValueError):
         composition_weights([1, 1], 0)
+
+
+# -- one exponent vector for both families ----------------------------------------
+
+
+def _product(polys) -> LaurentPoly:
+    out = LaurentPoly.one()
+    for f in polys:
+        out = out * f
+    return out
+
+
+def _assert_scaffold(scaffold, n, w, windows):
+    """den = (1-q^w)^n * prod(factors) and cof[j] * prod(window j) = prod(factors),
+    factors being the union of the windows with multiplicity one."""
+    den, cof = scaffold
+    factors = {m: f for window in windows for m, f in window.items()}
+    full = _product(factors.values())
+    assert den == LaurentPoly({0: 1, w: -1}) ** n * full
+    assert len(cof) == n + 1
+    for j, window in enumerate(windows):
+        assert cof[j] * _product(window.values()) == full, j
+
+
+@pytest.mark.parametrize("n", range(4))
+@pytest.mark.parametrize("r, w", [(1, 1), (2, 1), (3, 2), (1, 3)])
+def test_higher_scaffold_windows(n, r, w):
+    # term j of beta_higher divides by [j+1]^r
+    windows = [{j + 1: bracket_poly(j + 1, w) ** r} for j in range(n + 1)]
+    _assert_scaffold(_higher_scaffold(n, r, w), n, w, windows)
+
+
+@pytest.mark.parametrize("n", range(4))
+@pytest.mark.parametrize("r, w", [(1, 1), (2, 1), (3, 2), (2, 3)])
+def test_weighted_scaffold_windows(n, r, w):
+    # h on both sides of the degenerate band -n <= h <= r-1
+    for h in (r, r + 2, -n - 1, -n - 3):
+        # term j of beta_weighted divides by [j+h-k] for k = 0..r-1
+        windows = [{j + h - k: bracket_poly(j + h - k, w) for k in range(r)} for j in range(n + 1)]
+        _assert_scaffold(_weighted_scaffold(n, h, r, w), n, w, windows)
+
+
+def test_weight_exponents():
+    assert tuple(weight_exponents(5, 3)) == (5, 4, 3)
+    assert tuple(weight_exponents(-2, 2)) == (-2, -3)
+    assert tuple(weight_exponents(1, 1)) == (1,)
+    assert len(weight_exponents(0, 10**18)) == 10**18  # nothing is built
+    # T-sum ratios base(i+1) and base(i+h-k), k = 0..r-1
+    assert _check_t_args(4, 1, 3, 2, 2) == (4, 4, 4)
+    assert _check_t_args(4, 1, 3, 2, 2, h=5) == (12, 10, 8)
+    assert _check_t_args(2, 0, 2, 2, 1, h=-4) == (-4, -5)
+
+
+def closed_form_by_terms(n, w, arg, factor):
+    """(1-q^w)^(-n) sum_j C(n,j) (-1)^j q^(j arg) factor(j), with RatFun division."""
+    acc = RatFun(0)
+    for j in range(n + 1):
+        acc = acc + (-1) ** j * math.comb(n, j) * RatFun(LaurentPoly({j * arg: 1})) * factor(j)
+    return acc / RatFun(LaurentPoly({0: 1, w: -1})) ** n
+
+
+@pytest.mark.parametrize("n, r, w, arg", [(0, 2, 1, 0), (2, 2, 1, 1), (3, 1, 2, 0), (3, 3, 2, 2)])
+def test_closed_forms_match_term_by_term_formula(n, r, w, arg):
+    def higher(j):
+        return (RatFun(j + 1) / q_bracket(j + 1, w)) ** r
+
+    assert beta_higher(n, r, w, arg) == closed_form_by_terms(n, w, arg, higher)
+    for h in (r, r + 2, -n - 1, -n - 2):
+        def weighted(j):
+            out = RatFun(1)
+            for k in range(r):
+                out = out * RatFun(j + h - k) / q_bracket(j + h - k, w)
+            return out
+
+        assert beta_weighted(n, h, r, w, arg) == closed_form_by_terms(n, w, arg, weighted), h

@@ -1,0 +1,36 @@
+"""Smoke tests for the scripts under scripts/: they import the package the way
+a user runs them and must keep working as it changes."""
+
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+SRC = SCRIPTS.parent / "src"
+
+
+def test_convergence_study_small_run():
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "convergence_study.py"), "--primes", "3", "--max-n", "1",
+         "--nmax", "2"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = proc.stdout.splitlines()
+    assert header.split()[:3] == ["p", "q0", "family"]
+    assert len(rows) == 12  # n in {0, 1}, x in {0, 1}, three families
+    assert all("NOT MONOTONE" not in row for row in rows)
+
+
+def test_verify_identities_battery_validates():
+    path = SCRIPTS / "verify_identities.py"
+    spec = importlib.util.spec_from_file_location("verify_identities", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)  # defines BATTERY; main() is not called
+    assert module.BATTERY
+    for name, cfg in module.BATTERY:
+        assert cfg.jobs(), name  # jobs() validates the grid against the guards
