@@ -1,16 +1,20 @@
 """Finite-N q-Volkenborn Riemann sums with p-adic valuation tracking.
 
 For a prime p, a rational q0 close to 1 in the p-adic sense, and N >= 1, the
-stage-N sum over r coordinates is
+stage-N sum over r coordinates, with brackets at q = q0 and c = (1, ..., 1)
+(unweighted) or c = weight_exponents(h, r) (weighted), is
 
-    S_N = (1 / [p^N])^r * sum over y in {0..p^N-1}^r of
-          [x + y_1 + ... + y_r]^n * weight(y)
+    S_N = (1 / [p^N])^r * sum over y in {0..p^N-1}^r of [x + sum y]^n * q0^(sum c_k y_k).
 
-with brackets evaluated at q = q0, the measure contributing q0^(y_k) per
-coordinate, and (for the weighted family) the extra weight q0^((c_k - 1) y_k)
-with c = weight_exponents(h, r).  Everything is an exact rational; convergence
-to the matching closed form is certified by the p-adic valuations of S_N minus the
-closed-form value being nondecreasing in N.
+Expanding [x + s]^n binomially in q0^s gives each coordinate one geometric
+window, the sum behind the closed forms: with M = p^N and Q = q0^M,
+
+    S_N = (1-q0)^(r-n) / (1-Q)^r * sum_{m=0..n} C(n,m) (-1)^m q0^(m x) prod_k G(m + c_k),
+
+G(e) = (1-Q^e) / (1-q0^e) and G(0) = M: O(n r) exact operations on numbers of
+about (n + max|c_k|) p^N log2 height(q0) bits.  Convergence to the matching
+closed form is certified by the p-adic valuations of S_N minus the closed-form
+value being nondecreasing in N.
 """
 
 from __future__ import annotations
@@ -20,8 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .qbernoulli import (WeightedBetaQuery, beta_higher, beta_weighted, composition_weights,
-                         weight_exponents)
+from .qbernoulli import WeightedBetaQuery, beta_higher, beta_weighted, weight_exponents
 from .ratfun import ResourceLimitError
 
 FAMILIES = ("single", "multi", "weighted")
@@ -68,7 +71,7 @@ def default_q0(p: int) -> Fraction:
 class PadicContext:
     """Prime p, evaluation point q0 with v_p(1 - q0) >= 1 (>= 2 for p = 2),
     largest stage Nmax, and a budget on the p^(r N) index tuples a stage sum
-    stands for; those tuples are grouped by s = sum y, never enumerated."""
+    stands for; the closed form never visits them, so it no longer tracks cost."""
 
     p: int
     q0: Fraction = None
@@ -91,60 +94,47 @@ class PadicContext:
             raise ValueError("Nmax must be >= 1")
 
 
-def _bracket_at(t: int, q0: Fraction) -> Fraction:
-    return (1 - q0**t) / (1 - q0)
-
-
 def _check_budget(ctx: PadicContext, r: int, N: int) -> int:
-    """Refuse a stage sum that stands for more than ctx.budget index tuples
-    (p^(r N), grouped by s and not enumerated); return the window length p^N."""
-    grid = ctx.p ** (r * N)
-    if grid > ctx.budget:
+    """Refuse a stage sum that stands for more than ctx.budget index tuples,
+    p^(r N), which bounds its meaning and no longer its cost; return p^N.
+    p^(r N) > budget exactly when r N > k, the largest k with p^k <= budget."""
+    k, power = 0, ctx.p
+    while power <= ctx.budget:
+        k, power = k + 1, power * ctx.p
+    if r * N > k:
         raise ResourceLimitError(
-            f"summation grid p^(r*N) = {grid} exceeds the budget {ctx.budget}"
+            f"summation grid p^(r*N) = {ctx.p}^({r * N}) exceeds the budget {ctx.budget}"
         )
     return ctx.p**N
 
 
-def _riemann_sum(n: int, x: int, ctx: PadicContext, N: int, exps) -> Fraction:
-    """(1 / [p^N])^r * sum over y in {0..p^N-1}^r of [x + sum y]^n * q0^(sum_l exps[l] y_l),
-    r = len(exps).
-
-    The bracket depends on y only through s = sum y, and the per-coordinate
-    weights factor into r geometric windows, so composition_weights groups
-    the tuples by s exactly: O(r^2 * p^N) Fraction operations, not p^(rN).
-    """
+def _riemann_sum(n: int, x: int, ctx: PadicContext, N: int, exps: range, mult: int = 1) -> Fraction:
+    """S_N of the module docstring, c being each exponent of exps taken mult
+    times (r = mult * len(exps)): O(n * len(exps)) operations, no O(r) object."""
     if not 1 <= N <= ctx.Nmax:
         raise ValueError(f"N must be in 1..{ctx.Nmax}")
-    r = len(exps)
+    r = mult * len(exps)
     if n < 0 or r < 1:
         raise ValueError("need n >= 0 and r >= 1")
-    m = _check_budget(ctx, r, N)
-    weights = composition_weights([ctx.q0**e for e in exps], m)
-    total = Fraction(0)
-    for s, ws in enumerate(weights):
-        total += ws * _bracket_at(x + s, ctx.q0) ** n
-    return total / _bracket_at(m, ctx.q0) ** r
+    q0, size = ctx.q0, _check_budget(ctx, r, N)
+    big_q = q0**size
+    window = {e: Fraction(size) if e == 0 else (1 - big_q**e) / (1 - q0**e)
+              for e in range(min(exps), max(exps) + n + 1)}
+    total = sum((-1) ** m * math.comb(n, m) * q0 ** (m * x)
+                * math.prod(window[m + c] ** mult for c in exps) for m in range(n + 1))
+    return (1 - q0) ** (r - n) / (1 - big_q) ** r * total
 
 
 def riemann_sum_multi(n: int, r: int, x: int, ctx: PadicContext, N: int) -> Fraction:
-    """Stage-N r-fold sum for the unweighted family, as an exact rational.
-
-    The measure gives every coordinate the ratio q0, so the tuples are grouped
-    by s = sum y with composition_weights([q0] * r): W[s] = #tuples * q0^s.
-    """
-    return _riemann_sum(n, x, ctx, N, [1] * r)
+    """Stage-N r-fold sum for the unweighted family, as an exact rational; every
+    c_k is 1, so the r windows G(m + 1) are one power."""
+    return _riemann_sum(n, x, ctx, N, range(1, 2), r)
 
 
 def riemann_sum_weighted(n: int, h: int, r: int, x: int, ctx: PadicContext, N: int) -> Fraction:
     """Stage-N r-fold sum with the extra per-coordinate weight q0^((c_k - 1) y_k),
-    c = weight_exponents(h, r).
-
-    With the measure, coordinate k carries the ratio q0^(c_k), and
-    composition_weights over those ratios groups the tuples by s = sum y
-    exactly, with no enumeration.  Computable for every integer h; only the
-    closed-form comparison is restricted to non-degenerate h.
-    """
+    c = weight_exponents(h, r).  Computable for every integer h, including the
+    e = 0 windows of a degenerate h; only the closed-form comparison is not."""
     return _riemann_sum(n, x, ctx, N, weight_exponents(h, r))
 
 

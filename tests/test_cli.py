@@ -50,11 +50,29 @@ def test_compute_tsum(capsys):
      "6a587eb932748794b8f04a1f58c91367b2c8dca6b286727edde0cc70846b1f4d"),
     ("verify --identity thm5 --identity thm6 --max-n 2 --max-r 2 --max-w 3 --h=-4,4 --verbose",
      "2333d669d762a2125e433fc3a56523fa6bb213688645fe7edf9f725fa4727b2b"),
-], ids=["beta8", "table", "verbose-thm3-6", "verbose-weighted-h"])
+    ("volkenborn --family weighted --n 1 --h 2 --r 1 --p 3 --N 3 --x 0",
+     "218c3f28b12ccb80d7be4b582e10ae1fde39f5c5b94c60eb8eb02ca82d2bccdb"),
+    ("volkenborn --family single --n 6 --p 5 --N 5",
+     "f4f5f412bc483d1bd29d4a74661ac0dfe8d13079887236b310f1e765a73dc9e1"),
+    ("volkenborn --family multi --n 3 --r 2 --p 5 --N 4 --x 1",
+     "0b6904723eaa3cdf89f25a205272d506035fb99a506e68ca726d7d1bb2cd55b2"),
+    ("volkenborn --family weighted --n 4 --h -6 --r 2 --p 7 --N 2",
+     "457b9000b5343cea9f206618f991846f69067f3c40de37b3df42c032cf6a7d6c"),
+    ("volkenborn --family weighted --n 2 --h 3 --r 2 --p 5 --q0 7/2 --N 2 --x 1",
+     "bb98d24f294910c01620b71663a7b41fe386a17631b44685abb8c60f99161a30"),
+    ("volkenborn --family weighted --n 3 --h -5 --r 2 --p 2 --N 3 --x 1",
+     "fcd75c475adefb25c37c81a5bcb88c2faad20ca8f2f70fd1f5a5fa011a9bfb83"),
+    ("volkenborn --family single --n 3 --p 2 --N 6 --x -2",
+     "fc8c18820f738ba94fb61da19d6f30dab3f8f1b036fda919d15eb81001fa5d12"),
+], ids=["beta8", "table", "verbose-thm3-6", "verbose-weighted-h", "volk-weighted-r1",
+        "volk-single-n6", "volk-multi", "volk-weighted-neg-h", "volk-frac-q0", "volk-p2",
+        "volk-p2-neg-x"])
 def test_reduced_output_is_byte_identical(capsys, argv, sha256):
     # Digests of beta8 and table were taken when the PRS gcd alone reduced the
-    # output, and those of the verbose sweeps while each family still had its
-    # own side builders: the heuristic gcd and the shared builders must match.
+    # output, those of the verbose sweeps while each family still had its own
+    # side builders, and the volkenborn ones while each stage sum still walked
+    # s = 0..r(p^N - 1): the heuristic gcd, the shared builders and the
+    # closed-form stage sums must match.
     code, out, _ = run(capsys, *argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
@@ -190,6 +208,29 @@ def test_volkenborn_single(capsys):
     obj = json.loads(out)
     assert obj["monotone"] is True
     assert [n for n, _ in obj["points"]] == [1, 2, 3, 4]
+
+
+def test_volkenborn_deep_stage_is_fast(capsys):
+    # Stage 6 at p = 5 took about 9 s when each stage walked s = 0..p^N - 1.
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "volkenborn", "--family", "single", "--n", "2", "--p", "5",
+                       "--N", "6")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 0
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "3b6f9247606f98aeaa9fda10ab604e12c1b75e189e2530838c25386c7738afb1")
+
+
+@pytest.mark.parametrize("r", ["100000", "1000000"])
+def test_volkenborn_budget_guard_exits_3(capsys, r):
+    # The grid 5^r has more than the 4,300 digits Python formats, so the guard
+    # compares exponents and writes the grid as a power.
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "volkenborn", "--family", "multi", "--n", "0", "--r", r,
+                         "--p", "5", "--N", "1")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 3 and out == ""
+    assert "guard" in err and f"5^({r})" in err
 
 
 def test_volkenborn_nonprime_exits_2(capsys):

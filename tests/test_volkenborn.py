@@ -1,11 +1,13 @@
 import itertools
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from qsym.qbernoulli import beta_higher, beta_number, beta_weighted
+from qsym.qbernoulli import (beta_higher, beta_number, beta_weighted, composition_weights,
+                             weight_exponents)
 from qsym.ratfun import ResourceLimitError, eval_rational
 from qsym.volkenborn import (
     PadicContext,
@@ -18,13 +20,48 @@ from qsym.volkenborn import (
 )
 
 
-def riemann_brute(n, r, x, q0, m):
+def bracket(t, q0):
+    return (1 - q0**t) / (1 - q0)
+
+
+def riemann_brute(n, x, q0, m, exps):
     """Plain tuple enumeration of the stage sum, as an independent oracle."""
-    br = lambda t: (1 - q0**t) / (1 - q0)
     total = Fraction(0)
-    for yt in itertools.product(range(m), repeat=r):
-        total += br(x + sum(yt)) ** n * q0 ** sum(yt)
-    return total / br(m) ** r
+    for yt in itertools.product(range(m), repeat=len(exps)):
+        weight = q0 ** sum(c * y for c, y in zip(exps, yt))
+        total += bracket(x + sum(yt), q0) ** n * weight
+    return total / bracket(m, q0) ** len(exps)
+
+
+def riemann_kernel(n, x, q0, m, exps):
+    """The stage sum walked over s = 0..r(m-1): composition_weights groups the
+    tuples by s = sum y.  O(r^2 m) Fraction operations; the closed form's oracle."""
+    weights = composition_weights([q0**c for c in exps], m)
+    total = sum(ws * bracket(x + s, q0) ** n for s, ws in enumerate(weights))
+    return total / bracket(m, q0) ** len(exps)
+
+
+# (p, q0): p = 2, the default q0, a fractional q0 and a negative q0.
+ORACLE_CONTEXTS = [(2, None), (3, Fraction(-2)), (5, Fraction(7, 2)), (7, None)]
+
+
+@pytest.mark.parametrize("p, q0", ORACLE_CONTEXTS)
+def test_closed_form_matches_kernel_and_brute_force(p, q0):
+    ctx = PadicContext(p=p, q0=q0, Nmax=3)
+    for n, r, x, N in itertools.product(range(5), (1, 2, 3), (-2, 0, 1), (1, 2, 3)):
+        m = p**N
+        if m > 27 or m**r > 729:
+            continue
+        # Below the degenerate band -n <= h <= r-1, its two edges (each with an
+        # e = 0 window m + c_k = 0), and above it.
+        hs = (-n - 2, -n - 1, -n, r - 1, r)
+        cases = [(tuple([1] * r), riemann_sum_multi(n, r, x, ctx, N))]
+        cases += [(tuple(weight_exponents(h, r)), riemann_sum_weighted(n, h, r, x, ctx, N))
+                  for h in hs]
+        for exps, value in cases:
+            assert value == riemann_kernel(n, x, ctx.q0, m, exps), (n, r, x, N, exps)
+            if m**r <= 64:
+                assert value == riemann_brute(n, x, ctx.q0, m, exps), (n, r, x, N, exps)
 
 
 def test_p_valuation_examples():
@@ -61,20 +98,14 @@ def test_riemann_matches_brute_force():
     ctx = PadicContext(p=3, q0=Fraction(4), Nmax=2)
     for n, r, x, N in [(1, 1, 0, 1), (2, 1, 1, 2), (1, 2, 0, 1), (2, 2, 1, 1)]:
         m = 3**N
-        assert riemann_sum_multi(n, r, x, ctx, N) == riemann_brute(n, r, x, Fraction(4), m)
+        assert riemann_sum_multi(n, r, x, ctx, N) == riemann_brute(n, x, Fraction(4), m, [1] * r)
 
 
 def test_weighted_matches_brute_force():
     ctx = PadicContext(p=3, q0=Fraction(4), Nmax=1)
-    q0 = Fraction(4)
     for n, h, r, x in [(1, 2, 1, 0), (2, 3, 2, 1), (1, 0, 1, 0), (0, -2, 2, 0)]:
-        m = 3
-        br = lambda t: (1 - q0**t) / (1 - q0)
-        total = Fraction(0)
-        for yt in itertools.product(range(m), repeat=r):
-            w = q0 ** sum((h - l + 1) * y for l, y in enumerate(yt, start=1))
-            total += br(x + sum(yt)) ** n * w
-        assert riemann_sum_weighted(n, h, r, x, ctx, 1) == total / br(m) ** r
+        exps = [h - l + 1 for l in range(1, r + 1)]
+        assert riemann_sum_weighted(n, h, r, x, ctx, 1) == riemann_brute(n, x, Fraction(4), 3, exps)
 
 
 def test_weighted_h1_r1_equals_unweighted():
@@ -125,6 +156,30 @@ def test_budget_guard():
     ctx = PadicContext(p=5, Nmax=4, budget=100)
     with pytest.raises(ResourceLimitError):
         riemann_sum_multi(1, 2, 0, ctx, 2)
+
+
+def test_budget_guard_boundary():
+    # p^(r N) = 5^4 = 625 tuples.
+    assert isinstance(riemann_sum_multi(1, 2, 0, PadicContext(p=5, budget=625), 2), Fraction)
+    with pytest.raises(ResourceLimitError, match=r"5\^\(4\) exceeds the budget 624"):
+        riemann_sum_multi(1, 2, 0, PadicContext(p=5, budget=624), 2)
+
+
+@pytest.mark.parametrize("family", ["multi", "weighted"])
+def test_budget_refusal_allocates_nothing_of_length_r(family):
+    # 5^(10^6) has ~700,000 digits and a length-r list of ints takes 8 MB.
+    ctx = PadicContext(p=5)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError):
+            if family == "multi":
+                riemann_sum_multi(0, 10**6, 0, ctx, 1)
+            else:
+                riemann_sum_weighted(0, 3, 10**6, 0, ctx, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_shift_equation_at_finite_stage():
