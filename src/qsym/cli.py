@@ -2,8 +2,9 @@
 run q-Volkenborn convergence studies.
 
 Exit codes: 0 success / all verified, 1 identity or convergence failure,
-2 domain or flag error, 3 resource guard.  Data goes to stdout, diagnostics
-to stderr; output is byte-identical across reruns and thread counts.
+2 domain or flag error, 3 resource guard, 4 internal error (a bug in qsym; its
+traceback goes to stderr).  Data goes to stdout, diagnostics to stderr; output
+is byte-identical across reruns and thread counts.
 """
 
 from __future__ import annotations
@@ -13,11 +14,11 @@ import json
 import os
 import sys
 import time
+import traceback
 from fractions import Fraction
 
 from .identities import IDENTITIES, SweepConfig, sweep
-from .qbernoulli import (DegenerateWeightError, beta_higher, beta_weighted,
-                         denominator_brackets, t_sum, t_sum_h)
+from .qbernoulli import beta_higher, beta_weighted, denominator_brackets, t_sum, t_sum_h
 from .ratfun import PoleError, ResourceLimitError
 from .volkenborn import FAMILIES, PadicContext, convergence_report
 
@@ -25,6 +26,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_DOMAIN = 2
 EXIT_RESOURCE = 3
+EXIT_INTERNAL = 4
 
 
 def _parse_range(text: str) -> tuple:
@@ -188,9 +190,12 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (DegenerateWeightError, PoleError, ValueError, ZeroDivisionError) as exc:
+    except (PoleError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except Exception:
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -12,15 +12,21 @@ denominator.  Equality is decided by cross-multiplication
 presentation choice for display and serialization, never a correctness
 dependency.
 
-``canonical()`` reduces by the heuristic gcd of Char, Geddes and Gonnet
-(J. Symb. Comput. 7, 1989) on the primitive integer parts: both are packed at
-the evaluation point x = 2**(8*size) used by Kronecker products, with half a
-digit above 2*max|coefficient| + 29; the integer gcd of the two values is read
-back from its symmetric base-x digits, and its primitive part is accepted only
-when trial division by it leaves no remainder on either side, which proves it
-is the gcd and yields the reduced numerator and denominator.  A failed
-candidate is retried at a few wider digit sizes, and then the Euclidean
-algorithm with primitive pseudo-remainders decides.
+Evaluation needs no gcd either.  The value at q0 = a/b is that of the reduced
+form: the monomial part of the denominator moves into the numerator, and while
+the denominator vanishes at q0 the numerator must vanish too (else q0 is a
+pole), so both are divided exactly by the primitive linear factor b*q - a.
+The q -> 1 limit is the value at 1.
+
+``canonical()`` and ``poly_gcd`` use the heuristic gcd of Char, Geddes and
+Gonnet (J. Symb. Comput. 7, 1989) on the primitive integer parts: both are
+packed at the evaluation point x = 2**(8*size) used by Kronecker products, with
+half a digit above 2*max|coefficient| + 29; the integer gcd of the two values
+is read back from its symmetric base-x digits, and its primitive part is
+accepted only when trial division by it leaves no remainder on either side,
+which proves it is the gcd and yields the reduced numerator and denominator.
+A failed candidate is retried at a few wider digit sizes, and then the
+Euclidean algorithm with primitive pseudo-remainders decides.
 
 All values are immutable after construction and safe to share across threads;
 coefficient lists are shared between values and never mutated.
@@ -123,9 +129,8 @@ class LaurentPoly:
         return bool(self.coeffs)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly({0: other})
-        if not isinstance(other, LaurentPoly):
+        other = _as_poly(other)
+        if other is None:
             return NotImplemented
         return self.lo == other.lo and self.den == other.den and self.coeffs == other.coeffs
 
@@ -137,9 +142,8 @@ class LaurentPoly:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly({0: other})
-        if not isinstance(other, LaurentPoly):
+        other = _as_poly(other)
+        if other is None:
             return NotImplemented
         if not other.coeffs:
             return self
@@ -164,9 +168,8 @@ class LaurentPoly:
         return _make(self.lo, [-c for c in self.coeffs], self.den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly({0: other})
-        if not isinstance(other, LaurentPoly):
+        other = _as_poly(other)
+        if other is None:
             return NotImplemented
         return self + (-other)
 
@@ -226,13 +229,14 @@ class LaurentPoly:
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero:
             return self
-        g = math.gcd(*d.coeffs)
-        quot = _int_div(self.coeffs, d.coeffs if g == 1 else [c // g for c in d.coeffs])
+        g, prim = _primitive(d.coeffs)
+        quot = _int_div(self.coeffs, prim)
         if quot is None:
             return None
-        if d.den != 1:
-            quot = [c * d.den for c in quot]
-        return _make(self.lo - d.lo, quot, self.den * g)
+        m = d.den if g > 0 else -d.den  # the sign of g goes into the quotient
+        if m != 1:
+            quot = [c * m for c in quot]
+        return _make(self.lo - d.lo, quot, self.den * abs(g))
 
     # -- evaluation ----------------------------------------------------------
 
@@ -251,12 +255,7 @@ class LaurentPoly:
     def content_and_primitive(self) -> tuple[Fraction, LaurentPoly]:
         """Write self = content * primitive with primitive an integer-coefficient
         polynomial of content 1 and positive leading coefficient."""
-        if self.is_zero:
-            return Fraction(0), self
-        g = math.gcd(*self.coeffs)
-        if self.coeffs[-1] < 0:
-            g = -g
-        prim = self.coeffs if g == 1 else [c // g for c in self.coeffs]
+        g, prim = _primitive(self.coeffs)
         return Fraction(g, self.den), _make(self.lo, prim)
 
     # -- presentation --------------------------------------------------------
@@ -362,6 +361,16 @@ def _unpack_int(x: int, n: int, size: int) -> list:
     return [int.from_bytes(raw[i:i + size], "little") - half for i in range(0, n * size, size)]
 
 
+def _primitive(coeffs: list) -> tuple:
+    """(g, coeffs / g) for an integer list with nonzero ends, g the gcd of the
+    entries signed like the last, so the quotient is primitive with a positive
+    leading coefficient; (0, []) for the empty list."""
+    g = math.gcd(*coeffs)
+    if coeffs and coeffs[-1] < 0:
+        g = -g
+    return g, coeffs if g == 1 else [c // g for c in coeffs]
+
+
 def _int_div(num: list, den: list):
     """Quotient of integer coefficient lists when the primitive den divides num, else None."""
     dd = len(den) - 1
@@ -386,22 +395,11 @@ def _int_div(num: list, den: list):
 def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     """Gcd of the polynomial parts over the rationals, returned as a primitive
     integer polynomial with positive leading coefficient (monomial factors of
-    the inputs are units and are discarded).
-
-    Heuristic gcd (Char, Geddes and Gonnet, J. Symb. Comput. 7, 1989) on the
-    primitive integer parts A and B: both are evaluated at x = 2**(8*size),
-    with half a digit above 2*max(|A|, |B|) + 29, and the integer gcd of the
-    two values is read back as a polynomial from its symmetric base-x digits.
-    Its primitive part is the gcd when it divides A and B exactly, which trial
-    division proves; otherwise a few wider digits are tried, and then the
-    Euclidean algorithm with pseudo-remainders decides.
-    """
+    the inputs are units and are discarded), by the heuristic gcd of the
+    module docstring."""
     if a.is_zero or b.is_zero:
-        c = b if a.is_zero else a
-        return c if c.is_zero else _make(0, c.content_and_primitive()[1].coeffs)
-    A = a.content_and_primitive()[1].coeffs
-    B = b.content_and_primitive()[1].coeffs
-    return _make(0, _gcd_cofactors(A, B)[0])
+        return _make(0, _primitive((b if a.is_zero else a).coeffs)[1])
+    return _make(0, _gcd_cofactors(_primitive(a.coeffs)[1], _primitive(b.coeffs)[1])[0])
 
 
 # Evaluation points the heuristic gcd tries, each with wider digits, before it
@@ -416,7 +414,7 @@ def _gcd_cofactors(A: list, B: list) -> tuple:
     size = bound.bit_length() // 8 + 1  # half a digit, 2**(8*size - 1), exceeds bound
     for _ in range(_HEU_ATTEMPTS):
         h = math.gcd(_pack_int(A, size), _pack_int(B, size))
-        G = _prim_dense(_symmetric_digits(h, size))
+        G = _primitive(_symmetric_digits(h, size))[1]
         qa = _int_div(A, G)
         if qa is not None:
             qb = _int_div(B, G)
@@ -428,10 +426,14 @@ def _gcd_cofactors(A: list, B: list) -> tuple:
 
 
 def _symmetric_digits(h: int, size: int) -> list:
-    """The digits d_i of h >= 0 in base 2**(8*size) with |d_i| <= half a digit.
-    h has h.bit_length() // (8*size) + 1 unsigned digits; one more absorbs the
-    carry of the half-digit bias, so to_bytes in _unpack_int cannot overflow."""
-    return _unpack_int(h, h.bit_length() // (8 * size) + 2, size)
+    """The digits d_i of h >= 0 in base 2**(8*size) with |d_i| <= half a digit,
+    the last nonzero.  h has h.bit_length() // (8*size) + 1 unsigned digits; one
+    more absorbs the carry of the half-digit bias, so to_bytes in _unpack_int
+    cannot overflow."""
+    digits = _unpack_int(h, h.bit_length() // (8 * size) + 2, size)
+    while digits and not digits[-1]:
+        digits.pop()
+    return digits
 
 
 def _prs_gcd(A: list, B: list) -> list:
@@ -440,22 +442,8 @@ def _prs_gcd(A: list, B: list) -> list:
     if len(A) < len(B):
         A, B = B, A
     while B:
-        R = _pseudo_rem(A, B)
-        A, B = B, _prim_dense(R)
+        A, B = B, _primitive(_pseudo_rem(A, B))[1]
     return A
-
-
-def _prim_dense(arr: list) -> list:
-    while arr and not arr[-1]:
-        arr.pop()
-    if not arr:
-        return []
-    g = 0
-    for c in arr:
-        g = math.gcd(g, abs(c))
-    if arr[-1] < 0:
-        g = -g
-    return [c // g for c in arr]
 
 
 def _pseudo_rem(A: list, B: list) -> list:
@@ -476,21 +464,20 @@ def _pseudo_rem(A: list, B: list) -> list:
     return R
 
 
-_QMINUS1 = None  # initialized below, after the class exists
-
-
 class RatFun:
     """Quotient of two Laurent polynomials with exact cross-multiplication equality."""
 
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
-        num = _as_poly(num)
-        den = LaurentPoly.one() if den is None else _as_poly(den)
-        if den.is_zero:
+        n, d = _as_poly(num), LaurentPoly.one() if den is None else _as_poly(den)
+        if n is None or d is None:
+            bad = num if n is None else den
+            raise TypeError(f"cannot interpret {type(bad).__name__} as a Laurent polynomial")
+        if d.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
-        self.num = num
-        self.den = den
+        self.num = n
+        self.den = d
 
     @classmethod
     def from_const(cls, c) -> RatFun:
@@ -591,38 +578,24 @@ class RatFun:
     # -- evaluation ----------------------------------------------------------
 
     def evaluate(self, q0) -> Fraction:
-        """Exact value at q = q0; PoleError when the reduced denominator vanishes."""
+        """Exact value of the reduced form at q = q0, by the evaluation rule of
+        the module docstring; PoleError where the reduced form has a pole."""
         q0 = Fraction(q0)
-        try:
-            dv = self.den.evaluate(q0)
+        if self.num.is_zero:
+            return Fraction(0)
+        num, den = self.num.shift(-self.den.lo), self.den.shift(-self.den.lo)
+        factor = _make(0, [-q0.numerator, q0.denominator])
+        while True:
+            dv = den.evaluate(q0)
             if dv != 0:
-                return self.num.evaluate(q0) / dv
-        except PoleError:
-            pass
-        f = self.canonical()
-        dv = f.den.evaluate(q0)
-        if dv == 0:
-            raise PoleError(f"pole at q = {q0}: denominator {f.den} vanishes")
-        return f.num.evaluate(q0) / dv
+                return num.evaluate(q0) / dv
+            if num.evaluate(q0) != 0:
+                raise PoleError(f"pole at q = {q0}: denominator {den} vanishes")
+            num, den = num.exact_div(factor), den.exact_div(factor)
 
     def limit_at_one(self) -> Fraction:
-        """Value of the reduced form at q = 1.
-
-        Equivalent to evaluating canonical() at 1, but only the common powers
-        of (q - 1) have to be cancelled, which avoids a full gcd.
-        """
-        num, den = self.num, self.den
-        if num.is_zero:
-            return Fraction(0)
-        one = Fraction(1)
-        while True:
-            dv = den.evaluate(one)
-            if dv != 0:
-                return num.evaluate(one) / dv
-            if num.evaluate(one) != 0:
-                raise PoleError(f"pole at q = 1: denominator {den} vanishes")
-            num = num.exact_div(_QMINUS1)
-            den = den.exact_div(_QMINUS1)
+        """Value of the reduced form at q = 1, the q -> 1 limit."""
+        return self.evaluate(1)
 
     # -- presentation --------------------------------------------------------
 
@@ -650,23 +623,20 @@ class RatFun:
         return cls(LaurentPoly.from_pairs(obj["num"]), LaurentPoly.from_pairs(obj["den"]))
 
 
-_QMINUS1 = LaurentPoly({1: 1, 0: -1})
-
-
-def _as_poly(v) -> LaurentPoly:
+def _as_poly(v) -> LaurentPoly | None:
+    """v as a LaurentPoly when it is one or an int or Fraction scalar, else None."""
     if isinstance(v, LaurentPoly):
         return v
     if isinstance(v, (int, Fraction)):
-        return LaurentPoly({0: v})
-    raise TypeError(f"cannot interpret {type(v).__name__} as a Laurent polynomial")
+        return _make(0, [v.numerator], v.denominator)
+    return None
 
 
-def _as_ratfun(v):
+def _as_ratfun(v) -> RatFun | None:
     if isinstance(v, RatFun):
         return v
-    if isinstance(v, (int, Fraction, LaurentPoly)):
-        return RatFun(_as_poly(v))
-    return None
+    p = _as_poly(v)
+    return None if p is None else RatFun(p)
 
 
 # Spec-level operation names, as plain functions.

@@ -29,6 +29,13 @@ from .ratfun import ResourceLimitError
 
 FAMILIES = ("single", "multi", "weighted")
 
+# Largest predicted size, in bits, of the numbers a stage sum builds.  At p = 5,
+# q0 = 6 the single family needs 0.70M bits for n = 2, N = 7, 1.4M for n = 5
+# and 2.6M for n = 10, whose reports take 0.6, 1.3 and 3.4 s on a shared 2-core
+# machine: Fraction arithmetic on numbers this size costs superlinearly, and
+# no budget on index tuples bounds it.
+MAX_STAGE_BITS = 2_000_000
+
 
 def is_prime(p: int) -> bool:
     if p < 2:
@@ -71,7 +78,8 @@ def default_q0(p: int) -> Fraction:
 class PadicContext:
     """Prime p, evaluation point q0 with v_p(1 - q0) >= 1 (>= 2 for p = 2),
     largest stage Nmax, and a budget on the p^(r N) index tuples a stage sum
-    stands for; the closed form never visits them, so it no longer tracks cost."""
+    stands for; the closed form never visits them, so it no longer tracks cost
+    (MAX_STAGE_BITS bounds that)."""
 
     p: int
     q0: Fraction = None
@@ -108,15 +116,31 @@ def _check_budget(ctx: PadicContext, r: int, N: int) -> int:
     return ctx.p**N
 
 
+def _check_stage(ctx: PadicContext, n: int, r: int, exps: range, N: int) -> int:
+    """Refuse stage N before it is built, by ctx.budget and then by MAX_STAGE_BITS,
+    and return p^N.  Its numbers take about r (n + max|c_k|) p^N times the bit
+    length of q0's larger term; both bounds grow with N, so a report checks its
+    deepest stage first."""
+    if not 1 <= N <= ctx.Nmax:
+        raise ValueError(f"N must be in 1..{ctx.Nmax}")
+    if n < 0 or r < 1:
+        raise ValueError("need n >= 0 and r >= 1")
+    size = _check_budget(ctx, r, N)
+    height = max(abs(ctx.q0.numerator), ctx.q0.denominator).bit_length()
+    bits = r * (n + max(abs(exps[0]), abs(exps[-1]))) * size * height
+    if bits > MAX_STAGE_BITS:
+        raise ResourceLimitError(
+            f"stage N = {N} builds numbers of about {bits} bits, over the guard "
+            f"MAX_STAGE_BITS={MAX_STAGE_BITS}"
+        )
+    return size
+
+
 def _riemann_sum(n: int, x: int, ctx: PadicContext, N: int, exps: range, mult: int = 1) -> Fraction:
     """S_N of the module docstring, c being each exponent of exps taken mult
     times (r = mult * len(exps)): O(n * len(exps)) operations, no O(r) object."""
-    if not 1 <= N <= ctx.Nmax:
-        raise ValueError(f"N must be in 1..{ctx.Nmax}")
     r = mult * len(exps)
-    if n < 0 or r < 1:
-        raise ValueError("need n >= 0 and r >= 1")
-    q0, size = ctx.q0, _check_budget(ctx, r, N)
+    q0, size = ctx.q0, _check_stage(ctx, n, r, exps, N)
     big_q = q0**size
     window = {e: Fraction(size) if e == 0 else (1 - big_q**e) / (1 - q0**e)
               for e in range(min(exps), max(exps) + n + 1)}
@@ -171,19 +195,19 @@ def convergence_report(family: str, params: dict, ctx: PadicContext) -> Converge
     n = params["n"]
     x = params.get("x", 0)
     if family == "single":
-        r = 1
-        closed = beta_higher(n, 1, 1, x)
+        r, exps = 1, range(1, 2)
         target = f"integral of [x + y]^{n} against the q-measure, x = {x}"
     elif family == "multi":
-        r = params["r"]
-        closed = beta_higher(n, r, 1, x)
+        r, exps = params["r"], range(1, 2)
         target = f"{r}-fold integral of [x + sum y]^{n}, x = {x}"
     else:
         r = params["r"]
         h = params["h"]
         WeightedBetaQuery(n, h, r, 1, x)
-        closed = beta_weighted(n, h, r, 1, x)
+        exps = weight_exponents(h, r)
         target = f"{r}-fold integral of [x + sum y]^{n} with weight exponent h = {h}, x = {x}"
+    _check_stage(ctx, n, r, exps, ctx.Nmax)
+    closed = beta_weighted(n, h, r, 1, x) if family == "weighted" else beta_higher(n, r, 1, x)
     closed_val = closed.evaluate(ctx.q0)
     points = []
     for N in range(1, ctx.Nmax + 1):

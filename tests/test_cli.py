@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+import qsym.cli as cli_mod
 import qsym.qbernoulli as qbernoulli_mod
 import qsym.ratfun as ratfun_mod
 from qsym.cli import main
@@ -32,6 +33,21 @@ def test_compute_degenerate_weight_exits_2(capsys):
     code, _, err = run(capsys, "compute", "beta-h", "--n", "1", "--h", "0", "--r", "1")
     assert code == 2
     assert "degenerate" in err
+
+
+@pytest.mark.parametrize("exc, code, marker", [
+    (RuntimeError("a bug"), 4, "Traceback"),
+    (ValueError("bad input"), 2, "error: bad input"),
+])
+def test_unmapped_exception_exits_4_with_traceback(capsys, monkeypatch, exc, code, marker):
+    # 1 means an identity or convergence failure, so a bug must not exit 1.
+    def boom(args):
+        raise exc
+
+    monkeypatch.setattr(cli_mod, "run_compute", boom)
+    got, out, err = run(capsys, "compute", "beta", "--n", "0")
+    assert got == code and out == ""
+    assert marker in err and (code == 4) == ("Traceback" in err)
 
 
 def test_compute_tsum(capsys):
@@ -231,6 +247,17 @@ def test_volkenborn_budget_guard_exits_3(capsys, r):
     assert time.perf_counter() - t0 < 1.0
     assert code == 3 and out == ""
     assert "guard" in err and f"5^({r})" in err
+
+
+@pytest.mark.parametrize("n, N", [("40", "7"), ("120", "8")])
+def test_volkenborn_stage_size_guard_exits_3(capsys, n, N):
+    # Inside the default budget, these took 23 s and over 40 s before the guard.
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "volkenborn", "--family", "single", "--n", n, "--p", "5",
+                         "--N", N)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 3 and out == ""
+    assert "MAX_STAGE_BITS" in err
 
 
 def test_volkenborn_nonprime_exits_2(capsys):

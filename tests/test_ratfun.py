@@ -81,6 +81,57 @@ def test_limit_at_one():
         limit_at_one(RatFun(1, ONE_MINUS_Q))
 
 
+def _reduced_value(f: RatFun, q0: Fraction):
+    """The oracle for evaluate: canonical(), then the value of each side; None at a pole."""
+    c = f.canonical()
+    try:
+        dv = c.den.evaluate(q0)
+        return None if dv == 0 else c.num.evaluate(q0) / dv
+    except PoleError:  # a negative power of the numerator at q0 = 0
+        return None
+
+
+@pytest.mark.parametrize("q0", [Fraction(1), Fraction(-1), Fraction(0), Fraction(2),
+                                Fraction(1, 2), Fraction(-3, 2)], ids=str)
+def test_evaluate_matches_canonical_oracle_without_a_gcd(q0, monkeypatch):
+    # (f * L^i) / (g * L^j) with L = b*q - a, q0 = a/b: L^min(i, j) cancels,
+    # and q0 is a pole exactly when j > i and f does not vanish there.
+    rng = random.Random(20261018)
+    lin = P({1: q0.denominator, 0: -q0.numerator})
+
+    def rand_poly():
+        lo = rng.randint(-3, 3)
+        return P({lo + k: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                  for k in range(rng.randint(1, 4))})
+
+    cases = [
+        RatFun(0, lin**2),                              # zero over a vanishing denominator
+        RatFun(P({0: 3, 1: -1}), P({3: 2})),            # monomial-only denominator
+        RatFun(P({-1: 1, 0: 2}), P({-2: 5})),           # negative exponents on both sides
+        RatFun(P({-2: 1}), P({0: 1, 1: 1})),            # a negative power alone
+        RatFun(lin**2 * P({0: 1, 1: 1}), lin**2 * P({-1: 2})),
+    ]
+    for _ in range(150):
+        num, den = rand_poly(), rand_poly()
+        if den.is_zero:
+            continue
+        cases.append(RatFun(num * lin ** rng.randint(0, 3), den * lin ** rng.randint(0, 3)))
+    expected = [_reduced_value(f, q0) for f in cases]
+    assert None in expected and any(v is not None for v in expected)
+
+    def no_gcd(*args):
+        raise AssertionError("evaluate computed a gcd")
+
+    monkeypatch.setattr(ratfun_mod, "_gcd_cofactors", no_gcd)
+    value = limit_at_one if q0 == 1 else lambda f: eval_rational(f, q0)
+    for f, want in zip(cases, expected):
+        if want is None:
+            with pytest.raises(PoleError):
+                value(f)
+        else:
+            assert value(f) == want, f
+
+
 def test_negative_power_of_zero_raises():
     with pytest.raises(ZeroDivisionError):
         RatFun(0) ** -1

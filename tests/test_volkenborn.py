@@ -8,6 +8,7 @@ import pytest
 
 from qsym.qbernoulli import (beta_higher, beta_number, beta_weighted, composition_weights,
                              weight_exponents)
+import qsym.volkenborn as volkenborn_mod
 from qsym.ratfun import ResourceLimitError, eval_rational
 from qsym.volkenborn import (
     PadicContext,
@@ -180,6 +181,39 @@ def test_budget_refusal_allocates_nothing_of_length_r(family):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+@pytest.mark.parametrize("family, params, p, N, bits", [
+    ("single", {"n": 6}, 5, 5, 65_625),             # r (n + max|c_k|) p^N * bitlen(6)
+    ("multi", {"n": 3, "r": 2}, 5, 4, 15_000),
+    ("weighted", {"n": 4, "h": -6, "r": 2}, 7, 2, 4_312),  # c = (-6, -7), q0 = 8
+])
+def test_stage_size_guard_bound_is_the_predicted_size(monkeypatch, family, params, p, N, bits):
+    ctx = PadicContext(p=p, Nmax=N)
+    monkeypatch.setattr(volkenborn_mod, "MAX_STAGE_BITS", bits)
+    if family == "weighted":
+        stage = lambda: riemann_sum_weighted(params["n"], params["h"], params["r"], 0, ctx, N)
+    else:
+        stage = lambda: riemann_sum_multi(params["n"], params.get("r", 1), 0, ctx, N)
+    assert isinstance(stage(), Fraction)  # at the bound: fine
+    monkeypatch.setattr(volkenborn_mod, "MAX_STAGE_BITS", bits - 1)
+    with pytest.raises(ResourceLimitError, match=f"about {bits} bits"):
+        stage()
+    with pytest.raises(ResourceLimitError, match=f"N = {N} "):
+        convergence_report(family, params, ctx)
+
+
+def test_stage_size_guard_refuses_before_any_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("a report past the stage-size guard did work")
+
+    for name in ("beta_higher", "riemann_sum_multi", "_riemann_sum"):
+        monkeypatch.setattr(volkenborn_mod, name, no_work)
+    # 9.6M bits at N = 7 for n = 40; the deepest stage is checked first.
+    ctx = PadicContext(p=5, Nmax=7)
+    with pytest.raises(ResourceLimitError, match="N = 7 builds numbers of about 9609375 bits"):
+        convergence_report("single", {"n": 40}, ctx)
+    assert volkenborn_mod._check_stage(ctx, 2, 1, range(1, 2), 7) == 5**7  # 0.70M bits: runs
 
 
 def test_shift_equation_at_finite_stage():
