@@ -24,6 +24,7 @@ from .identities import CheckReport, GuardLimits, SweepConfig, sweep
 from .ratfun import (
     LaurentPoly,
     PoleError,
+    QsymDomainError,
     RatFun,
     ResourceLimitError,
     eval_rational,
@@ -50,6 +51,7 @@ __all__ = [
     "LaurentPoly",
     "PadicContext",
     "PoleError",
+    "QsymDomainError",
     "RatFun",
     "ResourceLimitError",
     "SweepConfig",

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .identities import IDENTITIES, SweepConfig, sweep
 from .qbernoulli import beta_higher, beta_weighted, denominator_brackets, t_sum, t_sum_h
-from .ratfun import PoleError, ResourceLimitError
+from .ratfun import PoleError, QsymDomainError, ResourceLimitError
 from .volkenborn import FAMILIES, PadicContext, convergence_report
 
 EXIT_OK = 0
@@ -30,12 +30,16 @@ EXIT_INTERNAL = 4
 
 
 def _parse_range(text: str) -> tuple:
-    """Accept "3", "1,2,5" or "0..6" (inclusive)."""
+    """Accept "3", "1,2,5" or "0..6" (inclusive); refuse an empty range."""
     text = text.strip()
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return tuple(range(int(lo), int(hi) + 1))
-    return tuple(int(t) for t in text.split(","))
+        values = tuple(range(int(lo), int(hi) + 1))
+    else:
+        values = tuple(int(t) for t in text.split(","))
+    if not values:
+        raise QsymDomainError(f"empty range {text!r}")
+    return values
 
 
 def _int_list(text: str) -> tuple:
@@ -102,13 +106,13 @@ def run_compute(args) -> int:
         value = beta_higher(args.n, args.r, args.w, args.arg)
     elif args.family == "beta-h":
         if args.h is None:
-            raise ValueError("beta-h needs --h")
+            raise QsymDomainError("beta-h needs --h")
         value = beta_weighted(args.n, args.h, args.r, args.w, args.arg)
     elif args.family == "tsum":
         value = t_sum(args.n, args.i, args.r, args.wlim, args.base)
     else:
         if args.h is None:
-            raise ValueError("tsum-h needs --h")
+            raise QsymDomainError("tsum-h needs --h")
         value = t_sum_h(args.n, args.i, args.h, args.r, args.wlim, args.base)
     value = value.canonical()
     if args.format == "json":
@@ -170,7 +174,7 @@ def run_volkenborn(args) -> int:
         params["r"] = args.r
     if args.family == "weighted":
         if args.h is None:
-            raise ValueError("weighted family needs --h")
+            raise QsymDomainError("weighted family needs --h")
         params["h"] = args.h
     report = convergence_report(args.family, params, ctx)
     print(report.to_json())
@@ -190,7 +194,7 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (PoleError, ValueError, ZeroDivisionError) as exc:
+    except (PoleError, QsymDomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except Exception:

@@ -30,8 +30,8 @@ from .qbernoulli import (
     t_sum_h,
     weight_exponents,
 )
-from .qcore import q_bracket
-from .ratfun import LaurentPoly, RatFun, ResourceLimitError
+from .qcore import bracket_poly, q_bracket
+from .ratfun import LaurentPoly, QsymDomainError, RatFun, ResourceLimitError
 
 IDENTITIES = (
     "recurrence",
@@ -155,16 +155,13 @@ def _swap_side(n: int, cs, wa: int, wb: int, x: int, closed) -> RatFun:
 def _convolution_side(n: int, r: int, wa: int, wb: int, x: int, closed, tsum,
                       twist: int = 0) -> RatFun:
     """sum_i C(n,i) [wa]^(n-i) [wb]^(i-r) closed(i, wb, wa wb x) tsum(i, wb, wa),
-    tsum(i, wlim, base) being t_sum (thm4) or t_sum_h (thm6) in base q^base."""
+    tsum(i, wlim, base) being t_sum (thm4) or t_sum_h (thm6) in base q^base.
+    The bracket powers are cached polynomials; [wb]^(i-r) is a denominator for i < r."""
     acc = RatFun(0)
     for i in range(n + 1):
-        term = (
-            math.comb(n, i)
-            * q_bracket(wa, 1) ** (n - i)
-            * q_bracket(wb, 1) ** (i - r)
-            * closed(i, wb, wa * wb * x)
-            * tsum(i, wb, wa)
-        )
+        brackets = RatFun(bracket_poly(wa, 1, n - i) * bracket_poly(wb, 1, max(i - r, 0)),
+                          bracket_poly(wb, 1, max(r - i, 0)))
+        term = math.comb(n, i) * brackets * closed(i, wb, wa * wb * x) * tsum(i, wb, wa)
         if twist and i == n:
             term = term * _mono(twist)
         acc = acc + term
@@ -274,11 +271,11 @@ class SweepConfig:
         g = self.guards
         unknown = [i for i in self.identities if i not in IDENTITIES]
         if unknown:
-            raise ValueError(f"unknown identities: {unknown}")
+            raise QsymDomainError(f"unknown identities: {unknown}")
         for name, vals in (("n", self.ns), ("r", self.rs), ("w1", self.w1s),
                            ("w2", self.w2s), ("x", self.xs)):
             if not vals:
-                raise ValueError(f"empty range for {name}")
+                raise QsymDomainError(f"empty range for {name}")
         if max(self.ns) > g.max_n or min(self.ns) < 0:
             raise ResourceLimitError(f"n range {self.ns} outside guard 0..{g.max_n}")
         if max(self.rs) > g.max_r or min(self.rs) < 1:

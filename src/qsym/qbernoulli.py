@@ -26,10 +26,10 @@ from functools import lru_cache
 
 from . import ratfun
 from .qcore import bracket_poly
-from .ratfun import LaurentPoly, RatFun, ResourceLimitError
+from .ratfun import LaurentPoly, QsymDomainError, RatFun, ResourceLimitError
 
 
-class DegenerateWeightError(ValueError):
+class DegenerateWeightError(QsymDomainError):
     """Weighted closed form requested at an h where a factor (j+c_k)/[j+c_k] is 0/0."""
 
 
@@ -45,11 +45,11 @@ class BetaQuery:
 
     def __post_init__(self):
         if self.n < 0:
-            raise ValueError(f"degree n must be >= 0, got {self.n}")
+            raise QsymDomainError(f"degree n must be >= 0, got {self.n}")
         if self.r < 1:
-            raise ValueError(f"order r must be >= 1, got {self.r}")
+            raise QsymDomainError(f"order r must be >= 1, got {self.r}")
         if self.w < 1:
-            raise ValueError(f"base exponent w must be >= 1, got {self.w}")
+            raise QsymDomainError(f"base exponent w must be >= 1, got {self.w}")
 
 
 @dataclass(frozen=True)
@@ -96,11 +96,11 @@ def denominator_brackets(n: int, r: int, w: int, h: int | None = None) -> range:
     return ms
 
 
-def _scaffold(factors: list[LaurentPoly], width: int, w: int):
-    """Denominator (1-q^w)^n * prod(factors) and per-term cofactors of a closed
-    form whose term j divides by factors[j : j+width], n = len(factors) - width.
-    Cofactor j, the product outside that window, is a prefix times a suffix
-    product, so no term needs a division."""
+def _scaffold(factors: list[LaurentPoly], width: int):
+    """Denominator (1-q)^n * prod(factors) and per-term cofactors of a closed
+    form in base q whose term j divides by factors[j : j+width],
+    n = len(factors) - width.  Cofactor j, the product outside that window, is
+    a prefix times a suffix product, so no term needs a division."""
     pre = [LaurentPoly.one()]
     for f in factors:
         pre.append(pre[-1] * f)
@@ -110,20 +110,33 @@ def _scaffold(factors: list[LaurentPoly], width: int, w: int):
     suf.reverse()
     n = len(factors) - width
     cof = tuple(pre[j] * suf[j + width] for j in range(n + 1))
-    return LaurentPoly({0: 1, w: -1}) ** n * pre[-1], cof
+    return LaurentPoly({0: 1, 1: -1}) ** n * pre[-1], cof
+
+
+def _inflate(scaffold, w: int):
+    """The base-q^w scaffold from the base-q one: every bracket [m] in base q^w
+    is [m] in base q with q -> q^w, so each polynomial is inflated once."""
+    den, cof = scaffold
+    return den.inflate(w), tuple(c.inflate(w) for c in cof)
 
 
 @lru_cache(maxsize=None)
 def _higher_scaffold(n: int, r: int, w: int):
     """Scaffold of beta_higher(n, r, w, .): factors [m]^r for m = 1..n+1, window width 1."""
-    return _scaffold([bracket_poly(m, w) ** r for m in denominator_brackets(n, r, w)], 1, w)
+    ms = denominator_brackets(n, r, w)  # the span guard runs at base q^w
+    if w > 1:
+        return _inflate(_higher_scaffold(n, r, 1), w)
+    return _scaffold([bracket_poly(m) ** r for m in ms], 1)
 
 
 @lru_cache(maxsize=None)
 def _weighted_scaffold(n: int, h: int, r: int, w: int):
     """Scaffold of beta_weighted(n, h, r, w, .): factors [m] for m = h-r+1..h+n,
     window width r (term j divides by [j + c_k] for every k)."""
-    return _scaffold([bracket_poly(m, w) for m in denominator_brackets(n, r, w, h)], r, w)
+    ms = denominator_brackets(n, r, w, h)  # the span guard runs at base q^w
+    if w > 1:
+        return _inflate(_weighted_scaffold(n, h, r, 1), w)
+    return _scaffold([bracket_poly(m) for m in ms], r)
 
 
 def _closed_form(n: int, arg: int, scaffold, factor) -> RatFun:
@@ -169,7 +182,7 @@ def composition_weights(ratios, limit: int) -> list:
     ratios give the number of r-tuples with sum s.
     """
     if limit < 1:
-        raise ValueError("composition_weights wants limit >= 1")
+        raise QsymDomainError("composition_weights wants limit >= 1")
     weights = [ratios[0] ** 0 if ratios else 1]
     for z in ratios:
         z_limit = z**limit
@@ -201,13 +214,13 @@ def _check_t_args(n: int, i: int, r: int, wlim: int, base: int, h: int | None = 
     in base q^base adds 0 .. base(s-1)(n-i).
     """
     if not 0 <= i <= n:
-        raise ValueError(f"need 0 <= i <= n, got i={i}, n={n}")
+        raise QsymDomainError(f"need 0 <= i <= n, got i={i}, n={n}")
     if r < 1:
-        raise ValueError(f"order r must be >= 1, got {r}")
+        raise QsymDomainError(f"order r must be >= 1, got {r}")
     if wlim < 1:
-        raise ValueError(f"summation limit must be >= 1, got {wlim}")
+        raise QsymDomainError(f"summation limit must be >= 1, got {wlim}")
     if base < 1:
-        raise ValueError(f"base exponent must be >= 1, got {base}")
+        raise QsymDomainError(f"base exponent must be >= 1, got {base}")
     smax = r * (wlim - 1)
     for what, size in (("order r", r), ("composition kernel length", smax + 1)):
         if size > ratfun.MAX_SPAN:
@@ -266,7 +279,7 @@ def classical_bernoulli(m: int) -> Fraction:
     """Ordinary Bernoulli number B_m from the additive recurrence
     sum_{l<m+1} C(m+1, l) B_l = 0 (m >= 1), B_0 = 1."""
     if m < 0:
-        raise ValueError("Bernoulli index must be >= 0")
+        raise QsymDomainError("Bernoulli index must be >= 0")
     if m == 0:
         return Fraction(1)
     total = Fraction(0)
@@ -291,7 +304,7 @@ def classical_bernoulli_higher(n: int, r: int, x) -> Fraction:
     """Higher-order Bernoulli polynomial value: n! times the t^n coefficient of
     (t/(e^t - 1))^r * e^(x t), computed by exact truncated power series."""
     if n < 0 or r < 1:
-        raise ValueError("need n >= 0 and r >= 1")
+        raise QsymDomainError("need n >= 0 and r >= 1")
     x = Fraction(x)
     length = n + 1
     base = [classical_bernoulli(m) / math.factorial(m) for m in range(length)]

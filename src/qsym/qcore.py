@@ -10,12 +10,12 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .ratfun import LaurentPoly, RatFun
+from .ratfun import LaurentPoly, QsymDomainError, RatFun
 
 
 def _check_base(w: int) -> None:
     if not isinstance(w, int) or w < 1:
-        raise ValueError(f"bracket base exponent must be a positive integer, got {w!r}")
+        raise QsymDomainError(f"bracket base exponent must be a positive integer, got {w!r}")
 
 
 @lru_cache(maxsize=None)
@@ -45,7 +45,7 @@ def q_bracket(m: int, w: int = 1) -> RatFun:
 def q_factorial(r: int, w: int = 1) -> RatFun:
     """[r]! = [r][r-1]...[1] in base q^w; the empty product is 1."""
     if r < 0:
-        raise ValueError(f"q-factorial wants r >= 0, got {r}")
+        raise QsymDomainError(f"q-factorial wants r >= 0, got {r}")
     _check_base(w)
     return RatFun(_factorial_poly(r, w))
 
@@ -56,7 +56,7 @@ def q_binomial(m: int, r: int, w: int = 1) -> RatFun:
     m may be any integer; the value is zero when some factor [m-k] vanishes.
     """
     if r < 0:
-        raise ValueError(f"q-binomial wants r >= 0, got {r}")
+        raise QsymDomainError(f"q-binomial wants r >= 0, got {r}")
     _check_base(w)
     num = LaurentPoly.one()
     for k in range(r):

@@ -1,35 +1,57 @@
 """Exact arithmetic for Laurent polynomials and rational functions in one variable q.
 
-A LaurentPoly is stored in one form, ``q**lo * (c0 + c1 q + ... + ck q^k) / den``:
-``coeffs`` is a list of ``int`` with nonzero ends (empty for zero, with lo = 0),
-``den >= 1`` and ``gcd(den, *coeffs) == 1``.  Each value has exactly one form,
-so equality compares fields.  ``Fraction`` coefficients appear only at the
-boundary: in the ``{exponent: coefficient}`` constructor and in ``terms``.
+A LaurentPoly ``q**lo * (c_0 + c_1 q + ... + c_(n-1) q^(n-1)) / den`` is packed
+in one int, ``P = sum c_i X**i`` with X = 2**(8*size): the balanced base-X
+value of its integer coefficients.  Its fields are lo, P, den, the digit count
+n (0 for zero), the digit width size in bytes and a bit bound bits.  The digit
+invariant: c_0 and c_(n-1) are nonzero and every |c_i| < 2**bits <= half a
+digit, 2**(8*size - 1), so the digits of P are unique and -P has the digits
+-c_i; den >= 1 and gcd(den, *c) = 1.  The width is not canonical, so ``==``
+compares lo, n and den, then P re-read at the wider of the two widths.
 
-A RatFun is a quotient ``num / den`` of two Laurent polynomials with a nonzero
-denominator.  Equality is decided by cross-multiplication
-(``a/b == c/d  iff  a*d == c*b``), so gcd reduction -- ``canonical()`` -- is a
-presentation choice for display and serialization, never a correctness
-dependency.
+Each ring operation is O(1) big-integer operations, with no Python loop over
+coefficients: an add is a shift and an add, a scale one multiply, a shift
+changes lo only, a product one multiply.  Balanced digits put the top digit
+index at |P|.bit_length() // (8*size) and let P & -P count the low zero
+digits.  A width changes by strided byte-column copies of the ``to_bytes``
+image of P biased by half a digit of the narrower width.  A factor k adds
+bitlen(k - 1) bits to a bound: one per add, bitlen(min(n_a, n_b) - 1) plus
+both bounds per product.  The narrowing rule: a product, and an add whose
+bound outgrows its width, first takes tight bounds from the digits -- the top
+nonzero byte column of the two's-complement digit image xored with itself
+shifted by one bit holds the highest bit at which a coefficient leaves its
+sign extension -- and is formed at the narrowest width its bound allows.
 
-Evaluation needs no gcd either.  The value at q0 = a/b is that of the reduced
-form: the monomial part of the denominator moves into the numerator, and while
-the denominator vanishes at q0 the numerator must vanish too (else q0 is a
-pole), so both are divided exactly by the primitive linear factor b*q - a.
-The q -> 1 limit is the value at 1.
+``exact_div`` is one ``divmod`` at a common width, accepting the quotient q
+when the remainder is 0 and bits(q) + bits(d) + bitlen(min(n_q, n_d) - 1)
+< 8*size.  Then every coefficient of the polynomial product Q*D is below half
+a digit, so Q(X) D(X) = A(X) and the uniqueness of balanced digits prove
+Q*D = A.  A failed bound is retried once at the width it asks for; a nonzero
+remainder or a second failure goes to trial division of the digit lists by the
+primitive part of d (by Gauss's lemma a step that is not integral proves that
+d does not divide).  Coefficient lists appear only at the boundary: the
+``{exponent: coefficient}`` constructor, ``coeffs``, ``terms``, ``evaluate``,
+the gcd, ``__str__`` and JSON.
+
+A RatFun is a quotient ``num / den`` of Laurent polynomials, den nonzero.
+Equality is cross-multiplication (``a/b == c/d  iff  a*d == c*b``), so gcd
+reduction -- ``canonical()`` -- is presentation, never a correctness
+dependency.  Evaluation needs no gcd either: the value at q0 = a/b is that of
+the reduced form, so the denominator's monomial part moves into the numerator,
+and while the denominator vanishes at q0 the numerator must vanish too (else q0
+is a pole) and both are divided exactly by b*q - a.  The q -> 1 limit is the
+value at 1.
 
 ``canonical()`` and ``poly_gcd`` use the heuristic gcd of Char, Geddes and
-Gonnet (J. Symb. Comput. 7, 1989) on the primitive integer parts: both are
-packed at the evaluation point x = 2**(8*size) used by Kronecker products, with
-half a digit above 2*max|coefficient| + 29; the integer gcd of the two values
-is read back from its symmetric base-x digits, and its primitive part is
-accepted only when trial division by it leaves no remainder on either side,
-which proves it is the gcd and yields the reduced numerator and denominator.
-A failed candidate is retried at a few wider digit sizes, and then the
-Euclidean algorithm with primitive pseudo-remainders decides.
+Gonnet (J. Symb. Comput. 7, 1989) on the primitive integer parts, packed at
+x = 2**(8*size) with half a digit above 2*max|coefficient| + 29: the integer
+gcd of the two values is read back from its symmetric base-x digits, and its
+primitive part is accepted only when trial division leaves no remainder on
+either side, which proves it is the gcd and yields the reduced numerator and
+denominator.  A failed candidate is retried at a few wider digit sizes, then
+the Euclidean algorithm with primitive pseudo-remainders decides.
 
-All values are immutable after construction and safe to share across threads;
-coefficient lists are shared between values and never mutated.
+All values are immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -46,25 +68,25 @@ class ResourceLimitError(RuntimeError):
     """A configurable size guard was exceeded."""
 
 
+class QsymDomainError(ValueError):
+    """Input outside the domain of a qsym function: a bad parameter, not a bug."""
+
+
 # Widest exponent span (max_exp - min_exp) a polynomial may have.
 MAX_SPAN = 100_000
 
-# Shortest factor length for which a product uses Kronecker substitution
-# instead of the schoolbook loop.  On CPython 3.11 Kronecker wins from 6-8
-# coefficients against a 60- or 300-term factor, from 12-16 on square products.
-KRONECKER_MIN = 8
-
 
 def _check_span(span: int) -> None:
-    """Refuse a polynomial wider than MAX_SPAN before its coefficient list exists."""
+    """Refuse a polynomial wider than MAX_SPAN before its digits exist."""
     if span > MAX_SPAN:
         raise ResourceLimitError(f"exponent span {span} exceeds the guard MAX_SPAN={MAX_SPAN}")
 
 
 class LaurentPoly:
-    """Laurent polynomial in q over the rationals: q**lo * sum(coeffs[i] * q**i) / den."""
+    """Laurent polynomial in q over the rationals: q**lo * P(2**(8*size)) / den, P
+    packing the n integer coefficients as balanced digits (see the module docstring)."""
 
-    __slots__ = ("lo", "coeffs", "den")
+    __slots__ = ("lo", "P", "n", "size", "bits", "den")
 
     def __init__(self, terms=None):
         """Build from a map ``{exponent: int or Fraction}``; zero entries are dropped."""
@@ -79,17 +101,19 @@ class LaurentPoly:
         coeffs = [0] * (hi - lo + 1)
         for e, c in terms.items():
             coeffs[e - lo] = c.numerator * (den // c.denominator)
-        self.lo, self.coeffs, self.den = _normal_form(lo, coeffs, den)
+        packed = _from_coeffs(lo, coeffs, den)
+        for field in self.__slots__:
+            setattr(self, field, getattr(packed, field))
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls) -> LaurentPoly:
-        return cls()
+        return _ZERO
 
     @classmethod
     def one(cls) -> LaurentPoly:
-        return cls({0: 1})
+        return _ONE
 
     @classmethod
     def constant(cls, c) -> LaurentPoly:
@@ -102,6 +126,11 @@ class LaurentPoly:
     # -- basic structure ---------------------------------------------------
 
     @property
+    def coeffs(self) -> list:
+        """A fresh list of the integer coefficients c_0 .. c_(n-1), read from P."""
+        return _unpack_int(self.P, self.n, self.size)
+
+    @property
     def terms(self) -> dict:
         """A fresh map {exponent: coefficient} of the nonzero terms, int where integral."""
         lo, den = self.lo, self.den
@@ -110,29 +139,32 @@ class LaurentPoly:
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.n
 
     @property
     def min_exp(self) -> int:
-        if not self.coeffs:
+        if not self.n:
             raise ValueError("the zero polynomial has no exponents")
         return self.lo
 
     @property
     def max_exp(self) -> int:
-        return self.min_exp + len(self.coeffs) - 1
+        return self.min_exp + self.n - 1
 
     def leading_coeff(self):
         return _coeff(self.coeffs[-1], self.den)
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.n)
 
     def __eq__(self, other) -> bool:
         other = _as_poly(other)
         if other is None:
             return NotImplemented
-        return self.lo == other.lo and self.den == other.den and self.coeffs == other.coeffs
+        if self.lo != other.lo or self.n != other.n or self.den != other.den:
+            return False
+        size = max(self.size, other.size)
+        return _rewidth(self.P, self.n, self.size, size) == _rewidth(other.P, other.n, other.size, size)
 
     __hash__ = None
 
@@ -145,27 +177,30 @@ class LaurentPoly:
         other = _as_poly(other)
         if other is None:
             return NotImplemented
-        if not other.coeffs:
+        if not other.n:
             return self
-        if not self.coeffs:
+        if not self.n:
             return other
         a, b = (self, other) if self.lo <= other.lo else (other, self)
-        length = max(len(a.coeffs), b.lo - a.lo + len(b.coeffs))
-        _check_span(length - 1)
-        ca, cb, den = a.coeffs, b.coeffs, a.den
+        shift = b.lo - a.lo
+        _check_span(max(a.n, shift + b.n) - 1)
+        ka = kb = 1
         if a.den != b.den:
             den = math.lcm(a.den, b.den)
-            ca = [c * (den // a.den) for c in ca]
-            cb = [c * (den // b.den) for c in cb]
-        out = ca + [0] * (length - len(ca))
-        for i, c in enumerate(cb, b.lo - a.lo):
-            out[i] += c
-        return _make(a.lo, out, den)
+            ka, kb = den // a.den, den // b.den
+        grow = (ka + kb - 1).bit_length()
+        bits, size = max(a.bits, b.bits) + grow, max(a.size, b.size)
+        if bits >= 8 * size:
+            bits = max(_tight(a), _tight(b)) + grow
+            size = bits // 8 + 1
+        P = (_rewidth(a.P, a.n, a.size, size) * ka
+             + (_rewidth(b.P, b.n, b.size, size) * kb << 8 * size * shift))
+        return _make(a.lo, P, size, bits, a.den * ka)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _make(self.lo, [-c for c in self.coeffs], self.den)
+        return _new(self.lo, -self.P, self.n, self.size, self.bits, self.den)
 
     def __sub__(self, other):
         other = _as_poly(other)
@@ -180,33 +215,60 @@ class LaurentPoly:
         """Multiply every coefficient by the scalar c."""
         if not isinstance(c, (int, Fraction)):
             c = Fraction(c)
-        if c == 1:
-            return self
-        return _make(self.lo, [v * c.numerator for v in self.coeffs], self.den * c.denominator)
+        return self._times(c.numerator, c.denominator)
+
+    def _times(self, k: int, den: int = 1, shift: int = 0) -> LaurentPoly:
+        """self * k * q**shift / den for integers k and den >= 1."""
+        if k == den == 1:
+            return _new(self.lo + shift, self.P, self.n, self.size, self.bits, self.den)
+        bits = self.bits + (abs(k) - 1).bit_length()
+        size = max(self.size, bits // 8 + 1)
+        P = _rewidth(self.P, self.n, self.size, size) * k
+        return _make(self.lo + shift, P, size, bits, self.den * den)
 
     def shift(self, k: int) -> LaurentPoly:
         """Multiply by the monomial q**k."""
-        if k == 0 or not self.coeffs:
+        if k == 0 or not self.n:
             return self
-        return _make(self.lo + k, self.coeffs, self.den)
+        return _new(self.lo + k, self.P, self.n, self.size, self.bits, self.den)
+
+    def inflate(self, w: int) -> LaurentPoly:
+        """The substitution q -> q**w (w >= 1): P re-read at w times its digit width."""
+        if w < 1:
+            raise QsymDomainError(f"inflate wants w >= 1, got {w}")
+        if w == 1 or not self.n:
+            return self
+        _check_span((self.n - 1) * w)
+        P = _rewidth(self.P, self.n, self.size, self.size * w)
+        return _new(self.lo * w, P, (self.n - 1) * w + 1, self.size, self.bits, self.den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return LaurentPoly()
-        _check_span(len(a) + len(b) - 2)
-        return _make(self.lo + other.lo, _conv(a, b), self.den * other.den)
+        if not self.n or not other.n:
+            return _ZERO
+        _check_span(self.n + other.n - 2)
+        if other.n == 1:  # a monomial: one scale and a shift
+            return self._times(other.P, other.den, other.lo)
+        if self.n == 1:
+            return other._times(self.P, self.den, self.lo)
+        a, b = self, other
+        ba = _tight(a)
+        bb = ba if b is a else _tight(b)
+        bits = ba + bb + (min(a.n, b.n) - 1).bit_length()
+        size = bits // 8 + 1  # the narrowest width the product's bound allows
+        pa = _rewidth(a.P, a.n, a.size, size)
+        pb = pa if b is a else _rewidth(b.P, b.n, b.size, size)
+        return _make(a.lo + b.lo, pa * pb, size, bits, a.den * b.den)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> LaurentPoly:
         if k < 0:
             raise ValueError("LaurentPoly power wants a nonnegative exponent; use RatFun for inverses")
-        result, base = LaurentPoly.one(), self
+        result, base = _ONE, self
         while k:
             if k & 1:
                 result = result * base
@@ -218,37 +280,50 @@ class LaurentPoly:
     # -- division ----------------------------------------------------------
 
     def exact_div(self, d: LaurentPoly) -> LaurentPoly | None:
-        """Return self / d when d divides self in the Laurent ring, else None.
-
-        Monomials q**k are units, so divisibility only concerns the
-        polynomial parts.  Dividing by the primitive part of d keeps the work
-        in the integers: by Gauss's lemma the quotient is then integral if it
-        exists, so a step that is not integral proves d does not divide self.
-        """
-        if not isinstance(d, LaurentPoly) or d.is_zero:
+        """Return self / d when d divides self in the Laurent ring, else None, by
+        the packed division of the module docstring.  Monomials q**k are units,
+        so divisibility only concerns the polynomial parts."""
+        if not isinstance(d, LaurentPoly) or not d.n:
             raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero:
+        if not self.n:
             return self
+        if self.n < d.n:
+            return None
+        size = max(self.size, d.size)
+        for _ in range(2):
+            q, r = divmod(_rewidth(self.P, self.n, self.size, size),
+                          _rewidth(d.P, d.n, d.size, size))
+            if r:
+                break
+            nq = q.bit_length() // (8 * size) + 1
+            # One digit more than the top digit index: q's balanced digits may
+            # include -X/2, whose carry the bias must absorb.
+            bits = _tight_bits(q, nq + 1, size)
+            need = bits + _tight(d) + (min(nq, d.n) - 1).bit_length()
+            if need < 8 * size:
+                quot = _make(self.lo - d.lo, q, size, bits)
+                return quot if self.den == d.den == 1 else quot.scale(Fraction(d.den, self.den))
+            size = need // 8 + 1
         g, prim = _primitive(d.coeffs)
         quot = _int_div(self.coeffs, prim)
         if quot is None:
             return None
-        m = d.den if g > 0 else -d.den  # the sign of g goes into the quotient
-        if m != 1:
-            quot = [c * m for c in quot]
-        return _make(self.lo - d.lo, quot, self.den * abs(g))
+        return _from_coeffs(self.lo - d.lo, quot).scale(Fraction(d.den, self.den * g))
 
     # -- evaluation ----------------------------------------------------------
 
     def evaluate(self, q0) -> Fraction:
-        """Exact value at q = q0.  Negative exponents make q0 = 0 a pole."""
+        """Exact value at q = q0 = a/b, by Horner's rule over the integers:
+        sum c_i q0^i = sum c_i a^i b^(n-1-i) / b^(n-1).  Negative exponents
+        make q0 = 0 a pole."""
         q0 = Fraction(q0)
         if self.lo < 0 and q0 == 0:
             raise PoleError(f"pole at q = {q0}: negative exponent q^{self.lo}")
-        total = Fraction(0)
+        a, b = q0.numerator, q0.denominator
+        total, scale = 0, 1
         for c in reversed(self.coeffs):
-            total = total * q0 + c
-        return total * q0**self.lo / self.den
+            total, scale = total * a + c * scale, scale * b
+        return Fraction(total * b, scale * self.den) * q0**self.lo
 
     # -- integer content -----------------------------------------------------
 
@@ -256,7 +331,7 @@ class LaurentPoly:
         """Write self = content * primitive with primitive an integer-coefficient
         polynomial of content 1 and positive leading coefficient."""
         g, prim = _primitive(self.coeffs)
-        return Fraction(g, self.den), _make(self.lo, prim)
+        return Fraction(g, self.den), _from_coeffs(self.lo, prim)
 
     # -- presentation --------------------------------------------------------
 
@@ -292,57 +367,41 @@ def _coeff(c: int, den: int):
     return c // den if c % den == 0 else Fraction(c, den)
 
 
-def _normal_form(lo: int, coeffs: list, den: int) -> tuple:
-    """(lo, coeffs, den) with zero end coefficients trimmed and gcd(den, *coeffs) = 1."""
-    end = len(coeffs)
-    while end and not coeffs[end - 1]:
-        end -= 1
-    if not end:
-        return 0, [], 1
-    start = 0
-    while not coeffs[start]:
-        start += 1
-    if start or end < len(coeffs):
-        coeffs = coeffs[start:end]
-    if den != 1:
-        g = math.gcd(den, *coeffs)
-        if g != 1:
-            coeffs = [c // g for c in coeffs]
-            den //= g
-    return lo + start, coeffs, den
-
-
-def _make(lo: int, coeffs: list, den: int = 1) -> LaurentPoly:
-    """The LaurentPoly q**lo * sum(coeffs[i] * q**i) / den, in normal form."""
+def _new(lo: int, P: int, n: int, size: int, bits: int, den: int = 1) -> LaurentPoly:
+    """A LaurentPoly from fields that already satisfy the invariants."""
     p = object.__new__(LaurentPoly)
-    p.lo, p.coeffs, p.den = _normal_form(lo, coeffs, den)
+    p.lo, p.P, p.n, p.size, p.bits, p.den = lo, P, n, size, bits, den
     return p
 
 
-def _conv(a: list, b: list) -> list:
-    """Coefficients of the product of two integer coefficient lists."""
-    if len(a) < len(b):
-        a, b = b, a
-    if len(b) < KRONECKER_MIN:
-        out = [0] * (len(a) + len(b) - 1)
-        for i, y in enumerate(b):
-            if y:
-                for j, x in enumerate(a, i):
-                    if x:
-                        out[j] += x * y
-        return out
-    # Kronecker substitution: |product coefficient| <= max|a| * max|b| * len(b),
-    # so digits of `size` bytes with a spare sign bit hold them without overlap.
-    bound = max(map(abs, a)) * max(map(abs, b)) * len(b)
-    size = bound.bit_length() // 8 + 1
-    packed = _pack_int(a, size)
-    prod = packed * (packed if b is a else _pack_int(b, size))
-    return _unpack_int(prod, len(a) + len(b) - 1, size)
+def _from_coeffs(lo: int, coeffs: list, den: int = 1) -> LaurentPoly:
+    """The LaurentPoly q**lo * sum(coeffs[i] * q**i) / den, at its narrowest width."""
+    bits = max(map(abs, coeffs), default=0).bit_length()
+    return _make(lo, _pack_int(coeffs, bits // 8 + 1), bits // 8 + 1, bits, den)
 
 
-def _digit_bias(n: int, size: int) -> int:
-    """Half a digit in each of n digits of `size` bytes: sum 2**(8*size*i + 8*size - 1)."""
-    return int.from_bytes((bytes(size - 1) + b"\x80") * n, "little")
+def _make(lo: int, P: int, size: int, bits: int, den: int = 1) -> LaurentPoly:
+    """q**lo * P(X) / den, X = 2**(8*size), for P with digits below 2**bits,
+    in normal form: low zero digits moved into lo, den reduced by the gcd of
+    the digits."""
+    if not P:
+        return _ZERO
+    width = 8 * size
+    low = ((P & -P).bit_length() - 1) // width
+    if low:
+        P >>= width * low
+        lo += low
+    n = P.bit_length() // width + 1
+    if den != 1 and math.gcd(den, P) != 1:  # a common factor of den and the digits divides P
+        g = math.gcd(den, *_unpack_int(P, n, size))
+        P, den = P // g, den // g
+    return _new(lo, P, n, size, bits, den)
+
+
+def _digit_bias(n: int, size: int, m: int = 0) -> int:
+    """Half a digit of m bytes (m = size by default) in each of n digits of
+    `size` bytes: sum 2**(8*m - 1) * 2**(8*size*i)."""
+    return int.from_bytes((1 << (8 * (m or size) - 1)).to_bytes(size, "little") * n, "little")
 
 
 def _pack_int(coeffs: list, size: int) -> int:
@@ -359,6 +418,40 @@ def _unpack_int(x: int, n: int, size: int) -> list:
     half = 1 << (8 * size - 1)
     raw = (x + _digit_bias(n, size)).to_bytes(n * size, "little")
     return [int.from_bytes(raw[i:i + size], "little") - half for i in range(0, n * size, size)]
+
+
+def _rewidth(P: int, n: int, s1: int, s2: int) -> int:
+    """The n digits of P at width s1 bytes, packed at width s2; every digit must
+    be below half a digit of min(s1, s2) bytes.  Biased by that half digit, each
+    digit's bytes above min(s1, s2) are zero, so the low columns are copied."""
+    if s1 == s2:
+        return P
+    m = min(s1, s2)
+    raw = (P + _digit_bias(n, s1, m)).to_bytes(n * s1, "little")
+    out = bytearray(n * s2)
+    for j in range(m):
+        out[j::s2] = raw[j::s1]
+    return int.from_bytes(out, "little") - _digit_bias(n, s2, m)
+
+
+def _tight_bits(P: int, n: int, size: int) -> int:
+    """A bound b, |c_i| < 2**b, on the digits c_i of P at width size bytes
+    (n digits with room for a carry), from the highest bit at which some digit
+    differs from its sign extension: the two's-complement length of the widest."""
+    half = _digit_bias(n, size)
+    twos = (P + half) ^ half
+    ones = half >> (8 * size - 1)
+    raw = ((twos ^ (twos >> 1)) & (half - ones)).to_bytes(n * size, "little")
+    for j in range(size - 1, -1, -1):
+        top = max(raw[j::size])
+        if top:
+            return 8 * j + top.bit_length() + 1
+    return 1
+
+
+def _tight(p: LaurentPoly) -> int:
+    """A tight bit bound on the digits of p (its own bound at width 1, the narrowest)."""
+    return p.bits if p.size == 1 else min(p.bits, _tight_bits(p.P, p.n, p.size))
 
 
 def _primitive(coeffs: list) -> tuple:
@@ -398,8 +491,8 @@ def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     the inputs are units and are discarded), by the heuristic gcd of the
     module docstring."""
     if a.is_zero or b.is_zero:
-        return _make(0, _primitive((b if a.is_zero else a).coeffs)[1])
-    return _make(0, _gcd_cofactors(_primitive(a.coeffs)[1], _primitive(b.coeffs)[1])[0])
+        return _from_coeffs(0, _primitive((b if a.is_zero else a).coeffs)[1])
+    return _from_coeffs(0, _gcd_cofactors(_primitive(a.coeffs)[1], _primitive(b.coeffs)[1])[0])
 
 
 # Evaluation points the heuristic gcd tries, each with wider digits, before it
@@ -464,13 +557,17 @@ def _pseudo_rem(A: list, B: list) -> list:
     return R
 
 
+_ZERO = _new(0, 0, 0, 1, 0)
+_ONE = _new(0, 1, 1, 1, 1)
+
+
 class RatFun:
     """Quotient of two Laurent polynomials with exact cross-multiplication equality."""
 
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
-        n, d = _as_poly(num), LaurentPoly.one() if den is None else _as_poly(den)
+        n, d = _as_poly(num), _ONE if den is None else _as_poly(den)
         if n is None or d is None:
             bad = num if n is None else den
             raise TypeError(f"cannot interpret {type(bad).__name__} as a Laurent polynomial")
@@ -568,12 +665,13 @@ class RatFun:
         positive leading coefficient and nonzero constant term, no common
         factor with the numerator; monomial factors live in the numerator."""
         if self.num.is_zero:
-            return RatFun(LaurentPoly.zero(), LaurentPoly.one())
-        n_content, n_prim = self.num.content_and_primitive()
-        d_content, d_prim = self.den.content_and_primitive()
-        _, n_red, d_red = _gcd_cofactors(n_prim.coeffs, d_prim.coeffs)
-        num = _make(self.num.lo - self.den.lo, n_red).scale(n_content / d_content)
-        return RatFun(num, _make(0, d_red))
+            return RatFun(_ZERO, _ONE)
+        n_content, n_prim = _primitive(self.num.coeffs)
+        d_content, d_prim = _primitive(self.den.coeffs)
+        _, n_red, d_red = _gcd_cofactors(n_prim, d_prim)
+        content = Fraction(n_content * self.den.den, d_content * self.num.den)
+        return RatFun(_from_coeffs(self.num.lo - self.den.lo, n_red).scale(content),
+                      _from_coeffs(0, d_red))
 
     # -- evaluation ----------------------------------------------------------
 
@@ -584,7 +682,7 @@ class RatFun:
         if self.num.is_zero:
             return Fraction(0)
         num, den = self.num.shift(-self.den.lo), self.den.shift(-self.den.lo)
-        factor = _make(0, [-q0.numerator, q0.denominator])
+        factor = _from_coeffs(0, [-q0.numerator, q0.denominator])
         while True:
             dv = den.evaluate(q0)
             if dv != 0:
@@ -602,13 +700,13 @@ class RatFun:
     def __str__(self) -> str:
         num, den = self.num, self.den
         num_s = str(num)
-        if den.lo == 0 and den.den == 1 and den.coeffs == [1]:
+        if den.lo == 0 and den.den == 1 and den.P == 1:
             return num_s
         den_s = str(den)
-        # coeffs has nonzero ends, so more than one entry means more than one term.
-        if len(num.coeffs) > 1:
+        # The ends are nonzero, so more than one digit means more than one term.
+        if num.n > 1:
             num_s = f"({num_s})"
-        if len(den.coeffs) > 1:
+        if den.n > 1:
             den_s = f"({den_s})"
         return f"{num_s}/{den_s}"
 
@@ -628,7 +726,7 @@ def _as_poly(v) -> LaurentPoly | None:
     if isinstance(v, LaurentPoly):
         return v
     if isinstance(v, (int, Fraction)):
-        return _make(0, [v.numerator], v.denominator)
+        return _from_coeffs(0, [v.numerator], v.denominator)
     return None
 
 

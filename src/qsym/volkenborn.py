@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .qbernoulli import WeightedBetaQuery, beta_higher, beta_weighted, weight_exponents
-from .ratfun import ResourceLimitError
+from .ratfun import QsymDomainError, ResourceLimitError
 
 FAMILIES = ("single", "multi", "weighted")
 
@@ -53,7 +53,7 @@ def is_prime(p: int) -> bool:
 def p_valuation(r: Fraction, p: int):
     """Exponent of p in the rational r; +inf for zero."""
     if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+        raise QsymDomainError(f"{p} is not prime")
     r = Fraction(r)
     if r == 0:
         return math.inf
@@ -88,18 +88,20 @@ class PadicContext:
 
     def __post_init__(self):
         if not is_prime(self.p):
-            raise ValueError(f"p = {self.p} is not prime")
+            raise QsymDomainError(f"p = {self.p} is not prime")
         if self.q0 is None:
             object.__setattr__(self, "q0", default_q0(self.p))
         else:
             object.__setattr__(self, "q0", Fraction(self.q0))
         need = 2 if self.p == 2 else 1
+        if self.q0 == 1:  # the stage sums divide by 1 - q0
+            raise QsymDomainError("q0 = 1 is excluded: the stage sums divide by 1 - q0")
         if p_valuation(1 - self.q0, self.p) < need:
-            raise ValueError(
+            raise QsymDomainError(
                 f"q0 = {self.q0} too far from 1: need v_{self.p}(1 - q0) >= {need}"
             )
         if self.Nmax < 1:
-            raise ValueError("Nmax must be >= 1")
+            raise QsymDomainError("Nmax must be >= 1")
 
 
 def _check_budget(ctx: PadicContext, r: int, N: int) -> int:
@@ -122,9 +124,9 @@ def _check_stage(ctx: PadicContext, n: int, r: int, exps: range, N: int) -> int:
     length of q0's larger term; both bounds grow with N, so a report checks its
     deepest stage first."""
     if not 1 <= N <= ctx.Nmax:
-        raise ValueError(f"N must be in 1..{ctx.Nmax}")
+        raise QsymDomainError(f"N must be in 1..{ctx.Nmax}")
     if n < 0 or r < 1:
-        raise ValueError("need n >= 0 and r >= 1")
+        raise QsymDomainError("need n >= 0 and r >= 1")
     size = _check_budget(ctx, r, N)
     height = max(abs(ctx.q0.numerator), ctx.q0.denominator).bit_length()
     bits = r * (n + max(abs(exps[0]), abs(exps[-1]))) * size * height
@@ -191,7 +193,7 @@ class ConvergenceReport:
 def convergence_report(family: str, params: dict, ctx: PadicContext) -> ConvergenceReport:
     """Compare stage sums against the matching closed form at q0 for N = 1..Nmax."""
     if family not in FAMILIES:
-        raise ValueError(f"family must be one of {FAMILIES}")
+        raise QsymDomainError(f"family must be one of {FAMILIES}")
     n = params["n"]
     x = params.get("x", 0)
     if family == "single":

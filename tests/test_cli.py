@@ -37,7 +37,8 @@ def test_compute_degenerate_weight_exits_2(capsys):
 
 @pytest.mark.parametrize("exc, code, marker", [
     (RuntimeError("a bug"), 4, "Traceback"),
-    (ValueError("bad input"), 2, "error: bad input"),
+    (ratfun_mod.QsymDomainError("bad input"), 2, "error: bad input"),
+    (ValueError("a bug"), 4, "Traceback"),
 ])
 def test_unmapped_exception_exits_4_with_traceback(capsys, monkeypatch, exc, code, marker):
     # 1 means an identity or convergence failure, so a bug must not exit 1.

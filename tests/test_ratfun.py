@@ -155,10 +155,10 @@ def test_span_guard(monkeypatch):
     finally:
         tracemalloc.stop()
 
-    def no_conv(a, b):
-        raise AssertionError("a product past the span guard was convolved")
+    def no_rewidth(*args):
+        raise AssertionError("a polynomial past the span guard was packed")
 
-    monkeypatch.setattr(ratfun_mod, "_conv", no_conv)
+    monkeypatch.setattr(ratfun_mod, "_rewidth", no_rewidth)
     with pytest.raises(ResourceLimitError):
         LaurentPoly({0: 1, 6: 1}) * LaurentPoly({0: 1, 5: 2})  # span 6 + 5 > 10
     with pytest.raises(ResourceLimitError):
@@ -297,7 +297,7 @@ def test_gcd_divides_both(a, b):
 
 
 _rng = random.Random(20261018)
-_K = ratfun_mod.KRONECKER_MIN
+_K = 8
 
 
 def _signed(bits_lo: int, bits_hi: int) -> int:
@@ -312,8 +312,8 @@ def _dense_case(la: int, lb: int, bits_lo: int = 1, bits_hi: int = 200) -> tuple
 def _extreme_case(bits: int, lb: int, sign: int) -> tuple:
     """The middle product coefficients reach max|a| * max|b| * len(b), the
     bound the digit width is chosen from.  Over the cases below its bit
-    length falls just under and on a byte boundary (with KRONECKER_MIN = 8:
-    15 and 16 bits at bits = 6)."""
+    length falls just under and on a byte boundary (with _K = 8: 15 and 16
+    bits at bits = 6)."""
     m = 2**bits - 1
     return {i: m for i in range(lb + 3)}, {i: sign * m for i in range(lb)}
 
