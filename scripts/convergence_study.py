@@ -21,25 +21,23 @@ def main() -> int:
     parser.add_argument("--primes", type=lambda s: tuple(int(t) for t in s.split(",")),
                         default=(2, 3, 5))
     parser.add_argument("--max-n", type=int, default=3)
-    parser.add_argument("--nmax", type=int, default=4, help="largest stage for r = 1")
+    parser.add_argument("--nmax", type=int, default=4, help="largest stage")
     args = parser.parse_args()
 
     print(f"{'p':>3} {'q0':>4} {'family':<9} {'n':>2} {'r':>2} {'x':>2}  valuations        v=N?")
     for p in args.primes:
         q0 = default_q0(p)
-        ctx1 = PadicContext(p=p, q0=q0, Nmax=args.nmax)
-        nmax2 = args.nmax
-        while p ** (2 * nmax2) > ctx1.budget:
-            nmax2 -= 1
-        ctx2 = PadicContext(p=p, q0=q0, Nmax=nmax2)
+        # The budget admits the 2-fold rows at every stage; MAX_STAGE_BITS
+        # still refuses a stage whose numbers would be too large.
+        ctx = PadicContext(p=p, q0=q0, Nmax=args.nmax, budget=p ** (2 * args.nmax))
         for n in range(args.max_n + 1):
             for x in (0, 1):
                 runs = [
-                    ("single", {"n": n, "x": x}, ctx1),
-                    ("multi", {"n": n, "r": 2, "x": x}, ctx2),
-                    ("weighted", {"n": n, "h": 2, "r": 1, "x": x}, ctx1),
+                    ("single", {"n": n, "x": x}),
+                    ("multi", {"n": n, "r": 2, "x": x}),
+                    ("weighted", {"n": n, "h": 2, "r": 1, "x": x}),
                 ]
-                for family, params, ctx in runs:
+                for family, params in runs:
                     rep = convergence_report(family, params, ctx)
                     vals = " ".join(
                         "inf" if v == math.inf else str(v) for _, v in rep.points

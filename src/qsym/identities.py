@@ -25,10 +25,11 @@ from .qbernoulli import (
     beta_number,
     beta_weighted,
     classical_bernoulli_higher,
-    q_power_weights,
+    closed_form,
     t_sum,
     t_sum_h,
     weight_exponents,
+    window_product,
 )
 from .qcore import bracket_poly, q_bracket
 from .ratfun import LaurentPoly, QsymDomainError, RatFun, ResourceLimitError
@@ -129,7 +130,7 @@ def check_limit_q1(n: int, r: int, x: int) -> CheckReport:
 def check_multiplication(n: int, r: int, w1: int, x: int) -> CheckReport:
     """Multiplication formula: beta_n^(r) at w1*x as a [w1]-scaled sum over shifts."""
     lhs = beta_higher(n, r, 1, w1 * x)
-    rhs = _swap_side(n, (1,) * r, w1, 1, x, lambda w, arg: beta_higher(n, r, w, arg))
+    rhs = _swap_side(n, (1,) * r, w1, 1, x, lambda w, power: closed_form(n, r, w, power))
     return _report("multiplication", {"n": n, "r": r, "w1": w1, "x": x}, lhs, rhs)
 
 
@@ -138,18 +139,19 @@ def check_multiplication(n: int, r: int, w1: int, x: int) -> CheckReport:
 
 def _swap_side(n: int, cs, wa: int, wb: int, x: int, closed) -> RatFun:
     """[wa]^(n-r) * sum over j in {0..wa-1}^r of q^(wb sum_k c_k j_k)
-    * closed(wa, wa wb x + wb sum j), r = len(cs); c = (1, ..., 1) for thm3 and
-    the multiplication formula, weight_exponents(h, r) for thm5.
+    * (closed form in base q^wa at argument wa wb x + wb sum j), r = len(cs);
+    c = (1, ..., 1) for thm3 and the multiplication formula,
+    weight_exponents(h, r) for thm5.
 
-    The closed form depends on j only through s = sum j, so the tuple sum
-    regroups exactly as sum_s W[s] * closed(wa, wa wb x + wb s) with W[s] the
-    sum of the weight monomials over the tuples with sum s, which
-    composition_weights builds from the per-coordinate ratios q^(wb c_k).
+    closed(w, power) is the family's closed form with power(j) in place of
+    q^(j arg), and linear in it, so the tuple sum moves into one call: by the
+    geometric-window identity of qbernoulli, term j of the closed form gets
+    power(j) = q^(j wa wb x) * prod_k window(wa, wb (c_k + j)).
     """
-    acc = RatFun(0)
-    for s, ws in enumerate(q_power_weights([wb * c for c in cs], wa)):
-        acc = acc + RatFun(ws) * closed(wa, wa * wb * x + wb * s)
-    return q_bracket(wa, 1) ** (n - len(cs)) * acc
+    def power(j):
+        return window_product(wa, [wb * (c + j) for c in cs]).shift(j * wa * wb * x)
+
+    return q_bracket(wa, 1) ** (n - len(cs)) * closed(wa, power)
 
 
 def _convolution_side(n: int, r: int, wa: int, wb: int, x: int, closed, tsum,
@@ -177,7 +179,7 @@ def check_thm3(n: int, r: int, w1: int, w2: int, x: int) -> CheckReport:
     corresponding side here.  Checking every degree n therefore certifies the
     series statement, and no separate series-level checker exists.
     """
-    closed = lambda w, arg: beta_higher(n, r, w, arg)
+    closed = lambda w, power: closed_form(n, r, w, power)
     lhs = _swap_side(n, (1,) * r, w1, w2, x, closed)
     rhs = _swap_side(n, (1,) * r, w2, w1, x, closed)
     return _report("thm3", {"n": n, "r": r, "w1": w1, "w2": w2, "x": x}, lhs, rhs)
@@ -194,7 +196,7 @@ def check_thm4(n: int, r: int, w1: int, w2: int, x: int) -> CheckReport:
 
 def check_thm5(n: int, h: int, r: int, w1: int, w2: int, x: int) -> CheckReport:
     """Base-swap symmetry of the weighted (h, r) polynomials."""
-    closed = lambda w, arg: beta_weighted(n, h, r, w, arg)
+    closed = lambda w, power: closed_form(n, r, w, power, h)
     lhs = _swap_side(n, weight_exponents(h, r), w1, w2, x, closed)
     rhs = _swap_side(n, weight_exponents(h, r), w2, w1, x, closed)
     return _report("thm5", {"n": n, "r": r, "h": h, "w1": w1, "w2": w2, "x": x}, lhs, rhs)
@@ -233,7 +235,7 @@ _CHECKERS = {
 class GuardLimits:
     """Grid guards, checked before any work: a sweep refuses n, r, w, x or h
     outside these ranges, which bound the degree of every closed form and the
-    r(w-1)+1 weights of each composition kernel."""
+    span of every window product."""
 
     max_n: int = 12
     max_r: int = 4

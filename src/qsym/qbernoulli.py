@@ -7,10 +7,22 @@ the weighted ones beta_weighted(n, h, r, w, arg).  Both are
 
     (1 / (1 - q^w)^n) * sum_{j=0}^{n} C(n,j) (-1)^j q^(j*arg) prod_k (j+c_k)/[j+c_k]
 
-with every bracket in base q^w; the T-sums give coordinate k the ratio
-q^(base(i+c_k)).  A polynomial argument y contributes q^(w*j*y), so w*y must
-be the integer ``arg``.  The weighted product is 0/0 when some j+c_k is zero,
-hence the domain restriction h > r-1 or h < -n.
+with every bracket in base q^w.  A polynomial argument y contributes
+q^(w*j*y), so w*y must be the integer ``arg``.  The weighted product is 0/0
+when some j+c_k is zero, hence the domain restriction h > r-1 or h < -n.
+
+Every r-fold sum over a box j in {0..L-1}^r rests on one identity, the
+geometric window.  Once [x + sum j]^n is expanded binomially in powers of
+q^(sum j), a summand q^(sum_k e_k j_k) factors over the coordinates, so
+
+    sum over j in {0..L-1}^r of q^(sum_k e_k j_k) = prod_k sum_{t<L} q^(e_k t),
+
+and each window is [L] in base q^e for e >= 1, q^(e(L-1)) [L] in base q^-e
+for e < 0 and the constant L for e = 0 (window_product).  The T-sums expand
+[s]^(n-i) = (1-q^base)^-(n-i) sum_m C(n-i,m) (-1)^m q^(base m s); the
+base-swap sides of the identities substitute window products for the powers
+q^(j arg) of a closed form (closed_form is linear in them); the Volkenborn
+stage sums use the same windows at a rational point.
 
 classical_bernoulli_higher is an independent oracle for the q -> 1 limits:
 exact power series for (t/(e^t - 1))^r * e^(x t), with the ordinary Bernoulli
@@ -20,6 +32,7 @@ numbers generated by their additive recurrence.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -139,20 +152,38 @@ def _weighted_scaffold(n: int, h: int, r: int, w: int):
     return _scaffold([bracket_poly(m) for m in ms], r)
 
 
-def _closed_form(n: int, arg: int, scaffold, factor) -> RatFun:
-    """sum_j C(n,j) (-1)^j factor(j) q^(j arg) cofactor[j] / denominator."""
+def closed_form(n: int, r: int, w: int, power, h: int | None = None) -> RatFun:
+    """The order-r (h None) or weighted (h, r) closed form in base q^w with the
+    Laurent polynomial power(j) in place of q^(j arg):
+
+        sum_j C(n,j) (-1)^j power(j) prod_k (j+c_k) cofactor[j] / denominator.
+
+    It is linear in power, so a sum of closed forms over several arguments is
+    one call whose power(j) sums their monomials."""
+    if h is None:
+        BetaQuery(n, r, w)
+        scaffold, factor = _higher_scaffold(n, r, w), lambda j: (j + 1) ** r
+    else:
+        WeightedBetaQuery(n, h, r, w)
+        c = weight_exponents(h, r)
+        scaffold = _weighted_scaffold(n, h, r, w)
+        factor = lambda j: math.prod(j + ck for ck in c)
     den, cof = scaffold
     num = LaurentPoly.zero()
     for j in range(n + 1):
         scalar = math.comb(n, j) * factor(j)
-        num = num + cof[j].scale(-scalar if j % 2 else scalar).shift(j * arg)
+        num = num + cof[j].scale(-scalar if j % 2 else scalar) * power(j)
     return RatFun(num, den)
+
+
+def _monomials(arg: int):
+    """power(j) = q^(j arg), the powers of a closed form at one argument."""
+    return lambda j: LaurentPoly.one().shift(j * arg)
 
 
 def beta_higher(n: int, r: int = 1, w: int = 1, arg: int = 0) -> RatFun:
     """Order-r Carlitz q-Bernoulli polynomial in base q^w at scaled argument arg."""
-    BetaQuery(n, r, w, arg)
-    return _closed_form(n, arg, _higher_scaffold(n, r, w), lambda j: (j + 1) ** r)
+    return closed_form(n, r, w, _monomials(arg))
 
 
 def beta_number(n: int) -> RatFun:
@@ -166,52 +197,33 @@ def beta_weighted(n: int, h: int, r: int = 1, w: int = 1, arg: int = 0) -> RatFu
     Uses the telescoped factor product prod_k (j+c_k)/[j+c_k]; raises
     DegenerateWeightError when some factor would be 0/0.
     """
-    WeightedBetaQuery(n, h, r, w, arg)
-    c = weight_exponents(h, r)
-    return _closed_form(n, arg, _weighted_scaffold(n, h, r, w),
-                        lambda j: math.prod(j + ck for ck in c))
+    return closed_form(n, r, w, _monomials(arg), h)
 
 
-def composition_weights(ratios, limit: int) -> list:
-    """W[s] = sum over j in {0..limit-1}^r with sum j = s of prod_l ratios[l]^(j_l).
-
-    r = len(ratios).  The tuple sum is a product of r geometric windows, so it
-    is built one coordinate at a time with the running-window recurrence
-    out[s] = z*out[s-1] + W[s] - z^limit * W[s-limit]: O(r * smax) ring
-    operations, smax = r(limit-1), over int, Fraction or LaurentPoly.  Unit
-    ratios give the number of r-tuples with sum s.
-    """
-    if limit < 1:
-        raise QsymDomainError("composition_weights wants limit >= 1")
-    weights = [ratios[0] ** 0 if ratios else 1]
-    for z in ratios:
-        z_limit = z**limit
-        out = [weights[0]]
-        for s in range(1, len(weights) + limit - 1):
-            v = z * out[s - 1]
-            if s < len(weights):
-                v = v + weights[s]
-            if s >= limit:
-                v = v - z_limit * weights[s - limit]
-            out.append(v)
-        weights = out
-    return weights
-
-
-def q_power_weights(exps, limit: int) -> list[LaurentPoly]:
-    """composition_weights over the monomial ratios q^e, e in exps."""
-    return composition_weights([LaurentPoly({e: 1}) for e in exps], limit)
+def window_product(limit: int, exps) -> LaurentPoly:
+    """prod_k sum_{t<limit} q^(e_k t) over the exponents e_k in exps, limit >= 1:
+    the geometric windows of the module docstring.  Equal exponents share one
+    cached bracket power."""
+    out = LaurentPoly.one()
+    for e, k in Counter(exps).items():
+        if e:
+            out = out * bracket_poly(limit, abs(e), k).shift(min(e, 0) * (limit - 1) * k)
+        else:
+            out = out.scale(limit**k)
+    return out
 
 
 def _check_t_args(n: int, i: int, r: int, wlim: int, base: int, h: int | None = None) -> tuple:
     """Validate the T-sum arguments and return the ratio exponents base(i+c_k),
     c = (1, ..., 1) for t_sum and weight_exponents(h, r) for t_sum_h.
 
-    Before any work, refuse a sum whose order, composition kernel length
-    smax + 1 (smax = r(wlim-1)) or result span exceeds ratfun.MAX_SPAN.  The
-    exponents of W[s] lie between (wlim-1) times the sum of the negative ratio
-    exponents and (wlim-1) times the sum of the positive ones, and [s]^(n-i)
-    in base q^base adds 0 .. base(s-1)(n-i).
+    Before any work, refuse a sum whose order r or predicted span exceeds
+    ratfun.MAX_SPAN.  The span is that of the largest polynomial built, the
+    numerator of _t_sum_grouped: its term m is a product of windows over the
+    exponents e_k + base m, which lies between (wlim-1) times the sum of the
+    negative e_k and (wlim-1) times the sum of the positive e_k plus
+    base r (wlim-1) m, m <= n-i.  The divisor (1-q^base)^(n-i) spans
+    base(n-i), which the bound also covers when wlim = 1.
     """
     if not 0 <= i <= n:
         raise QsymDomainError(f"need 0 <= i <= n, got i={i}, n={n}")
@@ -221,14 +233,12 @@ def _check_t_args(n: int, i: int, r: int, wlim: int, base: int, h: int | None = 
         raise QsymDomainError(f"summation limit must be >= 1, got {wlim}")
     if base < 1:
         raise QsymDomainError(f"base exponent must be >= 1, got {base}")
-    smax = r * (wlim - 1)
-    for what, size in (("order r", r), ("composition kernel length", smax + 1)):
-        if size > ratfun.MAX_SPAN:
-            raise ResourceLimitError(f"{what} {size} exceeds the guard MAX_SPAN={ratfun.MAX_SPAN}")
+    if r > ratfun.MAX_SPAN:
+        raise ResourceLimitError(f"order r {r} exceeds the guard MAX_SPAN={ratfun.MAX_SPAN}")
     cs = (1,) * r if h is None else weight_exponents(h, r)
     exps = tuple(base * (i + ck) for ck in cs)
     lo = (wlim - 1) * sum(e for e in exps if e < 0)
-    hi = (wlim - 1) * sum(e for e in exps if e > 0) + base * max(smax - 1, 0) * (n - i)
+    hi = (wlim - 1) * sum(e for e in exps if e > 0) + base * max(r * (wlim - 1), 1) * (n - i)
     if hi - lo > ratfun.MAX_SPAN:
         raise ResourceLimitError(
             f"predicted exponent span {hi - lo} exceeds the guard MAX_SPAN={ratfun.MAX_SPAN}"
@@ -238,14 +248,15 @@ def _check_t_args(n: int, i: int, r: int, wlim: int, base: int, h: int | None = 
 
 def _t_sum_grouped(n: int, i: int, exps: tuple, wlim: int, base: int) -> RatFun:
     """sum over tuples j in {0..wlim-1}^r of [sum j]^(n-i) q^(sum_l exps[l] j_l),
-    brackets in base q^base, grouped by s = sum j through composition_weights."""
-    acc = LaurentPoly.zero()
-    for s, ws in enumerate(q_power_weights(exps, wlim)):
-        if n == i:
-            acc = acc + ws
-        elif s:
-            acc = acc + ws * bracket_poly(s, base, n - i)
-    return RatFun(acc)
+    brackets in base q^base.  With [s]^(n-i) expanded binomially in q^(base s),
+    the tuple sum groups by the binomial index m into window products over the
+    exponents exps[l] + base m, and one exact division by (1-q^base)^(n-i)
+    follows; [0]^0 = 1 is the m = 0 term of n = i."""
+    num = LaurentPoly.zero()
+    for m in range(n - i + 1):
+        c = math.comb(n - i, m)
+        num = num + window_product(wlim, [e + base * m for e in exps]).scale(-c if m % 2 else c)
+    return RatFun(num.exact_div((LaurentPoly({0: 1, 1: -1}) ** (n - i)).inflate(base)))
 
 
 @lru_cache(maxsize=None)
@@ -253,8 +264,8 @@ def t_sum(n: int, i: int, r: int, wlim: int, base: int = 1) -> RatFun:
     """The r-fold sum over tuples j in {0..wlim-1}^r of [sum j]^(n-i) q^((i+1) sum j),
     brackets and weights in base q^base.  Convention: [0]^0 = 1.
 
-    Every coordinate carries the ratio q^(base(i+1)), so the tuple sum
-    collapses to a sum over s = sum j with composition weights.
+    Every coordinate carries the ratio q^(base(i+1)), so each window product
+    of _t_sum_grouped is one cached bracket power.
     """
     return _t_sum_grouped(n, i, _check_t_args(n, i, r, wlim, base), wlim, base)
 
@@ -264,9 +275,8 @@ def t_sum_h(n: int, i: int, h: int, r: int, wlim: int, base: int = 1) -> RatFun:
     """Weighted T-sum: sum over tuples j of [sum j]^(n-i) q^(base * sum_k (i+c_k) j_k),
     c = weight_exponents(h, r).
 
-    The bracket depends on the tuple only through s = sum j, so the sum is
-    grouped by s with composition_weights over the ratios q^(base(i+c_k)),
-    exactly as in t_sum.
+    The same window expansion as t_sum, over the ratios q^(base(i+c_k)); a
+    zero exponent (i + c_k = 0) contributes the constant window wlim.
     """
     return _t_sum_grouped(n, i, _check_t_args(n, i, r, wlim, base, h), wlim, base)
 

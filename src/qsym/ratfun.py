@@ -26,12 +26,16 @@ sign extension -- and is formed at the narrowest width its bound allows.
 when the remainder is 0 and bits(q) + bits(d) + bitlen(min(n_q, n_d) - 1)
 < 8*size.  Then every coefficient of the polynomial product Q*D is below half
 a digit, so Q(X) D(X) = A(X) and the uniqueness of balanced digits prove
-Q*D = A.  A failed bound is retried once at the width it asks for; a nonzero
-remainder or a second failure goes to trial division of the digit lists by the
-primitive part of d (by Gauss's lemma a step that is not integral proves that
-d does not divide).  Coefficient lists appear only at the boundary: the
-``{exponent: coefficient}`` constructor, ``coeffs``, ``terms``, ``evaluate``,
-the gcd, ``__str__`` and JSON.
+Q*D = A.  The quotient is stored at the narrowest width its bound allows.  A
+failed bound with a primitive d means q's digits wrapped: the division is
+retried at least twice as wide, up to the width that holds any quotient over
+the integers by Mignotte's bound, |q_i| <= 2**deg(q) * ||A||_2.  A nonzero
+remainder, a d with a nontrivial content, or a failed bound at that width goes
+to trial division of the digit lists by the primitive part of d (by Gauss's
+lemma a step that is not integral proves that d does not divide).  Coefficient
+lists appear only at the boundary: the ``{exponent: coefficient}``
+constructor, ``coeffs``, ``terms``, ``evaluate``, the gcd, ``__str__`` and
+JSON.
 
 A RatFun is a quotient ``num / den`` of Laurent polynomials, den nonzero.
 Equality is cross-multiplication (``a/b == c/d  iff  a*d == c*b``), so gcd
@@ -289,8 +293,12 @@ class LaurentPoly:
             return self
         if self.n < d.n:
             return None
-        size = max(self.size, d.size)
-        for _ in range(2):
+        size, bd = max(self.size, d.size), _tight(d)
+        # Mignotte: a quotient over the integers has |q_i| < 2**deg(q) * ||self||_2,
+        # so its digits pass the bound below (one bit for _tight_bits) at width cap.
+        cap = (self.n - d.n + self.bits + (self.n.bit_length() + 1) // 2 + 1 + bd
+               + (min(self.n - d.n + 1, d.n) - 1).bit_length()) // 8 + 1
+        while True:
             q, r = divmod(_rewidth(self.P, self.n, self.size, size),
                           _rewidth(d.P, d.n, d.size, size))
             if r:
@@ -299,11 +307,14 @@ class LaurentPoly:
             # One digit more than the top digit index: q's balanced digits may
             # include -X/2, whose carry the bias must absorb.
             bits = _tight_bits(q, nq + 1, size)
-            need = bits + _tight(d) + (min(nq, d.n) - 1).bit_length()
+            need = bits + bd + (min(nq, d.n) - 1).bit_length()
             if need < 8 * size:
-                quot = _make(self.lo - d.lo, q, size, bits)
+                narrow = bits // 8 + 1
+                quot = _make(self.lo - d.lo, _rewidth(q, nq, size, narrow), narrow, bits)
                 return quot if self.den == d.den == 1 else quot.scale(Fraction(d.den, self.den))
-            size = need // 8 + 1
+            if size >= cap or math.gcd(*d.coeffs) != 1:
+                break
+            size = min(cap, max(2 * size, need // 8 + 1))
         g, prim = _primitive(d.coeffs)
         quot = _int_div(self.coeffs, prim)
         if quot is None:

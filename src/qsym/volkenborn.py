@@ -7,7 +7,8 @@ stage-N sum over r coordinates, with brackets at q = q0 and c = (1, ..., 1)
     S_N = (1 / [p^N])^r * sum over y in {0..p^N-1}^r of [x + sum y]^n * q0^(sum c_k y_k).
 
 Expanding [x + s]^n binomially in q0^s gives each coordinate one geometric
-window, the sum behind the closed forms: with M = p^N and Q = q0^M,
+window (the identity stated in the qsym.qbernoulli docstring, here at q = q0):
+with M = p^N and Q = q0^M,
 
     S_N = (1-q0)^(r-n) / (1-Q)^r * sum_{m=0..n} C(n,m) (-1)^m q0^(m x) prod_k G(m + c_k),
 

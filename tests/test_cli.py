@@ -99,17 +99,17 @@ R9_TSUM_H = ("tsum-h", "--n", "2", "--i", "0", "--h", "3", "--r", "9", "--wlim",
 
 
 def test_compute_tsum_h_many_coordinates_exits_0(capsys):
-    # 4^9 index tuples, but the composition kernel has 28 weights.
+    # 4^9 index tuples, but each of the three window products has nine factors.
     code, out, _ = run(capsys, "compute", *R9_TSUM_H)
     assert code == 0 and json.loads(out)["num"]
 
 
 @pytest.mark.parametrize("argv, max_span, expected", [
-    (R9_TSUM_H, 115, 0),  # predicted span 115: exponents -45 .. 70
-    (R9_TSUM_H, 114, 3),
-    (("tsum", "--n", "3", "--i", "1", "--r", "2", "--wlim", "3"), 14, 0),  # exponents 0 .. 14
-    (("tsum", "--n", "3", "--i", "1", "--r", "2", "--wlim", "3"), 13, 3),
-    (("tsum", "--n", "1", "--i", "0", "--r", "1", "--wlim", "200000"), None, 3),  # kernel length
+    (R9_TSUM_H, 117, 0),  # predicted span 117: numerator exponents -45 .. 72
+    (R9_TSUM_H, 116, 3),
+    (("tsum", "--n", "3", "--i", "1", "--r", "2", "--wlim", "3"), 16, 0),  # exponents 0 .. 16
+    (("tsum", "--n", "3", "--i", "1", "--r", "2", "--wlim", "3"), 15, 3),
+    (("tsum", "--n", "1", "--i", "0", "--r", "1", "--wlim", "200000"), None, 3),  # span 399,998
     (("tsum", "--n", "1", "--i", "0", "--r", "1000000000"), None, 3),  # order r
 ])
 def test_compute_tsum_guard_runs_before_work(capsys, monkeypatch, argv, max_span, expected):

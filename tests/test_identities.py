@@ -18,7 +18,8 @@ from qsym.identities import (
     check_thm6,
     sweep,
 )
-from qsym.qbernoulli import DegenerateWeightError, beta_weighted, weight_exponents
+from qsym.qbernoulli import (DegenerateWeightError, beta_higher, beta_weighted, closed_form,
+                             weight_exponents)
 from qsym.qcore import q_bracket
 from qsym.ratfun import LaurentPoly, RatFun, ResourceLimitError, ratfun_eq
 
@@ -112,25 +113,46 @@ def test_thm6_spots():
     assert t6.holds and ratfun_eq(t6.lhs, t4.lhs)
 
 
-def thm5_side_by_tuples(n, h, r, wa, wb, x):
-    """The thm5 side as the paper states it: one term per index tuple."""
+def swap_side_by_tuples(n, cs, wa, wb, x, beta):
+    """A base-swap side as the paper states it: one term per index tuple,
+    q^(wb sum_l c_l j_l) times beta(wa, wa wb x + wb sum j), beta(w, arg) the
+    family's closed form at one argument."""
     acc = RatFun(0)
-    for jt in itertools.product(range(wa), repeat=r):
-        s = sum(jt)
-        e = wb * sum((h - l) * j for l, j in enumerate(jt))  # h - l + 1, l one-based
-        acc = acc + RatFun(LaurentPoly({e: 1})) * beta_weighted(n, h, r, wa, wa * wb * x + wb * s)
-    return q_bracket(wa, 1) ** (n - r) * acc
+    for jt in itertools.product(range(wa), repeat=len(cs)):
+        e = wb * sum(c * j for c, j in zip(cs, jt))
+        acc = acc + RatFun(LaurentPoly({e: 1})) * beta(wa, wa * wb * x + wb * sum(jt))
+    return q_bracket(wa, 1) ** (n - len(cs)) * acc
 
 
-@pytest.mark.parametrize("n, r", [(1, 1), (2, 1), (1, 2), (2, 2), (1, 3), (2, 3)])
+# every (wa, wb, x) inside the old wa**r <= MAX_TUPLES guard at w <= 4, r <= 3
+SIDE_CASES = [(1, 1), (2, 1), (1, 2), (2, 2), (1, 3), (2, 3)]
+
+
+@pytest.mark.parametrize("n, r", SIDE_CASES)
 def test_thm5_side_matches_tuple_enumeration(n, r):
-    # every (h, wa, wb, x) inside the old wa**r <= MAX_TUPLES guard at w <= 4, r <= 3
     for h in (r, r + 1, r + 3, -n - 1):
+        cs = weight_exponents(h, r)
         for wa, wb in itertools.product(range(1, 5), repeat=2):
             for x in (0, 1):
-                got = idn._swap_side(n, weight_exponents(h, r), wa, wb, x,
-                                     lambda w, arg: beta_weighted(n, h, r, w, arg))
-                assert ratfun_eq(got, thm5_side_by_tuples(n, h, r, wa, wb, x)), (h, wa, wb, x)
+                got = idn._swap_side(n, cs, wa, wb, x,
+                                     lambda w, power: closed_form(n, r, w, power, h))
+                want = swap_side_by_tuples(n, cs, wa, wb, x,
+                                           lambda w, arg: beta_weighted(n, h, r, w, arg))
+                assert ratfun_eq(got, want), (h, wa, wb, x)
+
+
+@pytest.mark.parametrize("n, r", SIDE_CASES)
+def test_thm3_side_matches_tuple_enumeration(n, r):
+    beta = lambda w, arg: beta_higher(n, r, w, arg)
+    closed = lambda w, power: closed_form(n, r, w, power)
+    for x in (0, 1):
+        for wa, wb in itertools.product(range(1, 5), repeat=2):
+            got = idn._swap_side(n, (1,) * r, wa, wb, x, closed)
+            assert ratfun_eq(got, swap_side_by_tuples(n, (1,) * r, wa, wb, x, beta)), (wa, wb, x)
+        # the multiplication formula is the side at wb = 1
+        for w1 in range(1, 5):
+            rhs = check_multiplication(n, r, w1, x).rhs
+            assert ratfun_eq(rhs, swap_side_by_tuples(n, (1,) * r, w1, 1, x, beta)), (w1, x)
 
 
 def test_thm5_degenerate_h_propagates():

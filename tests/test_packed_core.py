@@ -7,6 +7,7 @@ must give the reference's normal form, and every packed value must satisfy the
 invariants of the module docstring of ``qsym.ratfun``.
 """
 
+import itertools
 import math
 import pickle
 from fractions import Fraction
@@ -16,7 +17,9 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import qsym.ratfun as ratfun_mod
-from qsym.ratfun import LaurentPoly, QsymDomainError, _new, _pack_int, _rewidth, _unpack_int
+from qsym.qbernoulli import t_sum, t_sum_h
+from qsym.ratfun import (LaurentPoly, QsymDomainError, _new, _pack_int, _rewidth, _tight,
+                         _unpack_int)
 
 KRONECKER_MIN = 8
 
@@ -202,14 +205,14 @@ def test_exact_div_matches_list_core(a, d, noise):
             assert fields(quot * d) == fields(num)
 
 
-@pytest.mark.parametrize("m, k, packed", [(2, 40, True), (2, 300, True), (3, 100, False),
-                                           (4, 60, False), (5, 20, False)])
+@pytest.mark.parametrize("m, k, packed", [(2, 40, True), (2, 300, True), (3, 100, True),
+                                           (4, 60, True), (5, 20, True)])
 def test_exact_div_quotient_wider_than_dividend(m, k, packed, monkeypatch):
     # (1 - q^k)^m / (1 - q)^m: the dividend has 1-byte binomial digits, the
     # quotient (1 + ... + q^(k-1))^m digits of up to ~k^(m-1).  The first
-    # divmod is at the dividend's width; its failed bound asks for a wider one,
-    # which holds the quotient when it is at most about a byte wider (packed),
-    # and trial division decides otherwise.  Either way the result is exact.
+    # divmod is at the dividend's width; its failed bound retries at least
+    # twice as wide, never past the width Mignotte's bound proves enough, so
+    # the quotient stays packed and is stored at its narrowest width.
     num = LaurentPoly((LaurentPoly({0: 1, k: -1}) ** m).terms)  # at its narrowest width
     den = LaurentPoly({0: 1, 1: -1}) ** m
     want = LaurentPoly({i: 1 for i in range(k)}) ** m
@@ -217,9 +220,27 @@ def test_exact_div_quotient_wider_than_dividend(m, k, packed, monkeypatch):
     digit_path = []
     int_div = ratfun_mod._int_div
     monkeypatch.setattr(ratfun_mod, "_int_div", lambda *a: digit_path.append(a) or int_div(*a))
-    assert fields(num.exact_div(den)) == fields(want)
+    quot = num.exact_div(den)
+    assert fields(quot) == fields(want)
+    assert quot.size == _tight(quot) // 8 + 1
     if packed:
         assert not digit_path
+
+
+def test_sweep_sized_t_sums_take_no_digit_path(monkeypatch):
+    # The T-sums of the benchmark's thm4/thm6 grid at n = 8 divide by
+    # (1 - q^base)^(8-i); at i = 0 and wlim = 4 their quotients are several
+    # bytes wider than the numerators.
+    digit_path = []
+    int_div = ratfun_mod._int_div
+    monkeypatch.setattr(ratfun_mod, "_int_div", lambda *a: digit_path.append(a) or int_div(*a))
+    t_sum.cache_clear()
+    t_sum_h.cache_clear()
+    for i, r, wlim, base in itertools.product(range(9), (2, 3), (2, 3, 4), (2, 3, 4)):
+        t_sum(8, i, r, wlim, base)
+        for h in (r, r + 1, r + 3):
+            t_sum_h(8, i, h, r, wlim, base)
+    assert not digit_path
 
 
 def test_exact_div_non_primitive_divisor_takes_the_digit_path():
@@ -228,6 +249,10 @@ def test_exact_div_non_primitive_divisor_takes_the_digit_path():
     num, den = LaurentPoly({0: 1, 1: 1}), LaurentPoly({0: 2, 1: 2})
     assert fields(num.exact_div(den)) == (0, [1], 2)
     assert LaurentPoly({0: 1, 1: 3}).exact_div(den) is None
+    # (2 + 3q + q^2) / (2 + 2q) = 1 + q/2: here the integer division is exact,
+    # 1 + X/2, but its digit X/2 fails the bound, and the content 2 of the
+    # divisor sends it to the digit path rather than to wider retries.
+    assert fields(LaurentPoly({0: 2, 1: 3, 2: 1}).exact_div(den)) == (0, [2, 1], 2)
 
 
 @settings(derandomize=True, max_examples=100)

@@ -8,25 +8,27 @@ from fractions import Fraction
 
 import pytest
 
+from composition_kernel import composition_weights
 from qsym.qbernoulli import (
     BetaQuery,
     DegenerateWeightError,
     WeightedBetaQuery,
     _check_t_args,
     _higher_scaffold,
+    _t_sum_grouped,
     _weighted_scaffold,
     beta_higher,
     beta_number,
     beta_weighted,
     classical_bernoulli,
     classical_bernoulli_higher,
-    composition_weights,
     t_sum,
     t_sum_h,
     weight_exponents,
 )
 from qsym.qcore import bracket_poly, q_bracket
-from qsym.ratfun import LaurentPoly, RatFun, limit_at_one
+import qsym.ratfun as ratfun_mod
+from qsym.ratfun import LaurentPoly, RatFun, ResourceLimitError, limit_at_one
 
 Q = RatFun(LaurentPoly({1: 1}))
 
@@ -217,15 +219,46 @@ def test_t_sum_simple_value():
     assert t_sum(1, 0, 1, 2, 1) == Q
 
 
-def test_t_sum_matches_brute_force():
-    for n, i, r, wlim, b in [(2, 0, 2, 3, 1), (3, 1, 2, 2, 2), (4, 2, 1, 4, 1), (2, 2, 3, 2, 1)]:
-        assert t_sum(n, i, r, wlim, b) == t_sum_brute(n, i, r, wlim, b), (n, i, r, wlim, b)
+# Every (r, wlim, base) with r <= 3 and wlim <= 4, so at most 4^3 = 64 tuples.
+T_SUM_GRID = list(itertools.product((1, 2, 3), (1, 2, 3, 4), (1, 2, 3)))
 
 
-def test_t_sum_h_matches_brute_force():
-    cases = [(2, 1, 3, 2, 2, 1), (3, 0, -5, 1, 3, 2), (2, 2, 4, 2, 2, 1), (1, 0, 2, 3, 2, 1)]
-    for n, i, h, r, wlim, b in cases:
-        assert t_sum_h(n, i, h, r, wlim, b) == t_sum_h_brute(n, i, h, r, wlim, b)
+@pytest.mark.parametrize("r, wlim, b", T_SUM_GRID)
+def test_t_sum_matches_brute_force(r, wlim, b):
+    for n in range(5):
+        for i in range(n + 1):
+            assert t_sum(n, i, r, wlim, b) == t_sum_brute(n, i, r, wlim, b), (n, i)
+
+
+@pytest.mark.parametrize("r, wlim, b", T_SUM_GRID)
+def test_t_sum_h_matches_brute_force(r, wlim, b):
+    for n in range(5):
+        for i in range(n + 1):
+            # ratio exponents base(i+h-k), k < r: all positive; one zero with the
+            # rest of both signs; zero and negative; all negative
+            for h in (r, 1 - i, -i, -i - r):
+                assert t_sum_h(n, i, h, r, wlim, b) == t_sum_h_brute(n, i, h, r, wlim, b), (n, i, h)
+
+
+@pytest.mark.parametrize("r, wlim, b", [(1, 3, 2), (2, 1, 3), (2, 4, 1), (3, 2, 2)])
+def test_t_sum_guard_covers_every_polynomial_built(r, wlim, b, monkeypatch):
+    # At the smallest MAX_SPAN _check_t_args accepts, building the sum must
+    # not trip the span check of any intermediate polynomial.
+    for n in range(4):
+        for i in range(n + 1):
+            for h in (None, r, -i, -i - r):
+                lo, hi = 0, 1000
+                while lo < hi:
+                    mid = (lo + hi) // 2
+                    monkeypatch.setattr(ratfun_mod, "MAX_SPAN", mid)
+                    try:
+                        _check_t_args(n, i, r, wlim, b, h)
+                        hi = mid
+                    except ResourceLimitError:
+                        lo = mid + 1
+                monkeypatch.setattr(ratfun_mod, "MAX_SPAN", lo)
+                exps = _check_t_args(n, i, r, wlim, b, h)
+                _t_sum_grouped(n, i, exps, wlim, b)
 
 
 def test_t_sum_h_weight_one_reduces_to_t_sum():

@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from qsym.qbernoulli import (beta_higher, beta_number, beta_weighted, composition_weights,
-                             weight_exponents)
+from composition_kernel import composition_weights
+from qsym.qbernoulli import beta_higher, beta_number, beta_weighted, weight_exponents
 import qsym.volkenborn as volkenborn_mod
 from qsym.ratfun import ResourceLimitError, eval_rational
 from qsym.volkenborn import (
