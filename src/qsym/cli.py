@@ -125,7 +125,11 @@ def run_compute(args) -> int:
 def run_verify(args) -> int:
     threads = args.threads
     if threads is None:
-        threads = int(os.environ.get("QSYM_THREADS", "1"))
+        env = os.environ.get("QSYM_THREADS", "1")
+        try:
+            threads = int(env)
+        except ValueError:
+            raise QsymDomainError(f"QSYM_THREADS must be an integer, got {env!r}") from None
     idents = tuple(args.identity) if args.identity else IDENTITIES
     cfg = SweepConfig(
         identities=idents,

@@ -3,8 +3,11 @@
 Each checker builds both sides of an identity from the closed forms only --
 never one side from the other -- and certifies equality with exact
 cross-multiplication.  The two sides of the base-swap symmetry checks
-(thm3..thm6) are the same expression instantiated with (w1, w2) swapped, so
-each check compares two independently assembled expression trees.
+(thm3..thm6) are the same expression instantiated with (w1, w2) swapped.
+Each distinct (wa, wb) side is built once, by the cached ``_side``, and
+shared by the mirror checks at (w1, w2) and (w2, w1): an off-diagonal check
+still compares two independently assembled expression trees, and a diagonal
+check (w1 = w2) compares one side with itself.
 
 A sweep runs selected checkers over a Cartesian grid, in deterministic
 parameter order, optionally fanned out over worker processes.
@@ -19,6 +22,7 @@ import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .qbernoulli import (
     beta_higher,
@@ -130,7 +134,7 @@ def check_limit_q1(n: int, r: int, x: int) -> CheckReport:
 def check_multiplication(n: int, r: int, w1: int, x: int) -> CheckReport:
     """Multiplication formula: beta_n^(r) at w1*x as a [w1]-scaled sum over shifts."""
     lhs = beta_higher(n, r, 1, w1 * x)
-    rhs = _swap_side(n, (1,) * r, w1, 1, x, lambda w, power: closed_form(n, r, w, power))
+    rhs = _side("thm3", n, r, None, w1, 1, x, 0)
     return _report("multiplication", {"n": n, "r": r, "w1": w1, "x": x}, lhs, rhs)
 
 
@@ -170,6 +174,33 @@ def _convolution_side(n: int, r: int, wa: int, wb: int, x: int, closed, tsum,
     return acc
 
 
+# Serial sweeps run jobs in (identity, n, r, h, w1, w2, x) order, so the mirror
+# partner of a side is requested at most 2 |w1s| |w2s| |xs| side requests after
+# it: 18 on the benchmark grid, 16 on verify's default grid.  The bound keeps
+# every partner with room to spare and caps what a long sweep holds.
+_SIDE_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=_SIDE_CACHE_SIZE)
+def _side(identity: str, n: int, r: int, h, wa: int, wb: int, x: int, twist: int) -> RatFun:
+    """The (wa, wb) side of a base-swap identity; h is None for thm3 and thm4.
+
+    Callers pass every argument positionally, twist (thm4 only) included as 0,
+    so the mirror checks share one cache key.  The closed forms and T-sums are
+    looked up as module globals on each call.
+    """
+    if identity in ("thm3", "thm5"):
+        cs = (1,) * r if h is None else weight_exponents(h, r)
+        return _swap_side(n, cs, wa, wb, x, lambda w, power: closed_form(n, r, w, power, h))
+    if identity == "thm4":
+        closed = lambda i, w, arg: beta_higher(i, r, w, arg)
+        tsum = lambda i, wlim, base: t_sum(n, i, r, wlim, base)
+    else:  # thm6
+        closed = lambda i, w, arg: beta_weighted(i, h, r, w, arg)
+        tsum = lambda i, wlim, base: t_sum_h(n, i, h, r, wlim, base)
+    return _convolution_side(n, r, wa, wb, x, closed, tsum, twist)
+
+
 def check_thm3(n: int, r: int, w1: int, w2: int, x: int) -> CheckReport:
     """Base-swap symmetry of the order-r polynomials under w1 <-> w2.
 
@@ -179,26 +210,22 @@ def check_thm3(n: int, r: int, w1: int, w2: int, x: int) -> CheckReport:
     corresponding side here.  Checking every degree n therefore certifies the
     series statement, and no separate series-level checker exists.
     """
-    closed = lambda w, power: closed_form(n, r, w, power)
-    lhs = _swap_side(n, (1,) * r, w1, w2, x, closed)
-    rhs = _swap_side(n, (1,) * r, w2, w1, x, closed)
+    lhs = _side("thm3", n, r, None, w1, w2, x, 0)
+    rhs = _side("thm3", n, r, None, w2, w1, x, 0)
     return _report("thm3", {"n": n, "r": r, "w1": w1, "w2": w2, "x": x}, lhs, rhs)
 
 
 def check_thm4(n: int, r: int, w1: int, w2: int, x: int) -> CheckReport:
     """Convolution form of the base-swap symmetry, with T-sums."""
-    closed = lambda i, w, arg: beta_higher(i, r, w, arg)
-    tsum = lambda i, wlim, base: t_sum(n, i, r, wlim, base)
-    lhs = _convolution_side(n, r, w1, w2, x, closed, tsum, twist=_THM4_LHS_TWIST)
-    rhs = _convolution_side(n, r, w2, w1, x, closed, tsum)
+    lhs = _side("thm4", n, r, None, w1, w2, x, _THM4_LHS_TWIST)
+    rhs = _side("thm4", n, r, None, w2, w1, x, 0)
     return _report("thm4", {"n": n, "r": r, "w1": w1, "w2": w2, "x": x}, lhs, rhs)
 
 
 def check_thm5(n: int, h: int, r: int, w1: int, w2: int, x: int) -> CheckReport:
     """Base-swap symmetry of the weighted (h, r) polynomials."""
-    closed = lambda w, power: closed_form(n, r, w, power, h)
-    lhs = _swap_side(n, weight_exponents(h, r), w1, w2, x, closed)
-    rhs = _swap_side(n, weight_exponents(h, r), w2, w1, x, closed)
+    lhs = _side("thm5", n, r, h, w1, w2, x, 0)
+    rhs = _side("thm5", n, r, h, w2, w1, x, 0)
     return _report("thm5", {"n": n, "r": r, "h": h, "w1": w1, "w2": w2, "x": x}, lhs, rhs)
 
 
@@ -208,10 +235,8 @@ def check_thm6(n: int, h: int, r: int, w1: int, w2: int, x: int) -> CheckReport:
     The weighted closed form and T-sum enter with the roles of the two bases
     exchanged, so the lhs is the convolution side at (w2, w1).
     """
-    closed = lambda i, w, arg: beta_weighted(i, h, r, w, arg)
-    tsum = lambda i, wlim, base: t_sum_h(n, i, h, r, wlim, base)
-    lhs = _convolution_side(n, r, w2, w1, x, closed, tsum)
-    rhs = _convolution_side(n, r, w1, w2, x, closed, tsum)
+    lhs = _side("thm6", n, r, h, w2, w1, x, 0)
+    rhs = _side("thm6", n, r, h, w1, w2, x, 0)
     return _report("thm6", {"n": n, "r": r, "h": h, "w1": w1, "w2": w2, "x": x}, lhs, rhs)
 
 
@@ -278,6 +303,8 @@ class SweepConfig:
                            ("w2", self.w2s), ("x", self.xs)):
             if not vals:
                 raise QsymDomainError(f"empty range for {name}")
+        if self.sample is not None and self.sample < 0:
+            raise QsymDomainError(f"sample must be >= 0, got {self.sample}")
         if max(self.ns) > g.max_n or min(self.ns) < 0:
             raise ResourceLimitError(f"n range {self.ns} outside guard 0..{g.max_n}")
         if max(self.rs) > g.max_r or min(self.rs) < 1:

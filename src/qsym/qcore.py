@@ -30,11 +30,13 @@ def bracket_poly(m: int, w: int = 1, k: int = 1) -> LaurentPoly:
     return LaurentPoly({-w * i: -1 for i in range(1, -m + 1)})
 
 
-@lru_cache(maxsize=None)
 def _factorial_poly(r: int, w: int) -> LaurentPoly:
-    if r == 0:
-        return LaurentPoly.one()
-    return _factorial_poly(r - 1, w) * bracket_poly(r, w)
+    """[r]! in base q^w: r - 1 products of cached brackets, rebuilt on each
+    call because no sweep, CLI command or stage sum asks for it."""
+    out = LaurentPoly.one()
+    for m in range(2, r + 1):
+        out = out * bracket_poly(m, w)
+    return out
 
 
 def q_bracket(m: int, w: int = 1) -> RatFun:

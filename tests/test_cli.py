@@ -8,7 +8,6 @@ import qsym.cli as cli_mod
 import qsym.qbernoulli as qbernoulli_mod
 import qsym.ratfun as ratfun_mod
 from qsym.cli import main
-from qsym.qbernoulli import _higher_scaffold, _weighted_scaffold, t_sum, t_sum_h
 
 
 def run(capsys, *argv):
@@ -112,11 +111,10 @@ def test_compute_tsum_h_many_coordinates_exits_0(capsys):
     (("tsum", "--n", "1", "--i", "0", "--r", "1", "--wlim", "200000"), None, 3),  # span 399,998
     (("tsum", "--n", "1", "--i", "0", "--r", "1000000000"), None, 3),  # order r
 ])
-def test_compute_tsum_guard_runs_before_work(capsys, monkeypatch, argv, max_span, expected):
+def test_compute_tsum_guard_runs_before_work(capsys, monkeypatch, cold_caches, argv, max_span,
+                                             expected):
     if max_span is not None:
         monkeypatch.setattr(ratfun_mod, "MAX_SPAN", max_span)
-    t_sum.cache_clear()
-    t_sum_h.cache_clear()
     t0 = time.perf_counter()
     code, _, err = run(capsys, "compute", *argv)
     assert code == expected
@@ -138,13 +136,12 @@ BETA_H_NEG = ("beta-h", "--n", "2", "--h", "-4", "--r", "2", "--w", "2")
     (("beta-h", "--n", "0", "--h", "500", "--r", "500"), None, 3),  # span 124,750
     (("beta", "--n", "0", "--r", "1000000000"), None, 0),  # span 0: the value is 1
 ])
-def test_compute_beta_guard_runs_before_work(capsys, monkeypatch, argv, max_span, expected):
+def test_compute_beta_guard_runs_before_work(capsys, monkeypatch, cold_caches, argv, max_span,
+                                             expected):
     if max_span is not None:
         monkeypatch.setattr(ratfun_mod, "MAX_SPAN", max_span)
     if expected == 3:  # no bracket may be built before the refusal
         monkeypatch.setattr(qbernoulli_mod, "bracket_poly", None)
-    _higher_scaffold.cache_clear()
-    _weighted_scaffold.cache_clear()
     t0 = time.perf_counter()
     code, out, err = run(capsys, "compute", *argv)
     assert code == expected
@@ -155,12 +152,11 @@ def test_compute_beta_guard_runs_before_work(capsys, monkeypatch, argv, max_span
 
 
 @pytest.mark.parametrize("max_span, expected", [(15, 0), (14, 3)])
-def test_table_guard_runs_before_any_row(capsys, monkeypatch, max_span, expected):
+def test_table_guard_runs_before_any_row(capsys, monkeypatch, cold_caches, max_span, expected):
     # The largest corner (n, r, w) = (3, 2, 1) has the span 15 of compute beta --n 3 --r 2.
     monkeypatch.setattr(ratfun_mod, "MAX_SPAN", max_span)
     if expected == 3:
         monkeypatch.setattr(qbernoulli_mod, "bracket_poly", None)
-    _higher_scaffold.cache_clear()
     code, out, _ = run(capsys, "table", "--n", "0..3", "--r", "1..2", "--arg", "0,1")
     assert code == expected
     assert len(out.splitlines()) == (17 if expected == 0 else 0)
@@ -199,6 +195,18 @@ def test_verify_env_threads(capsys, monkeypatch):
     monkeypatch.setenv("QSYM_THREADS", "2")
     code, out, _ = run(capsys, "verify", "--identity", "shift", "--max-n", "4")
     assert code == 0 and len(out.strip().split("\n")) == 5
+
+
+@pytest.mark.parametrize("env, argv", [
+    ("abc", ()),
+    (None, ("--sample", "-1")),
+])
+def test_verify_bad_input_exits_2(capsys, monkeypatch, env, argv):
+    if env is not None:
+        monkeypatch.setenv("QSYM_THREADS", env)
+    code, out, err = run(capsys, "verify", "--identity", "shift", *argv)
+    assert code == 2
+    assert out == "" and err.startswith("error: ")
 
 
 def test_table_rows_and_quoting(capsys):

@@ -19,7 +19,7 @@ from qsym.identities import (
     sweep,
 )
 from qsym.qbernoulli import (DegenerateWeightError, beta_higher, beta_weighted, closed_form,
-                             weight_exponents)
+                             t_sum, t_sum_h, weight_exponents)
 from qsym.qcore import q_bracket
 from qsym.ratfun import LaurentPoly, RatFun, ResourceLimitError, ratfun_eq
 
@@ -280,3 +280,75 @@ def test_sweep_clamps_workers_before_the_pool_starts(monkeypatch, threads, cpus,
     reports = [r.to_json_line() for r in sweep(cfg, threads=threads)]
     assert _SerialPool.seen == ([] if expected is None else [expected])
     assert reports == [r.to_json_line() for r in sweep(cfg, threads=1)]
+
+
+# -- the shared side cache ------------------------------------------------------
+
+SIDE_IDENTITIES = ("multiplication", "thm3", "thm4", "thm5", "thm6")
+MIRROR_GRID = SweepConfig(identities=SIDE_IDENTITIES, ns=(0, 1, 2, 3), rs=(1, 2),
+                          w1s=(1, 2, 3), w2s=(1, 2, 3), xs=(0, 1), h_offsets=(0, 1, 3))
+
+
+def uncached_sides(ident, p):
+    """(lhs, rhs) of one report from the uncached side builders, called with the
+    per-check closed forms and T-sums the checkers built before the side cache."""
+    n, r, x, h = p["n"], p["r"], p["x"], p.get("h")
+    if ident == "multiplication":
+        closed = lambda w, power: closed_form(n, r, w, power)
+        return (beta_higher(n, r, 1, p["w1"] * x),
+                idn._swap_side(n, (1,) * r, p["w1"], 1, x, closed))
+    w1, w2 = p["w1"], p["w2"]
+    if ident in ("thm3", "thm5"):
+        cs = (1,) * r if h is None else weight_exponents(h, r)
+        closed = lambda w, power: closed_form(n, r, w, power, h)
+        return (idn._swap_side(n, cs, w1, w2, x, closed), idn._swap_side(n, cs, w2, w1, x, closed))
+    if ident == "thm4":
+        closed = lambda i, w, arg: beta_higher(i, r, w, arg)
+        tsum = lambda i, wlim, base: t_sum(n, i, r, wlim, base)
+        return (idn._convolution_side(n, r, w1, w2, x, closed, tsum),
+                idn._convolution_side(n, r, w2, w1, x, closed, tsum))
+    closed = lambda i, w, arg: beta_weighted(i, h, r, w, arg)
+    tsum = lambda i, wlim, base: t_sum_h(n, i, h, r, wlim, base)
+    return (idn._convolution_side(n, r, w2, w1, x, closed, tsum),
+            idn._convolution_side(n, r, w1, w2, x, closed, tsum))
+
+
+def canonical_sides(lhs, rhs):
+    return lhs.canonical().to_json_obj(), rhs.canonical().to_json_obj()
+
+
+def test_cached_sides_match_the_uncached_builders(cold_caches):
+    jobs = MIRROR_GRID.jobs()
+    want = [canonical_sides(*uncached_sides(ident, p)) for ident, p in jobs]
+    cold_caches()
+    for _ in ("cold", "warm"):
+        reports = sweep(MIRROR_GRID)
+        assert [(r.identity, r.params) for r in reports] == jobs
+        assert all(r.holds for r in reports)
+        assert [canonical_sides(r.lhs, r.rhs) for r in reports] == want
+
+
+def test_mirror_checks_share_each_side(cold_caches):
+    cfg = SweepConfig(identities=("thm3", "thm4", "thm5", "thm6"), ns=(2, 3), rs=(1, 2),
+                      w1s=(1, 2, 3), w2s=(1, 2, 3), xs=(1,), h_offsets=(0, 1))
+    reports = sweep(cfg)
+    info = idn._side.cache_info()
+    assert info.hits == info.misses == len(reports)
+
+
+def test_side_cache_stays_within_its_bound(cold_caches):
+    cfg = SweepConfig(identities=("thm3",), ns=(0, 1, 2, 3), rs=(1, 2), w1s=(1, 2, 3, 4),
+                      w2s=(1, 2, 3, 4), xs=(0, 1))
+    sizes = []
+    for job in cfg.jobs():
+        assert idn._run_job(job).holds
+        sizes.append(idn._side.cache_info().currsize)
+    assert max(sizes) == idn._side.cache_info().maxsize
+
+
+def test_twist_is_not_hidden_by_warm_sides(monkeypatch, cold_caches):
+    cfg = SweepConfig(identities=("thm4",), ns=(0, 1, 2), rs=(1, 2), w1s=(1, 2), w2s=(1, 2),
+                      xs=(0, 1))
+    assert all(r.holds for r in sweep(cfg))
+    monkeypatch.setattr(idn, "_THM4_LHS_TWIST", 1)
+    assert not any(r.holds for r in sweep(cfg))

@@ -227,15 +227,13 @@ def test_exact_div_quotient_wider_than_dividend(m, k, packed, monkeypatch):
         assert not digit_path
 
 
-def test_sweep_sized_t_sums_take_no_digit_path(monkeypatch):
+def test_sweep_sized_t_sums_take_no_digit_path(monkeypatch, cold_caches):
     # The T-sums of the benchmark's thm4/thm6 grid at n = 8 divide by
     # (1 - q^base)^(8-i); at i = 0 and wlim = 4 their quotients are several
     # bytes wider than the numerators.
     digit_path = []
     int_div = ratfun_mod._int_div
     monkeypatch.setattr(ratfun_mod, "_int_div", lambda *a: digit_path.append(a) or int_div(*a))
-    t_sum.cache_clear()
-    t_sum_h.cache_clear()
     for i, r, wlim, base in itertools.product(range(9), (2, 3), (2, 3, 4), (2, 3, 4)):
         t_sum(8, i, r, wlim, base)
         for h in (r, r + 1, r + 3):

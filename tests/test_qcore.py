@@ -35,6 +35,22 @@ def test_binomial_examples():
     assert q_binomial(1, 2) == RatFun(0)
 
 
+def test_factorial_and_binomial_in_base_q_w():
+    for w in (2, 3):
+        assert q_factorial(0, w) == RatFun(1)
+        assert q_binomial(5, 0, w) == RatFun(1)
+        for r in range(1, 5):
+            fact = RatFun(1)
+            for m in range(1, r + 1):
+                fact = fact * q_bracket(m, w)
+            assert q_factorial(r, w) == fact, (r, w)
+            for m in range(-2, 6):
+                falling = RatFun(1)
+                for k in range(r):
+                    falling = falling * q_bracket(m - k, w)
+                assert q_binomial(m, r, w) == falling / fact, (m, r, w)
+
+
 def test_binomial_negative_upper_index():
     # Laurent-valued brackets keep the definition uniform for m < 0.
     for m in (-1, -2, -3):
