@@ -42,6 +42,14 @@ def _parse_range(text: str) -> tuple:
     return values
 
 
+def _fraction(text: str) -> Fraction:
+    """A Fraction flag: argparse turns ArgumentTypeError, not ZeroDivisionError, into exit 2."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a fraction a/b with b != 0: {text!r}") from None
+
+
 def _int_list(text: str) -> tuple:
     return tuple(int(t) for t in text.split(","))
 
@@ -94,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     vol.add_argument("--h", type=int, default=None)
     vol.add_argument("--x", type=int, default=0)
     vol.add_argument("--p", type=int, default=5)
-    vol.add_argument("--q0", type=Fraction, default=None, help='evaluation point, e.g. "6" or "4/3"')
+    vol.add_argument("--q0", type=_fraction, help='evaluation point, e.g. "6" or "4/3"')
     vol.add_argument("--N", type=int, default=4, dest="nmax", help="largest stage")
     vol.add_argument("--budget", type=int, default=10**6)
 

@@ -20,7 +20,6 @@ import json
 import math
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -84,6 +83,11 @@ def _mono(e: int) -> RatFun:
     return RatFun(LaurentPoly({e: 1}))
 
 
+def _recurrence_rhs(n: int) -> RatFun:
+    """q - 1, 1, 0 for n = 0, n = 1, n > 1: the right side of the recurrence and the shift."""
+    return RatFun(LaurentPoly({1: 1, 0: -1}) if n == 0 else int(n == 1))
+
+
 # -- single-family identities -------------------------------------------------
 
 
@@ -94,25 +98,13 @@ def check_recurrence(n: int) -> CheckReport:
     for l in range(n + 1):
         acc = acc + math.comb(n, l) * _mono(l) * beta_number(l)
     lhs = q * acc - beta_number(n)
-    if n == 0:
-        rhs = RatFun(LaurentPoly({1: 1, 0: -1}))
-    elif n == 1:
-        rhs = RatFun(1)
-    else:
-        rhs = RatFun(0)
-    return _report("recurrence", {"n": n}, lhs, rhs)
+    return _report("recurrence", {"n": n}, lhs, _recurrence_rhs(n))
 
 
 def check_shift(n: int) -> CheckReport:
     """q * beta_n(argument 1) - beta_n = q-1, 1, 0 for n = 0, 1, > 1."""
     lhs = _mono(1) * beta_higher(n, 1, 1, 1) - beta_number(n)
-    if n == 0:
-        rhs = RatFun(LaurentPoly({1: 1, 0: -1}))
-    elif n == 1:
-        rhs = RatFun(1)
-    else:
-        rhs = RatFun(0)
-    return _report("shift", {"n": n}, lhs, rhs)
+    return _report("shift", {"n": n}, lhs, _recurrence_rhs(n))
 
 
 def check_expansion(n: int, x: int) -> CheckReport:
@@ -370,6 +362,7 @@ def sweep(cfg: SweepConfig, threads: int = 1) -> list[CheckReport]:
     workers = min(threads, len(jobs), os.cpu_count() or 1)
     if workers <= 1:
         return [_run_job(j) for j in jobs]
+    from concurrent.futures import ProcessPoolExecutor  # lazily: most of qsym's import time
     chunk = max(1, math.ceil(len(jobs) / (workers * 4)))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_run_job, jobs, chunksize=chunk))

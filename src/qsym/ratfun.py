@@ -22,20 +22,20 @@ nonzero byte column of the two's-complement digit image xored with itself
 shifted by one bit holds the highest bit at which a coefficient leaves its
 sign extension -- and is formed at the narrowest width its bound allows.
 
-``exact_div`` is one ``divmod`` at a common width, accepting the quotient q
-when the remainder is 0 and bits(q) + bits(d) + bitlen(min(n_q, n_d) - 1)
-< 8*size.  Then every coefficient of the polynomial product Q*D is below half
-a digit, so Q(X) D(X) = A(X) and the uniqueness of balanced digits prove
-Q*D = A.  The quotient is stored at the narrowest width its bound allows.  A
-failed bound with a primitive d means q's digits wrapped: the division is
-retried at least twice as wide, up to the width that holds any quotient over
-the integers by Mignotte's bound, |q_i| <= 2**deg(q) * ||A||_2.  A nonzero
-remainder, a d with a nontrivial content, or a failed bound at that width goes
-to trial division of the digit lists by the primitive part of d (by Gauss's
-lemma a step that is not integral proves that d does not divide).  Coefficient
-lists appear only at the boundary: the ``{exponent: coefficient}``
-constructor, ``coeffs``, ``terms``, ``evaluate``, the gcd, ``__str__`` and
-JSON.
+``exact_div`` divides by the primitive part D of d -- its content divides
+gcd(P, c_0) and is read from the digits only when that gcd is not 1 -- with
+one ``divmod`` at a common width.  By Gauss's lemma a quotient of A by a
+primitive D over the rationals has integer coefficients, so D(X) divides A(X)
+at every width and a nonzero remainder proves that d does not divide.  The
+quotient q is accepted when bits(q) + bits(D) + bitlen(min(n_q, n_D) - 1)
+< 8*size: then every coefficient of Q*D is below half a digit, so Q(X) D(X) =
+A(X) and the uniqueness of balanced digits prove Q*D = A, and q is stored at
+the narrowest width its bound allows.  A failed bound is retried at least
+twice as wide, up to the width that holds any integer quotient by Mignotte's
+bound, |q_i| <= 2**deg(q) * ||A||_2, where it proves that d does not divide.
+Coefficient lists appear only at the boundary: the ``{exponent: coefficient}``
+constructor, ``coeffs``, ``terms``, ``evaluate``, the gcd, a divisor's
+content, ``__str__`` and JSON.
 
 A RatFun is a quotient ``num / den`` of Laurent polynomials, den nonzero.
 Equality is cross-multiplication (``a/b == c/d  iff  a*d == c*b``), so gcd
@@ -294,15 +294,20 @@ class LaurentPoly:
         if self.n < d.n:
             return None
         size, bd = max(self.size, d.size), _tight(d)
+        # The content g of d divides P and its lowest digit c_0.
+        D, g, half = d.P, 1, 1 << (8 * d.size - 1)
+        if math.gcd(D, ((D + half) & (2 * half - 1)) - half) != 1:
+            g = math.gcd(*_unpack_int(D, d.n, d.size))
+            D //= g
         # Mignotte: a quotient over the integers has |q_i| < 2**deg(q) * ||self||_2,
         # so its digits pass the bound below (one bit for _tight_bits) at width cap.
         cap = (self.n - d.n + self.bits + (self.n.bit_length() + 1) // 2 + 1 + bd
                + (min(self.n - d.n + 1, d.n) - 1).bit_length()) // 8 + 1
         while True:
             q, r = divmod(_rewidth(self.P, self.n, self.size, size),
-                          _rewidth(d.P, d.n, d.size, size))
+                          _rewidth(D, d.n, d.size, size))
             if r:
-                break
+                return None
             nq = q.bit_length() // (8 * size) + 1
             # One digit more than the top digit index: q's balanced digits may
             # include -X/2, whose carry the bias must absorb.
@@ -311,15 +316,10 @@ class LaurentPoly:
             if need < 8 * size:
                 narrow = bits // 8 + 1
                 quot = _make(self.lo - d.lo, _rewidth(q, nq, size, narrow), narrow, bits)
-                return quot if self.den == d.den == 1 else quot.scale(Fraction(d.den, self.den))
-            if size >= cap or math.gcd(*d.coeffs) != 1:
-                break
+                return quot._times(d.den, self.den * g)
+            if size >= cap:
+                return None
             size = min(cap, max(2 * size, need // 8 + 1))
-        g, prim = _primitive(d.coeffs)
-        quot = _int_div(self.coeffs, prim)
-        if quot is None:
-            return None
-        return _from_coeffs(self.lo - d.lo, quot).scale(Fraction(d.den, self.den * g))
 
     # -- evaluation ----------------------------------------------------------
 
@@ -659,10 +659,6 @@ class RatFun:
         other = _as_ratfun(other)
         if other is None:
             return NotImplemented
-        if self.num.is_zero:
-            return other.num.is_zero
-        if other.num.is_zero:
-            return False
         if self.den == other.den:
             return self.num == other.num
         return self.num * other.den == other.num * self.den

@@ -88,6 +88,8 @@ class PadicContext:
     budget: int = 10**6
 
     def __post_init__(self):
+        if self.p > self.budget:  # refuses every stage (r N >= 1), before is_prime's O(sqrt p)
+            raise ResourceLimitError(f"p = {self.p} exceeds the budget {self.budget}")
         if not is_prime(self.p):
             raise QsymDomainError(f"p = {self.p} is not prime")
         if self.q0 is None:

@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +18,19 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # concurrent.futures.process is most of qsym's import time; only a sweep
+    # on more than one worker needs it.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = "import sys, qsym.cli; print('concurrent.futures.process' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_compute_beta_trivial(capsys):
@@ -80,15 +97,27 @@ def test_compute_tsum(capsys):
      "fcd75c475adefb25c37c81a5bcb88c2faad20ca8f2f70fd1f5a5fa011a9bfb83"),
     ("volkenborn --family single --n 3 --p 2 --N 6 --x -2",
      "fc8c18820f738ba94fb61da19d6f30dab3f8f1b036fda919d15eb81001fa5d12"),
+    ("compute beta --n 12 --r 4 --w 6",
+     "08d734b811e739217afe1dba0258b1fdc4cd89c83eabbffbd41475e15870877c"),
+    ("compute beta-h --n 6 --h 4 --r 2 --w 2 --arg 1",
+     "b5a8828c20846d70e8088dc3113c82e7f9a87f5430066e1e7827cfefa136607f"),
+    ("compute tsum --n 6 --i 2 --r 3 --wlim 4 --base 2",
+     "187fc685932aede5b37fb1ef994625e6bd2867533d481307818f95cfaf7d3fb5"),
+    ("compute tsum-h --n 6 --i 2 --h 4 --r 3 --wlim 4 --base 2",
+     "28b5a61d40af11d98812d4dd5756135bf0efc483ff36b1f72c778f95841c6b10"),
+    ("compute beta --n 1 --arg 1 --format pretty",
+     "43b58797fea7fe24d9654bb2c12a17eb707d08ec159074bb36fb89a36b1664cd"),
 ], ids=["beta8", "table", "verbose-thm3-6", "verbose-weighted-h", "volk-weighted-r1",
         "volk-single-n6", "volk-multi", "volk-weighted-neg-h", "volk-frac-q0", "volk-p2",
-        "volk-p2-neg-x"])
+        "volk-p2-neg-x", "beta12", "beta-h-arg1", "tsum-base2", "tsum-h-base2",
+        "beta1-arg1-pretty"])
 def test_reduced_output_is_byte_identical(capsys, argv, sha256):
     # Digests of beta8 and table were taken when the PRS gcd alone reduced the
     # output, those of the verbose sweeps while each family still had its own
     # side builders, and the volkenborn ones while each stage sum still walked
     # s = 0..r(p^N - 1): the heuristic gcd, the shared builders and the
-    # closed-form stage sums must match.
+    # closed-form stage sums must match.  The five compute digests of the cli
+    # benchmark's commands were taken before exact_div lost its digit-list path.
     code, out, _ = run(capsys, *argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
@@ -272,6 +301,24 @@ def test_volkenborn_stage_size_guard_exits_3(capsys, n, N):
 def test_volkenborn_nonprime_exits_2(capsys):
     code, _, err = run(capsys, "volkenborn", "--p", "6", "--n", "1")
     assert code == 2 and "not prime" in err
+
+
+def test_volkenborn_prime_over_budget_exits_3_before_the_primality_test(capsys):
+    # 2^61 - 1 is prime, and trial division up to its square root never ends;
+    # p > budget means every stage's p^(r N) exceeds the budget.
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "volkenborn", "--n", "1", "--p", str(2**61 - 1))
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 3 and out == "" and "budget" in err
+
+
+@pytest.mark.parametrize("q0", ["1/0", "0/0", "abc"])
+def test_volkenborn_q0_without_a_value_exits_2(capsys, q0):
+    # argparse exits 2 on SystemExit; a ZeroDivisionError would escape main.
+    with pytest.raises(SystemExit) as exc:
+        main(["volkenborn", "--n", "1", "--q0", q0])
+    assert exc.value.code == 2
+    assert f"not a fraction a/b with b != 0: '{q0}'" in capsys.readouterr().err
 
 
 def test_volkenborn_multi_n0_all_inf(capsys):

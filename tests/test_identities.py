@@ -275,7 +275,7 @@ class _SerialPool:
 def test_sweep_clamps_workers_before_the_pool_starts(monkeypatch, threads, cpus, expected):
     cfg = SweepConfig(identities=("recurrence",), ns=(0, 1, 2, 3))
     monkeypatch.setattr(idn.os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(idn, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _SerialPool)
     _SerialPool.seen = []
     reports = [r.to_json_line() for r in sweep(cfg, threads=threads)]
     assert _SerialPool.seen == ([] if expected is None else [expected])

@@ -205,6 +205,23 @@ def test_exact_div_matches_list_core(a, d, noise):
             assert fields(quot * d) == fields(num)
 
 
+def spy_digit_reads(monkeypatch) -> list:
+    """Patch exact_div to log, per call, how many coefficient lists it reads
+    (calls of ratfun._unpack_int); returns that log."""
+    reads, counts = [], []
+    unpack, exact_div = ratfun_mod._unpack_int, LaurentPoly.exact_div
+
+    def logged(self, d):
+        start = len(reads)
+        quot = exact_div(self, d)
+        counts.append(len(reads) - start)
+        return quot
+
+    monkeypatch.setattr(ratfun_mod, "_unpack_int", lambda *a: reads.append(a) or unpack(*a))
+    monkeypatch.setattr(LaurentPoly, "exact_div", logged)
+    return counts
+
+
 @pytest.mark.parametrize("m, k, packed", [(2, 40, True), (2, 300, True), (3, 100, True),
                                            (4, 60, True), (5, 20, True)])
 def test_exact_div_quotient_wider_than_dividend(m, k, packed, monkeypatch):
@@ -216,41 +233,48 @@ def test_exact_div_quotient_wider_than_dividend(m, k, packed, monkeypatch):
     num = LaurentPoly((LaurentPoly({0: 1, k: -1}) ** m).terms)  # at its narrowest width
     den = LaurentPoly({0: 1, 1: -1}) ** m
     want = LaurentPoly({i: 1 for i in range(k)}) ** m
+    off = num + LaurentPoly({0: 1})  # 1 at q = 1, where den vanishes
     assert num.size < want.size
-    digit_path = []
-    int_div = ratfun_mod._int_div
-    monkeypatch.setattr(ratfun_mod, "_int_div", lambda *a: digit_path.append(a) or int_div(*a))
+    counts = spy_digit_reads(monkeypatch)
     quot = num.exact_div(den)
+    assert off.exact_div(den) is None
+    if packed:  # the divisor is primitive, so no coefficient list is read
+        assert counts == [0, 0]
     assert fields(quot) == fields(want)
     assert quot.size == _tight(quot) // 8 + 1
-    if packed:
-        assert not digit_path
 
 
 def test_sweep_sized_t_sums_take_no_digit_path(monkeypatch, cold_caches):
-    # The T-sums of the benchmark's thm4/thm6 grid at n = 8 divide by
-    # (1 - q^base)^(8-i); at i = 0 and wlim = 4 their quotients are several
-    # bytes wider than the numerators.
-    digit_path = []
-    int_div = ratfun_mod._int_div
-    monkeypatch.setattr(ratfun_mod, "_int_div", lambda *a: digit_path.append(a) or int_div(*a))
+    # The T-sums of the benchmark's thm4/thm6 grid at n = 8 divide by the
+    # primitive (1 - q^base)^(8-i); at i = 0 and wlim = 4 their quotients are
+    # several bytes wider than the numerators.
+    counts = spy_digit_reads(monkeypatch)
     for i, r, wlim, base in itertools.product(range(9), (2, 3), (2, 3, 4), (2, 3, 4)):
         t_sum(8, i, r, wlim, base)
         for h in (r, r + 1, r + 3):
             t_sum_h(8, i, h, r, wlim, base)
-    assert not digit_path
+    assert counts and not any(counts)
 
 
-def test_exact_div_non_primitive_divisor_takes_the_digit_path():
+def test_exact_div_divides_by_the_primitive_part_of_the_divisor(monkeypatch):
     # (1 + q) / (2 + 2q) = 1/2: the integer values leave a remainder, so only
     # the primitive part of the divisor decides.
-    num, den = LaurentPoly({0: 1, 1: 1}), LaurentPoly({0: 2, 1: 2})
+    num, den, prim = LaurentPoly({0: 1, 1: 1}), LaurentPoly({0: 2, 1: 2}), LaurentPoly({0: 1, 1: 1})
+    off, wide = LaurentPoly({0: 1, 1: 3}), LaurentPoly({0: 2, 1: 3, 2: 1})
+    counts = spy_digit_reads(monkeypatch)
     assert fields(num.exact_div(den)) == (0, [1], 2)
-    assert LaurentPoly({0: 1, 1: 3}).exact_div(den) is None
-    # (2 + 3q + q^2) / (2 + 2q) = 1 + q/2: here the integer division is exact,
-    # 1 + X/2, but its digit X/2 fails the bound, and the content 2 of the
-    # divisor sends it to the digit path rather than to wider retries.
-    assert fields(LaurentPoly({0: 2, 1: 3, 2: 1}).exact_div(den)) == (0, [2, 1], 2)
+    assert off.exact_div(den) is None
+    # (2 + 3q + q^2) / (2 + 2q) = 1 + q/2: the integer division is exact,
+    # 1 + X/2, but its digit X/2 fails the bound; the divisor's content 2,
+    # read from its digits, gives the quotient (2 + q) / 2 instead.
+    assert fields(wide.exact_div(den)) == (0, [2, 1], 2)
+    assert counts[0] and counts[1] and counts[2]  # den's content is read every time
+    # The same divisions by the primitive part read no coefficient list.
+    counts.clear()
+    assert fields(num.exact_div(prim)) == (0, [1], 1)
+    assert off.exact_div(prim) is None
+    assert fields(wide.exact_div(prim)) == (0, [2, 1], 1)
+    assert counts == [0, 0, 0]
 
 
 @settings(derandomize=True, max_examples=100)

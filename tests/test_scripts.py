@@ -11,14 +11,15 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 SRC = SCRIPTS.parent / "src"
 
 
-def test_convergence_study_small_run():
+def run_script(name, *args):
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    proc = subprocess.run(
-        [sys.executable, str(SCRIPTS / "convergence_study.py"), "--primes", "3", "--max-n", "1",
-         "--nmax", "2"],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    return subprocess.run([sys.executable, str(SCRIPTS / name), *args],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_convergence_study_small_run():
+    proc = run_script("convergence_study.py", "--primes", "3", "--max-n", "1", "--nmax", "2")
     assert proc.returncode == 0, proc.stderr
     header, *rows = proc.stdout.splitlines()
     assert header.split()[:3] == ["p", "q0", "family"]
@@ -34,3 +35,14 @@ def test_verify_identities_battery_validates():
     assert module.BATTERY
     for name, cfg in module.BATTERY:
         assert cfg.jobs(), name  # jobs() validates the grid against the guards
+
+
+def test_verify_identities_battery_holds_end_to_end():
+    # The README's command: every battery row, then the verdict line.
+    proc = run_script("verify_identities.py")
+    assert proc.returncode == 0, proc.stderr
+    header, *rows, verdict = proc.stdout.splitlines()
+    assert header.split() == ["battery", "checks", "failures", "seconds"]
+    assert [row.split()[2] for row in rows] == ["0"] * 7
+    assert sum(int(row.split()[1]) for row in rows) == 2827
+    assert verdict == "all identities hold"
