@@ -12,10 +12,14 @@ with M = p^N and Q = q0^M,
 
     S_N = (1-q0)^(r-n) / (1-Q)^r * sum_{m=0..n} C(n,m) (-1)^m q0^(m x) prod_k G(m + c_k),
 
-G(e) = (1-Q^e) / (1-q0^e) and G(0) = M: O(n r) exact operations on numbers of
-about (n + max|c_k|) p^N log2 height(q0) bits.  Convergence to the matching
-closed form is certified by the p-adic valuations of S_N minus the closed-form
-value being nondecreasing in N.
+G(e) = (1-Q^e) / (1-q0^e) and G(0) = M.  With q0 = a/b the stage is built in
+integers: G(e) = H(u, v) / v^(M-1) for the exact quotient H(u, v) =
+(u^M - v^M) / (u - v), (u, v) = (a^e, b^e) if e > 0 and (b^-e, a^-e) if e < 0.
+Powers of a and b stay exponents, the m-sum is taken over their common power,
+and O(n r) operations on numbers of about (n + max|c_k|) p^N log2 height(q0)
+bits end in one Fraction, whose gcd is most of a deep stage's cost.
+Convergence to the matching closed form is certified by the p-adic valuations
+of S_N minus the closed-form value being nondecreasing in N.
 """
 
 from __future__ import annotations
@@ -32,22 +36,29 @@ FAMILIES = ("single", "multi", "weighted")
 
 # Largest predicted size, in bits, of the numbers a stage sum builds.  At p = 5,
 # q0 = 6 the single family needs 0.70M bits for n = 2, N = 7, 1.4M for n = 5
-# and 2.6M for n = 10, whose reports take 0.6, 1.3 and 3.4 s on a shared 2-core
-# machine: Fraction arithmetic on numbers this size costs superlinearly, and
-# no budget on index tuples bounds it.
+# and 2.6M for n = 10, whose reports take 0.38, 1.1 and 2.5 s on a shared 2-core
+# machine (CPython 3.11): the gcd of each stage's one Fraction costs
+# superlinearly in this size, and no budget on index tuples bounds it.
 MAX_STAGE_BITS = 2_000_000
 
 
+# The first 13 primes: as Miller-Rabin bases they decide every p < PSI_13
+# (Sorenson and Webster, 2015); bases 2..37 alone stop near 3.2e23.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PSI_13 = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p % 2 == 0:
-        return p == 2
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
+    """Deterministic Miller-Rabin; p >= PSI_13 is refused, not guessed."""
+    if p >= PSI_13:
+        raise ResourceLimitError(f"p = {p} is past the primality bound {PSI_13}")
+    if p < 2 or any(p % a == 0 for a in _MR_BASES):
+        return p in _MR_BASES
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d 2^s with d odd
+    for a in _MR_BASES:
+        ys = [pow(a, (p - 1) >> t, p) for t in range(s, 0, -1)]  # a^d, a^(2d), ..., a^(2^(s-1) d)
+        if ys[0] != 1 and p - 1 not in ys:
             return False
-        f += 2
     return True
 
 
@@ -88,7 +99,7 @@ class PadicContext:
     budget: int = 10**6
 
     def __post_init__(self):
-        if self.p > self.budget:  # refuses every stage (r N >= 1), before is_prime's O(sqrt p)
+        if self.p > self.budget:  # refuses every stage (r N >= 1)
             raise ResourceLimitError(f"p = {self.p} exceeds the budget {self.budget}")
         if not is_prime(self.p):
             raise QsymDomainError(f"p = {self.p} is not prime")
@@ -143,15 +154,32 @@ def _check_stage(ctx: PadicContext, n: int, r: int, exps: range, N: int) -> int:
 
 def _riemann_sum(n: int, x: int, ctx: PadicContext, N: int, exps: range, mult: int = 1) -> Fraction:
     """S_N of the module docstring, c being each exponent of exps taken mult
-    times (r = mult * len(exps)): O(n * len(exps)) operations, no O(r) object."""
+    times (r = mult * len(exps)), in integers: O(n * len(exps)) operations, no
+    O(r) object, and one Fraction, whose gcd is the only reduction."""
     r = mult * len(exps)
-    q0, size = ctx.q0, _check_stage(ctx, n, r, exps, N)
-    big_q = q0**size
-    window = {e: Fraction(size) if e == 0 else (1 - big_q**e) / (1 - q0**e)
-              for e in range(min(exps), max(exps) + n + 1)}
-    total = sum((-1) ** m * math.comb(n, m) * q0 ** (m * x)
-                * math.prod(window[m + c] ** mult for c in exps) for m in range(n + 1))
-    return (1 - q0) ** (r - n) / (1 - big_q) ** r * total
+    size = _check_stage(ctx, n, r, exps, N)
+    a, b = ctx.q0.numerator, ctx.q0.denominator
+    window = {}  # G(e) = H / (a^i b^j) as (H, i, j)
+    for e in range(min(exps), max(exps) + n + 1):
+        u, v = (a**e, b**e) if e >= 0 else (b**-e, a**-e)
+        h, rest = divmod(u**size - v**size, u - v) if e else (size, 0)
+        if rest:  # u - v divides u^M - v^M: a remainder is a bug, not bad input
+            raise ArithmeticError(f"window e = {e}: {u} - {v} does not divide {u}^M - {v}^M")
+        window[e] = (h, max(-e, 0) * (size - 1), max(e, 0) * (size - 1))
+    terms = []  # term m of the sum as (numerator, i, j) over a^i b^j
+    for m in range(n + 1):
+        num, i, j = (-1) ** m * math.comb(n, m), -m * x, m * x  # q0^(m x)
+        for c in exps:
+            h, wi, wj = window[m + c]
+            num, i, j = num * h**mult, i + mult * wi, j + mult * wj
+        terms.append((num, i, j))
+    top_i, top_j = max(t[1] for t in terms), max(t[2] for t in terms)  # term 0 has i, j >= 0
+    total = sum(num * a ** (top_i - i) * b ** (top_j - j) for num, i, j in terms)
+    # (1-q0)^(r-n) / (1-Q)^r = (b-a)^(r-n) b^(M r - r + n) / (b^M - a^M)^r
+    k = size * r - r + n - top_j
+    num = total * (b - a) ** max(r - n, 0) * b ** max(k, 0)
+    den = (b**size - a**size) ** r * (b - a) ** max(n - r, 0) * a**top_i * b ** max(-k, 0)
+    return Fraction(num, den)
 
 
 def riemann_sum_multi(n: int, r: int, x: int, ctx: PadicContext, N: int) -> Fraction:

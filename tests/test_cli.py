@@ -11,6 +11,7 @@ import pytest
 import qsym.cli as cli_mod
 import qsym.qbernoulli as qbernoulli_mod
 import qsym.ratfun as ratfun_mod
+import qsym.volkenborn as volkenborn_mod
 from qsym.cli import main
 
 
@@ -310,6 +311,26 @@ def test_volkenborn_prime_over_budget_exits_3_before_the_primality_test(capsys):
     code, out, err = run(capsys, "volkenborn", "--n", "1", "--p", str(2**61 - 1))
     assert time.perf_counter() - t0 < 1.0
     assert code == 3 and out == "" and "budget" in err
+
+
+@pytest.mark.parametrize("p, marker", [(2**61 - 1, "summation grid"),
+                                       (volkenborn_mod.PSI_13, "primality bound")])
+def test_volkenborn_large_prime_under_a_raised_budget_exits_3_fast(capsys, p, marker):
+    # Under this budget the primality test runs: p = 2^61 - 1 is decided, then
+    # its stages refused; p from PSI_13 on is refused by the test itself.
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "volkenborn", "--n", "1", "--p", str(p),
+                         "--budget", str(10**25))
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 3 and out == "" and marker in err
+
+
+def test_volkenborn_inexact_window_is_a_bug_exit_4(capsys, monkeypatch):
+    # u - v always divides u^M - v^M, so a remainder can only be a qsym bug.
+    monkeypatch.setattr(volkenborn_mod, "divmod", lambda a, b: (a // b, 1), raising=False)
+    code, out, err = run(capsys, "volkenborn", "--n", "1", "--p", "5", "--N", "2")
+    assert code == 4 and out == ""
+    assert "Traceback" in err and "does not divide" in err
 
 
 @pytest.mark.parametrize("q0", ["1/0", "0/0", "abc"])

@@ -1,6 +1,7 @@
 """Smoke tests for the scripts under scripts/: they import the package the way
 a user runs them and must keep working as it changes."""
 
+import hashlib
 import importlib.util
 import os
 import subprocess
@@ -25,6 +26,13 @@ def test_convergence_study_small_run():
     assert header.split()[:3] == ["p", "q0", "family"]
     assert len(rows) == 12  # n in {0, 1}, x in {0, 1}, three families
     assert all("NOT MONOTONE" not in row for row in rows)
+
+
+def test_convergence_study_default_output_is_pinned():
+    proc = run_script("convergence_study.py")
+    assert proc.returncode == 0, proc.stderr
+    assert (hashlib.sha256(proc.stdout.encode()).hexdigest()
+            == "017000c47dcb7017ea3172f332a1f3bc09d60e38d8053345054e50396766255d")
 
 
 def test_verify_identities_battery_validates():

@@ -7,10 +7,12 @@ from fractions import Fraction
 import pytest
 
 from composition_kernel import composition_weights
+from fraction_stage_sum import fraction_stage_sum
 from qsym.qbernoulli import beta_higher, beta_number, beta_weighted, weight_exponents
 import qsym.volkenborn as volkenborn_mod
 from qsym.ratfun import ResourceLimitError, eval_rational
 from qsym.volkenborn import (
+    PSI_13,
     PadicContext,
     convergence_report,
     default_q0,
@@ -63,6 +65,49 @@ def test_closed_form_matches_kernel_and_brute_force(p, q0):
             assert value == riemann_kernel(n, x, ctx.q0, m, exps), (n, r, x, N, exps)
             if m**r <= 64:
                 assert value == riemann_brute(n, x, ctx.q0, m, exps), (n, r, x, N, exps)
+
+
+# The default q0 at each p, then a fractional q0 on each side of 1 and a negative one.
+INTEGER_ORACLE_CONTEXTS = [(2, None), (3, None), (5, None), (7, None),
+                           (3, Fraction(4, 7)), (5, Fraction(7, 2)), (7, Fraction(1, 8)),
+                           (5, Fraction(-4))]
+
+
+@pytest.mark.parametrize("p, q0", INTEGER_ORACLE_CONTEXTS)
+def test_integer_stage_sum_matches_the_fraction_form(p, q0):
+    # Exponent ranges with windows e > 0, e = 0 and e < 0, ascending and descending;
+    # the raised budget admits every point of the grid.
+    ctx = PadicContext(p=p, q0=q0, Nmax=3, budget=10**40)
+    grid = itertools.product((0, 1, 3), (-2, 0, 1, 3),
+                             (range(1, 2), range(-1, 2), range(-3, 0), range(2, -1, -1)),
+                             (1, 2, 3), (1, 2, 3))
+    for n, x, exps, mult, N in grid:
+        expected = fraction_stage_sum(n, x, ctx.q0, p**N, exps, mult)
+        assert volkenborn_mod._riemann_sum(n, x, ctx, N, exps, mult) == expected, \
+            (n, x, exps, mult, N)
+
+
+def test_is_prime_agrees_with_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
+
+    assert [n for n in range(10**4) if is_prime(n)] == [n for n in range(10**4) if trial(n)]
+
+
+@pytest.mark.parametrize("n", [561, 2047, 3215031751, 3825123056546413051,
+                               318665857834031151167461])  # the last passes bases 2..37
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    assert not is_prime(n)
+
+
+def test_is_prime_refuses_past_its_bound_and_decides_below_it():
+    assert is_prime(PSI_13 - 2) is False and is_prime(2**79 - 1) is False
+    assert is_prime(PSI_13 - 168)  # the largest prime below the bound (sympy.prevprime)
+    with pytest.raises(ResourceLimitError, match="primality bound"):
+        is_prime(PSI_13)
+    with pytest.raises(ResourceLimitError, match="primality bound"):
+        p_valuation(Fraction(3), 2**89 - 1)
+    assert p_valuation(Fraction(3), 2**61 - 1) == 0  # trial division never ended here
 
 
 def test_p_valuation_examples():
