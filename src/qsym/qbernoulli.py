@@ -41,6 +41,8 @@ from . import ratfun
 from .qcore import bracket_poly
 from .ratfun import LaurentPoly, QsymDomainError, RatFun, ResourceLimitError
 
+_ONE_MINUS_Q = LaurentPoly({0: 1, 1: -1})
+
 
 class DegenerateWeightError(QsymDomainError):
     """Weighted closed form requested at an h where a factor (j+c_k)/[j+c_k] is 0/0."""
@@ -123,7 +125,7 @@ def _scaffold(factors: list[LaurentPoly], width: int):
     suf.reverse()
     n = len(factors) - width
     cof = tuple(pre[j] * suf[j + width] for j in range(n + 1))
-    return LaurentPoly({0: 1, 1: -1}) ** n * pre[-1], cof
+    return _ONE_MINUS_Q ** n * pre[-1], cof
 
 
 def _inflate(scaffold, w: int):
@@ -256,7 +258,7 @@ def _t_sum_grouped(n: int, i: int, exps: tuple, wlim: int, base: int) -> RatFun:
     for m in range(n - i + 1):
         c = math.comb(n - i, m)
         num = num + window_product(wlim, [e + base * m for e in exps]).scale(-c if m % 2 else c)
-    return RatFun(num.exact_div((LaurentPoly({0: 1, 1: -1}) ** (n - i)).inflate(base)))
+    return RatFun(num.exact_div((_ONE_MINUS_Q ** (n - i)).inflate(base)))
 
 
 @lru_cache(maxsize=None)

@@ -12,12 +12,14 @@ with M = p^N and Q = q0^M,
 
     S_N = (1-q0)^(r-n) / (1-Q)^r * sum_{m=0..n} C(n,m) (-1)^m q0^(m x) prod_k G(m + c_k),
 
-G(e) = (1-Q^e) / (1-q0^e) and G(0) = M.  With q0 = a/b the stage is built in
-integers: G(e) = H(u, v) / v^(M-1) for the exact quotient H(u, v) =
-(u^M - v^M) / (u - v), (u, v) = (a^e, b^e) if e > 0 and (b^-e, a^-e) if e < 0.
-Powers of a and b stay exponents, the m-sum is taken over their common power,
-and O(n r) operations on numbers of about (n + max|c_k|) p^N log2 height(q0)
-bits end in one Fraction, whose gcd is most of a deep stage's cost.
+G(e) = (1-Q^e) / (1-q0^e) and G(0) = M.  With q0 = a/b, A = a^M and B = b^M the
+stage is built in integers.  For k = |e| >= 1, B^k - A^k = (B - A) K_k with K_k =
+sum_{t<k} A^t B^(k-1-t), so G(e) = (B - A) K_k / (b^k - a^k) over a^(k(M-1)) if
+e < 0 or b^(e(M-1)) if e > 0, and the r factors B - A cancel 1/(1-Q)^r =
+B^r / (B - A)^r; only a zero window of a degenerate h keeps one.  The K_k are
+products alone, powers of a and b stay exponents, the small b^k - a^k meet in one
+lcm, and O(n r) products of numbers of about (n + max|c_k|) p^N log2 height(q0)
+bits end in one Fraction, over a few dozen bits for b = 1 and no zero window.
 Convergence to the matching closed form is certified by the p-adic valuations
 of S_N minus the closed-form value being nondecreasing in N.
 """
@@ -36,8 +38,8 @@ FAMILIES = ("single", "multi", "weighted")
 
 # Largest predicted size, in bits, of the numbers a stage sum builds.  At p = 5,
 # q0 = 6 the single family needs 0.70M bits for n = 2, N = 7, 1.4M for n = 5
-# and 2.6M for n = 10, whose reports take 0.38, 1.1 and 2.5 s on a shared 2-core
-# machine (CPython 3.11): the gcd of each stage's one Fraction costs
+# and 2.6M for n = 10, whose reports take 0.02, 0.13 and 0.44 s on a shared 2-core
+# machine (CPython 3.11): the products that build the windows K_k, not a gcd, cost
 # superlinearly in this size, and no budget on index tuples bounds it.
 MAX_STAGE_BITS = 2_000_000
 
@@ -152,33 +154,42 @@ def _check_stage(ctx: PadicContext, n: int, r: int, exps: range, N: int) -> int:
     return size
 
 
+def _windows(a: int, b: int, big_a: int, big_b: int, size: int, lo: int, hi: int) -> dict:
+    """G(e) = (B - A)^(1-z) M^z K / (d a^i b^j) for lo <= e <= hi as (K, d, z, i, j):
+    K_k and d = b^k - a^k with k = |e| (K_0 = 0, K_(k+1) = A K_k + B^k), or z = 1 at e = 0."""
+    ks, big_bk = [0], 1
+    for _ in range(max(-lo, hi)):
+        ks.append(big_a * ks[-1] + big_bk)
+        big_bk *= big_b
+    return {e: (ks[abs(e)], b ** abs(e) - a ** abs(e), 0, max(-e, 0) * (size - 1),
+                max(e, 0) * (size - 1)) if e else (size, 1, 1, 0, 0) for e in range(lo, hi + 1)}
+
+
 def _riemann_sum(n: int, x: int, ctx: PadicContext, N: int, exps: range, mult: int = 1) -> Fraction:
     """S_N of the module docstring, c being each exponent of exps taken mult
     times (r = mult * len(exps)), in integers: O(n * len(exps)) operations, no
-    O(r) object, and one Fraction, whose gcd is the only reduction."""
+    O(r) object, and one Fraction whose denominator keeps B - A only for e = 0 windows."""
     r = mult * len(exps)
     size = _check_stage(ctx, n, r, exps, N)
     a, b = ctx.q0.numerator, ctx.q0.denominator
-    window = {}  # G(e) = H / (a^i b^j) as (H, i, j)
-    for e in range(min(exps), max(exps) + n + 1):
-        u, v = (a**e, b**e) if e >= 0 else (b**-e, a**-e)
-        h, rest = divmod(u**size - v**size, u - v) if e else (size, 0)
-        if rest:  # u - v divides u^M - v^M: a remainder is a bug, not bad input
-            raise ArithmeticError(f"window e = {e}: {u} - {v} does not divide {u}^M - {v}^M")
-        window[e] = (h, max(-e, 0) * (size - 1), max(e, 0) * (size - 1))
-    terms = []  # term m of the sum as (numerator, i, j) over a^i b^j
+    big_a, big_b = a**size, b**size
+    window = _windows(a, b, big_a, big_b, size, min(exps), max(exps) + n)
+    terms = []  # term m over (B - A)^(r - z) as (num, den, z, i, j): num / (den a^i b^j)
     for m in range(n + 1):
-        num, i, j = (-1) ** m * math.comb(n, m), -m * x, m * x  # q0^(m x)
+        num, den, z, i, j = (-1) ** m * math.comb(n, m), 1, 0, -m * x, m * x  # q0^(m x)
         for c in exps:
-            h, wi, wj = window[m + c]
-            num, i, j = num * h**mult, i + mult * wi, j + mult * wj
-        terms.append((num, i, j))
-    top_i, top_j = max(t[1] for t in terms), max(t[2] for t in terms)  # term 0 has i, j >= 0
-    total = sum(num * a ** (top_i - i) * b ** (top_j - j) for num, i, j in terms)
-    # (1-q0)^(r-n) / (1-Q)^r = (b-a)^(r-n) b^(M r - r + n) / (b^M - a^M)^r
+            wk, wd, wz, wi, wj = window[m + c]
+            num, den = num * wk**mult, den * wd**mult
+            z, i, j = z + mult * wz, i + mult * wi, j + mult * wj
+        terms.append((num, den, z, i, j))
+    lcm = math.lcm(*(t[1] for t in terms))
+    top_z, top_i, top_j = (max(t[k] for t in terms) for k in (2, 3, 4))  # term 0 has i, j >= 0
+    total = sum(num * (lcm // den) * (big_b - big_a) ** (top_z - z) * a ** (top_i - i)
+                * b ** (top_j - j) for num, den, z, i, j in terms)
+    # (1-q0)^(r-n) / (1-Q)^r = (b-a)^(r-n) b^(M r - r + n) / (B - A)^r
     k = size * r - r + n - top_j
     num = total * (b - a) ** max(r - n, 0) * b ** max(k, 0)
-    den = (b**size - a**size) ** r * (b - a) ** max(n - r, 0) * a**top_i * b ** max(-k, 0)
+    den = (big_b - big_a) ** top_z * lcm * (b - a) ** max(n - r, 0) * a**top_i * b ** max(-k, 0)
     return Fraction(num, den)
 
 

@@ -98,6 +98,10 @@ def test_compute_tsum(capsys):
      "fcd75c475adefb25c37c81a5bcb88c2faad20ca8f2f70fd1f5a5fa011a9bfb83"),
     ("volkenborn --family single --n 3 --p 2 --N 6 --x -2",
      "fc8c18820f738ba94fb61da19d6f30dab3f8f1b036fda919d15eb81001fa5d12"),
+    ("volkenborn --family single --n 2 --p 5 --N 7",
+     "ff40e7c04c15f0d4a06d386af4cea8849ac09cbc5aff002f5be94e1b6277d3c7"),
+    ("volkenborn --family weighted --n 2 --h 3 --r 2 --p 5 --q0 7/2 --N 4",
+     "6e9f3ef4788248815a775a1a07ef1eef29b587e4780f91923bb5e83b14ebf481"),
     ("compute beta --n 12 --r 4 --w 6",
      "08d734b811e739217afe1dba0258b1fdc4cd89c83eabbffbd41475e15870877c"),
     ("compute beta-h --n 6 --h 4 --r 2 --w 2 --arg 1",
@@ -110,15 +114,16 @@ def test_compute_tsum(capsys):
      "43b58797fea7fe24d9654bb2c12a17eb707d08ec159074bb36fb89a36b1664cd"),
 ], ids=["beta8", "table", "verbose-thm3-6", "verbose-weighted-h", "volk-weighted-r1",
         "volk-single-n6", "volk-multi", "volk-weighted-neg-h", "volk-frac-q0", "volk-p2",
-        "volk-p2-neg-x", "beta12", "beta-h-arg1", "tsum-base2", "tsum-h-base2",
-        "beta1-arg1-pretty"])
+        "volk-p2-neg-x", "volk-single-N7", "volk-frac-q0-N4", "beta12", "beta-h-arg1",
+        "tsum-base2", "tsum-h-base2", "beta1-arg1-pretty"])
 def test_reduced_output_is_byte_identical(capsys, argv, sha256):
     # Digests of beta8 and table were taken when the PRS gcd alone reduced the
     # output, those of the verbose sweeps while each family still had its own
     # side builders, and the volkenborn ones while each stage sum still walked
     # s = 0..r(p^N - 1): the heuristic gcd, the shared builders and the
     # closed-form stage sums must match.  The five compute digests of the cli
-    # benchmark's commands were taken before exact_div lost its digit-list path.
+    # benchmark's commands were taken before exact_div lost its digit-list path,
+    # and the two deepest volkenborn ones while each stage kept (1-Q)^r uncancelled.
     code, out, _ = run(capsys, *argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
@@ -326,11 +331,15 @@ def test_volkenborn_large_prime_under_a_raised_budget_exits_3_fast(capsys, p, ma
 
 
 def test_volkenborn_inexact_window_is_a_bug_exit_4(capsys, monkeypatch):
-    # u - v always divides u^M - v^M, so a remainder can only be a qsym bug.
-    monkeypatch.setattr(volkenborn_mod, "divmod", lambda a, b: (a // b, 1), raising=False)
+    # No window takes a quotient, so the fault is forced in the window builder:
+    # every window over d = 0 makes the stage sum raise ZeroDivisionError, an
+    # ArithmeticError, which can only be a qsym bug.
+    windows = volkenborn_mod._windows
+    monkeypatch.setattr(volkenborn_mod, "_windows", lambda *args: {
+        e: (k, 0, z, i, j) for e, (k, d, z, i, j) in windows(*args).items()})
     code, out, err = run(capsys, "volkenborn", "--n", "1", "--p", "5", "--N", "2")
     assert code == 4 and out == ""
-    assert "Traceback" in err and "does not divide" in err
+    assert "Traceback" in err and "ZeroDivisionError" in err
 
 
 @pytest.mark.parametrize("q0", ["1/0", "0/0", "abc"])

@@ -87,6 +87,31 @@ def test_integer_stage_sum_matches_the_fraction_form(p, q0):
             (n, x, exps, mult, N)
 
 
+# Deeper stages with a zero window at m = 0 and 1 only (range(-1, 2) at n = 3),
+# and q0 with b != 1 on each side of 1.
+DEEP_ORACLE_CONTEXTS = [(2, None), (2, Fraction(1, 5)), (3, None), (3, Fraction(7, 4))]
+
+
+@pytest.mark.parametrize("p, q0", DEEP_ORACLE_CONTEXTS)
+def test_deep_integer_stage_sum_matches_the_fraction_form(p, q0):
+    ctx = PadicContext(p=p, q0=q0, Nmax=5, budget=10**40)
+    for exps, mult, N in itertools.product((range(-1, 2), range(1, 2)), (1, 2), (4, 5)):
+        expected = fraction_stage_sum(3, -1, ctx.q0, p**N, exps, mult)
+        assert volkenborn_mod._riemann_sum(3, -1, ctx, N, exps, mult) == expected, (exps, mult, N)
+
+
+def test_stage_fraction_gets_a_small_denominator(monkeypatch):
+    # Every window e != 0 carries the factor B - A of 1 - Q = (B - A) / B, so the
+    # (1 - Q)^r of the stage cancels before the one Fraction: its denominator had
+    # 8,090 bits while it kept (b^M - a^M)^r.
+    ctx, calls = PadicContext(p=5, Nmax=5), []
+    monkeypatch.setattr(volkenborn_mod, "Fraction",
+                        lambda *args: calls.append(args) or Fraction(*args))
+    value = riemann_sum_multi(6, 1, 0, ctx, 5)
+    assert [len(args) for args in calls] == [2]
+    assert calls[0][1].bit_length() < 128 and value.denominator.bit_length() < 128
+
+
 def test_is_prime_agrees_with_trial_division():
     def trial(n):
         return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
