@@ -3,8 +3,9 @@ run q-Volkenborn convergence studies.
 
 Exit codes: 0 success / all verified, 1 identity or convergence failure,
 2 domain or flag error, 3 resource guard, 4 internal error (a bug in qsym; its
-traceback goes to stderr).  Data goes to stdout, diagnostics to stderr; output
-is byte-identical across reruns and thread counts.
+traceback goes to stderr), 141 = 128 + SIGPIPE when the reader closes stdout
+early, as ``| head -1`` does (quietly: no traceback).  Data goes to stdout,
+diagnostics to stderr; output is byte-identical across reruns and thread counts.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ EXIT_FAIL = 1
 EXIT_DOMAIN = 2
 EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
+EXIT_PIPE = 141
 
 
 def _parse_range(text: str) -> tuple:
@@ -202,7 +204,16 @@ def main(argv=None) -> int:
         "volkenborn": run_volkenborn,
     }
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()  # a closed pipe fails here, not in the interpreter's exit flush
+        return code
+    except BrokenPipeError:
+        # A reader that stops early is not a qsym bug.  With stdout on os.devnull the
+        # interpreter's final flush of what is still buffered cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
     except ResourceLimitError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

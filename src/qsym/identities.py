@@ -7,7 +7,11 @@ cross-multiplication.  The two sides of the base-swap symmetry checks
 Each distinct (wa, wb) side is built once, by the cached ``_side``, and
 shared by the mirror checks at (w1, w2) and (w2, w1): an off-diagonal check
 still compares two independently assembled expression trees, and a diagonal
-check (w1 = w2) compares one side with itself.
+check (w1 = w2) compares one side with itself.  A convolution side (thm4,
+thm6) at (wa, wb) equals the base-swap side (thm3, thm5) at (wb, wa): binomial
+inversion, sum_(i>=j) C(n-j, i-j) N_i = W_j, turns its T-sum numerators N_i
+back into window products W_j = T(j, j).  The checkers deliberately do not use
+this, so thm4 and thm6 still check the paper's convolution form, not thm3's.
 
 A sweep runs selected checkers over a Cartesian grid, in deterministic
 parameter order, optionally fanned out over worker processes.
@@ -150,20 +154,26 @@ def _swap_side(n: int, cs, wa: int, wb: int, x: int, closed) -> RatFun:
     return q_bracket(wa, 1) ** (n - len(cs)) * closed(wa, power)
 
 
-def _convolution_side(n: int, r: int, wa: int, wb: int, x: int, closed, tsum,
-                      twist: int = 0) -> RatFun:
-    """sum_i C(n,i) [wa]^(n-i) [wb]^(i-r) closed(i, wb, wa wb x) tsum(i, wb, wa),
-    tsum(i, wlim, base) being t_sum (thm4) or t_sum_h (thm6) in base q^base.
-    The bracket powers are cached polynomials; [wb]^(i-r) is a denominator for i < r."""
+def _convolution_side(n: int, r: int, h, wa: int, wb: int, x: int, twist: int) -> RatFun:
+    """sum_i C(n,i) [wa]^(n-i) [wb]^(i-r) beta_i T(n,i), beta_i = num_i / den_i the order-r
+    (h None) or weighted closed form in base q^wb at wa wb x and T(n,i) its T-sum in base
+    q^wa, with no division.  The difference table of the window products T(s,s) ends in
+    N_i = T(n,i) (1-q^wa)^(n-i), so [wa]^(n-i) T(n,i) = N_i / (1-q)^(n-i); with e_k = [k+1]^r
+    or [h+k] in base q^wb, den_n = den_i (1-q^wb)^(n-i) e_(i+1)...e_n.  The side is thus
+    [wb]^(n-r) sum_i C(n,i) e_(i+1)...e_n num_i N_i / den_n, summed by Horner's rule.
+    A nonzero twist multiplies the i = n term by q^twist."""
+    hr, beta, tsum = ((r,), beta_higher, t_sum) if h is None else ((h, r), beta_weighted, t_sum_h)
+    N = [tsum(s, s, *hr, wb, wa).num for s in range(n + 1)]
+    for k in range(n, 0, -1):
+        N[:k] = [N[s] - N[s + 1] for s in range(k)]
+    N[n] = N[n].shift(twist)
     acc = RatFun(0)
     for i in range(n + 1):
-        brackets = RatFun(bracket_poly(wa, 1, n - i) * bracket_poly(wb, 1, max(i - r, 0)),
-                          bracket_poly(wb, 1, max(r - i, 0)))
-        term = math.comb(n, i) * brackets * closed(i, wb, wa * wb * x) * tsum(i, wb, wa)
-        if twist and i == n:
-            term = term * _mono(twist)
-        acc = acc + term
-    return acc
+        b = beta(i, *hr, wb, wa * wb * x)
+        e = bracket_poly(i + 1, wb, r) if h is None else bracket_poly(h + i, wb)
+        acc = acc * e + b.num.scale(math.comb(n, i)) * N[i]
+    return acc * RatFun(bracket_poly(wb, 1, max(n - r, 0)),
+                        bracket_poly(wb, 1, max(r - n, 0)) * b.den)
 
 
 # Serial sweeps run jobs in (identity, n, r, h, w1, w2, x) order, so the mirror
@@ -184,13 +194,7 @@ def _side(identity: str, n: int, r: int, h, wa: int, wb: int, x: int, twist: int
     if identity in ("thm3", "thm5"):
         cs = (1,) * r if h is None else weight_exponents(h, r)
         return _swap_side(n, cs, wa, wb, x, lambda w, power: closed_form(n, r, w, power, h))
-    if identity == "thm4":
-        closed = lambda i, w, arg: beta_higher(i, r, w, arg)
-        tsum = lambda i, wlim, base: t_sum(n, i, r, wlim, base)
-    else:  # thm6
-        closed = lambda i, w, arg: beta_weighted(i, h, r, w, arg)
-        tsum = lambda i, wlim, base: t_sum_h(n, i, h, r, wlim, base)
-    return _convolution_side(n, r, wa, wb, x, closed, tsum, twist)
+    return _convolution_side(n, r, h, wa, wb, x, twist)
 
 
 def check_thm3(n: int, r: int, w1: int, w2: int, x: int) -> CheckReport:

@@ -19,8 +19,9 @@ q^(sum j), a summand q^(sum_k e_k j_k) factors over the coordinates, so
 
 and each window is [L] in base q^e for e >= 1, q^(e(L-1)) [L] in base q^-e
 for e < 0 and the constant L for e = 0 (window_product).  The T-sums expand
-[s]^(n-i) = (1-q^base)^-(n-i) sum_m C(n-i,m) (-1)^m q^(base m s); the
-base-swap sides of the identities substitute window products for the powers
+[s]^(n-i) = (1-q^base)^-(n-i) sum_m C(n-i,m) (-1)^m q^(base m s), so T(s, s)
+is a window product and T(n,i) (1-q^base)^(n-i) = sum_m C(n-i,m) (-1)^m
+T(i+m, i+m); the base-swap sides substitute window products for the powers
 q^(j arg) of a closed form (closed_form is linear in them); the Volkenborn
 stage sums use the same windows at a rational point.
 

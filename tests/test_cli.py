@@ -68,6 +68,24 @@ def test_unmapped_exception_exits_4_with_traceback(capsys, monkeypatch, exc, cod
     assert marker in err and (code == 4) == ("Traceback" in err)
 
 
+@pytest.mark.parametrize("argv", ["table --n 0..8 --r 2 --w 2 --arg 0,1", "verify --max-n 3",
+                                  "compute beta --n 0"])
+@pytest.mark.parametrize("buffered", [False, True])
+def test_closed_stdout_pipe_exits_141_quietly(argv, buffered):
+    # The reader closes the pipe before qsym writes, as `| head -1` may: every
+    # write fails, in print or, for output still buffered, in the final flush.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen([sys.executable, "-m", "qsym", *argv.split()], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 141 and err == b""
+
+
 def test_compute_tsum(capsys):
     code, out, _ = run(capsys, "compute", "tsum", "--n", "1", "--i", "0", "--r", "1",
                        "--wlim", "2", "--format", "pretty")
@@ -84,6 +102,8 @@ def test_compute_tsum(capsys):
      "6a587eb932748794b8f04a1f58c91367b2c8dca6b286727edde0cc70846b1f4d"),
     ("verify --identity thm5 --identity thm6 --max-n 2 --max-r 2 --max-w 3 --h=-4,4 --verbose",
      "2333d669d762a2125e433fc3a56523fa6bb213688645fe7edf9f725fa4727b2b"),
+    ("verify --identity thm4 --identity thm6 --max-n 4 --max-r 3 --max-w 3 --max-x 2 --h=-6,4 "
+     "--verbose", "579d8b61543180a7e0fac198587aa2b04529e95a32be8dab24a08155aab17fa8"),
     ("volkenborn --family weighted --n 1 --h 2 --r 1 --p 3 --N 3 --x 0",
      "218c3f28b12ccb80d7be4b582e10ae1fde39f5c5b94c60eb8eb02ca82d2bccdb"),
     ("volkenborn --family single --n 6 --p 5 --N 5",
@@ -112,9 +132,9 @@ def test_compute_tsum(capsys):
      "28b5a61d40af11d98812d4dd5756135bf0efc483ff36b1f72c778f95841c6b10"),
     ("compute beta --n 1 --arg 1 --format pretty",
      "43b58797fea7fe24d9654bb2c12a17eb707d08ec159074bb36fb89a36b1664cd"),
-], ids=["beta8", "table", "verbose-thm3-6", "verbose-weighted-h", "volk-weighted-r1",
-        "volk-single-n6", "volk-multi", "volk-weighted-neg-h", "volk-frac-q0", "volk-p2",
-        "volk-p2-neg-x", "volk-single-N7", "volk-frac-q0-N4", "beta12", "beta-h-arg1",
+], ids=["beta8", "table", "verbose-thm3-6", "verbose-weighted-h", "verbose-thm4-6-neg-h",
+        "volk-weighted-r1", "volk-single-n6", "volk-multi", "volk-weighted-neg-h", "volk-frac-q0",
+        "volk-p2", "volk-p2-neg-x", "volk-single-N7", "volk-frac-q0-N4", "beta12", "beta-h-arg1",
         "tsum-base2", "tsum-h-base2", "beta1-arg1-pretty"])
 def test_reduced_output_is_byte_identical(capsys, argv, sha256):
     # Digests of beta8 and table were taken when the PRS gcd alone reduced the
@@ -123,7 +143,8 @@ def test_reduced_output_is_byte_identical(capsys, argv, sha256):
     # s = 0..r(p^N - 1): the heuristic gcd, the shared builders and the
     # closed-form stage sums must match.  The five compute digests of the cli
     # benchmark's commands were taken before exact_div lost its digit-list path,
-    # and the two deepest volkenborn ones while each stage kept (1-Q)^r uncancelled.
+    # the two deepest volkenborn ones while each stage kept (1-Q)^r uncancelled,
+    # and the thm4/thm6 one while each convolution side divided every T-sum.
     code, out, _ = run(capsys, *argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == sha256

@@ -4,6 +4,7 @@ import json
 import pytest
 
 import qsym.identities as idn
+from convolution_side import convolution_side
 from qsym.identities import (
     GuardLimits,
     SweepConfig,
@@ -289,6 +290,18 @@ MIRROR_GRID = SweepConfig(identities=SIDE_IDENTITIES, ns=(0, 1, 2, 3), rs=(1, 2)
                           w1s=(1, 2, 3), w2s=(1, 2, 3), xs=(0, 1), h_offsets=(0, 1, 3))
 
 
+def oracle_side(n, r, h, wa, wb, x, twist=0):
+    """The (wa, wb) convolution side of thm4 (h None) or thm6, built per i with a
+    division per T-sum by the oracle in convolution_side.py."""
+    if h is None:
+        closed = lambda i, w, arg: beta_higher(i, r, w, arg)
+        tsum = lambda i, wlim, base: t_sum(n, i, r, wlim, base)
+    else:
+        closed = lambda i, w, arg: beta_weighted(i, h, r, w, arg)
+        tsum = lambda i, wlim, base: t_sum_h(n, i, h, r, wlim, base)
+    return convolution_side(n, r, wa, wb, x, closed, tsum, twist)
+
+
 def uncached_sides(ident, p):
     """(lhs, rhs) of one report from the uncached side builders, called with the
     per-check closed forms and T-sums the checkers built before the side cache."""
@@ -303,14 +316,8 @@ def uncached_sides(ident, p):
         closed = lambda w, power: closed_form(n, r, w, power, h)
         return (idn._swap_side(n, cs, w1, w2, x, closed), idn._swap_side(n, cs, w2, w1, x, closed))
     if ident == "thm4":
-        closed = lambda i, w, arg: beta_higher(i, r, w, arg)
-        tsum = lambda i, wlim, base: t_sum(n, i, r, wlim, base)
-        return (idn._convolution_side(n, r, w1, w2, x, closed, tsum),
-                idn._convolution_side(n, r, w2, w1, x, closed, tsum))
-    closed = lambda i, w, arg: beta_weighted(i, h, r, w, arg)
-    tsum = lambda i, wlim, base: t_sum_h(n, i, h, r, wlim, base)
-    return (idn._convolution_side(n, r, w2, w1, x, closed, tsum),
-            idn._convolution_side(n, r, w1, w2, x, closed, tsum))
+        return oracle_side(n, r, None, w1, w2, x), oracle_side(n, r, None, w2, w1, x)
+    return oracle_side(n, r, h, w2, w1, x), oracle_side(n, r, h, w1, w2, x)
 
 
 def canonical_sides(lhs, rhs):
@@ -352,3 +359,42 @@ def test_twist_is_not_hidden_by_warm_sides(monkeypatch, cold_caches):
     assert all(r.holds for r in sweep(cfg))
     monkeypatch.setattr(idn, "_THM4_LHS_TWIST", 1)
     assert not any(r.holds for r in sweep(cfg))
+
+
+# -- the difference-table convolution side --------------------------------------
+
+# h as a function of (n, r): None for thm4, else thm6's weight on either side of
+# the degenerate band -n <= h <= r-1.
+H_OF = {"thm4": lambda n, r: None, "h=r": lambda n, r: r, "h=r+1": lambda n, r: r + 1,
+        "h=r+2": lambda n, r: r + 2, "h=r+3": lambda n, r: r + 3,
+        "h=-n-1": lambda n, r: -n - 1, "h=-n-3": lambda n, r: -n - 3}
+
+
+def h_params(*names):
+    return pytest.mark.parametrize("h_of", [H_OF[k] for k in names], ids=names)
+
+
+@h_params("thm4", "h=r", "h=r+1", "h=r+3", "h=-n-1", "h=-n-3")
+def test_convolution_side_matches_the_per_i_oracle(h_of):
+    # Mirror-closed in (wa, wb), with w = 1, n < r (so [wb]^(n-r) is a
+    # denominator) and a negative x.
+    for n, r, wa, wb, x in itertools.product(range(4), (1, 2, 3), (1, 2, 3), (1, 2, 3), (-1, 2)):
+        h = h_of(n, r)
+        at = (n, r, h, wa, wb, x)
+        plain = idn._convolution_side(n, r, h, wa, wb, x, 0)
+        twisted = idn._convolution_side(n, r, h, wa, wb, x, 1)
+        assert plain == oracle_side(n, r, h, wa, wb, x), at
+        assert twisted == oracle_side(n, r, h, wa, wb, x, 1), at
+        assert twisted != plain, at
+
+
+@h_params("thm4", "h=r", "h=r+2", "h=-n-1", "h=-n-3")
+def test_convolution_side_is_the_swapped_base_swap_side(h_of):
+    # Binomial inversion of the T-sum numerators turns a thm4 (thm6) side at
+    # (wa, wb) into the thm3 (thm5) side at (wb, wa); the checkers never use it.
+    grid = itertools.product(range(6), (1, 2, 3), (1, 2, 3), (1, 2, 4), (-1, 0, 2))
+    for n, r, wa, wb, x in grid:
+        h = h_of(n, r)
+        conv, swap = ("thm4", "thm3") if h is None else ("thm6", "thm5")
+        assert (idn._side(conv, n, r, h, wa, wb, x, 0)
+                == idn._side(swap, n, r, h, wb, wa, x, 0)), (n, r, h, wa, wb, x)

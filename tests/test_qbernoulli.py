@@ -261,6 +261,22 @@ def test_t_sum_guard_covers_every_polynomial_built(r, wlim, b, monkeypatch):
                 _t_sum_grouped(n, i, exps, wlim, b)
 
 
+@pytest.mark.parametrize("r, wlim, b", [(1, 3, 2), (2, 2, 1), (2, 3, 3), (3, 2, 2)])
+def test_t_sum_numerator_is_a_difference_of_diagonals(r, wlim, b):
+    # T(n,i) (1-q^b)^(n-i) = sum_m C(n-i,m) (-1)^m T(i+m, i+m): the thm4/thm6
+    # sides build every T-sum numerator from the diagonal window products.
+    for n in range(5):
+        for i in range(n + 1):
+            scale = RatFun(LaurentPoly({0: 1, b: -1})) ** (n - i)
+            for h in (None, r, 1 - i, -i - r):
+                tsum = ((lambda s, t: t_sum(s, t, r, wlim, b)) if h is None
+                        else (lambda s, t: t_sum_h(s, t, h, r, wlim, b)))
+                diffs = RatFun(0)
+                for m in range(n - i + 1):
+                    diffs = diffs + (-1) ** m * math.comb(n - i, m) * tsum(i + m, i + m)
+                assert tsum(n, i) * scale == diffs, (n, i, h)
+
+
 def test_t_sum_h_weight_one_reduces_to_t_sum():
     for n in range(3):
         for i in range(n + 1):
@@ -371,6 +387,25 @@ def test_weighted_scaffold_windows(n, r, w):
         # term j of beta_weighted divides by [j+h-k] for k = 0..r-1
         windows = [{j + h - k: bracket_poly(j + h - k, w) for k in range(r)} for j in range(n + 1)]
         _assert_scaffold(_weighted_scaffold(n, h, r, w), n, w, windows)
+
+
+@pytest.mark.parametrize("r, w", [(1, 1), (2, 1), (3, 2), (2, 3)])
+def test_closed_form_denominators_nest(r, w):
+    # den_n = den_i (1-q^w)^(n-i) e_(i+1) ... e_n with e_k = [k+1]^r (order r) or
+    # [h+k] (weighted), all in base q^w: the thm4/thm6 sides sum over one den_n.
+    n = 5
+    for h in (None, r, r + 2, -n - 1, -n - 3):
+        def den(i):
+            return (beta_higher(i, r, w, 1) if h is None else beta_weighted(i, h, r, w, 1)).den
+
+        def e(k):
+            return bracket_poly(k + 1, w, r) if h is None else bracket_poly(h + k, w)
+
+        for i in range(n + 1):
+            nested = den(i) * LaurentPoly({0: 1, w: -1}) ** (n - i)
+            for k in range(i + 1, n + 1):
+                nested = nested * e(k)
+            assert nested == den(n), (h, i)
 
 
 def test_weight_exponents():
