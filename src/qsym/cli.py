@@ -140,6 +140,9 @@ def run_verify(args) -> int:
             threads = int(env)
         except ValueError:
             raise QsymDomainError(f"QSYM_THREADS must be an integer, got {env!r}") from None
+    if threads < 1:
+        raise QsymDomainError(f"worker count (--threads or QSYM_THREADS) must be >= 1, "
+                              f"got {threads}")
     idents = tuple(args.identity) if args.identity else IDENTITIES
     cfg = SweepConfig(
         identities=idents,

@@ -3,11 +3,14 @@
 Each checker builds both sides of an identity from the closed forms only --
 never one side from the other -- and certifies equality with exact
 cross-multiplication.  The two sides of the base-swap symmetry checks
-(thm3..thm6) are the same expression instantiated with (w1, w2) swapped.
-Each distinct (wa, wb) side is built once, by the cached ``_side``, and
-shared by the mirror checks at (w1, w2) and (w2, w1): an off-diagonal check
-still compares two independently assembled expression trees, and a diagonal
-check (w1 = w2) compares one side with itself.  A convolution side (thm4,
+(thm3..thm6) are the same expression instantiated with (w1, w2) swapped,
+so the mirror checks at (w1, w2) and (w2, w1) compare the same two sides.
+The cached ``_side_pair``, keyed by the unordered pair of sides, builds each
+side once and decides each pair by one cross-multiplication, whose verdict
+both mirror checks report: an off-diagonal pair still compares two
+independently assembled expression trees, and a diagonal check (w1 = w2,
+the same side on both sides) is one side against itself and needs no
+cross-multiplication.  A convolution side (thm4,
 thm6) at (wa, wb) equals the base-swap side (thm3, thm5) at (wb, wa): binomial
 inversion, sum_(i>=j) C(n-j, i-j) N_i = W_j, turns its T-sum numerators N_i
 back into window products W_j = T(j, j).  The checkers deliberately do not use
@@ -176,25 +179,46 @@ def _convolution_side(n: int, r: int, h, wa: int, wb: int, x: int, twist: int) -
                         bracket_poly(wb, 1, max(r - n, 0)) * b.den)
 
 
-# Serial sweeps run jobs in (identity, n, r, h, w1, w2, x) order, so the mirror
-# partner of a side is requested at most 2 |w1s| |w2s| |xs| side requests after
-# it: 18 on the benchmark grid, 16 on verify's default grid.  The bound keeps
-# every partner with room to spare and caps what a long sweep holds.
-_SIDE_CACHE_SIZE = 64
-
-
-@lru_cache(maxsize=_SIDE_CACHE_SIZE)
 def _side(identity: str, n: int, r: int, h, wa: int, wb: int, x: int, twist: int) -> RatFun:
-    """The (wa, wb) side of a base-swap identity; h is None for thm3 and thm4.
-
-    Callers pass every argument positionally, twist (thm4 only) included as 0,
-    so the mirror checks share one cache key.  The closed forms and T-sums are
-    looked up as module globals on each call.
-    """
+    """The (wa, wb) side of a base-swap identity; h is None for thm3 and thm4,
+    twist is nonzero only on thm4's lhs.  The closed forms and T-sums are
+    looked up as module globals on each call."""
     if identity in ("thm3", "thm5"):
         cs = (1,) * r if h is None else weight_exponents(h, r)
         return _swap_side(n, cs, wa, wb, x, lambda w, power: closed_form(n, r, w, power, h))
     return _convolution_side(n, r, h, wa, wb, x, twist)
+
+
+# Serial sweeps run jobs in (identity, n, r, h, w1, w2, x) order, so the mirror
+# check of a pair comes at most |w1s| |w2s| |xs| checks, each adding at most one
+# pair, after it: 9 on the benchmark grid, 8 on verify's default grid.  The
+# bound keeps every partner with room to spare, and its 32 pairs hold at most
+# the 64 sides a per-side cache of the same reach held.
+_PAIR_CACHE_SIZE = 32
+
+
+@lru_cache(maxsize=_PAIR_CACHE_SIZE)
+def _side_pair(identity: str, n: int, r: int, h, x: int, a: tuple, b: tuple) -> tuple:
+    """(side a, side b, side a == side b) for side keys a <= b, each (wa, wb, twist)
+    as _side takes them; for a == b both are the one side and the verdict is True."""
+    def side(key):
+        wa, wb, twist = key
+        return _side(identity, n, r, h, wa, wb, x, twist)
+
+    side_a = side(a)
+    if a == b:
+        return side_a, side_a, True
+    side_b = side(b)
+    return side_a, side_b, side_a == side_b
+
+
+def _mirror_report(identity: str, params: dict, h, lhs: tuple, rhs: tuple) -> CheckReport:
+    """The report of lhs == rhs for the side keys lhs and rhs (see _side_pair),
+    read from the pair the mirror check shares."""
+    a, b = sorted((lhs, rhs))
+    side_a, side_b, holds = _side_pair(identity, params["n"], params["r"], h, params["x"], a, b)
+    sides = (side_a, side_b) if lhs == a else (side_b, side_a)
+    return CheckReport(identity, params, *sides, holds)
 
 
 def check_thm3(n: int, r: int, w1: int, w2: int, x: int) -> CheckReport:
@@ -206,23 +230,20 @@ def check_thm3(n: int, r: int, w1: int, w2: int, x: int) -> CheckReport:
     corresponding side here.  Checking every degree n therefore certifies the
     series statement, and no separate series-level checker exists.
     """
-    lhs = _side("thm3", n, r, None, w1, w2, x, 0)
-    rhs = _side("thm3", n, r, None, w2, w1, x, 0)
-    return _report("thm3", {"n": n, "r": r, "w1": w1, "w2": w2, "x": x}, lhs, rhs)
+    params = {"n": n, "r": r, "w1": w1, "w2": w2, "x": x}
+    return _mirror_report("thm3", params, None, (w1, w2, 0), (w2, w1, 0))
 
 
 def check_thm4(n: int, r: int, w1: int, w2: int, x: int) -> CheckReport:
     """Convolution form of the base-swap symmetry, with T-sums."""
-    lhs = _side("thm4", n, r, None, w1, w2, x, _THM4_LHS_TWIST)
-    rhs = _side("thm4", n, r, None, w2, w1, x, 0)
-    return _report("thm4", {"n": n, "r": r, "w1": w1, "w2": w2, "x": x}, lhs, rhs)
+    params = {"n": n, "r": r, "w1": w1, "w2": w2, "x": x}
+    return _mirror_report("thm4", params, None, (w1, w2, _THM4_LHS_TWIST), (w2, w1, 0))
 
 
 def check_thm5(n: int, h: int, r: int, w1: int, w2: int, x: int) -> CheckReport:
     """Base-swap symmetry of the weighted (h, r) polynomials."""
-    lhs = _side("thm5", n, r, h, w1, w2, x, 0)
-    rhs = _side("thm5", n, r, h, w2, w1, x, 0)
-    return _report("thm5", {"n": n, "r": r, "h": h, "w1": w1, "w2": w2, "x": x}, lhs, rhs)
+    params = {"n": n, "r": r, "h": h, "w1": w1, "w2": w2, "x": x}
+    return _mirror_report("thm5", params, h, (w1, w2, 0), (w2, w1, 0))
 
 
 def check_thm6(n: int, h: int, r: int, w1: int, w2: int, x: int) -> CheckReport:
@@ -231,9 +252,8 @@ def check_thm6(n: int, h: int, r: int, w1: int, w2: int, x: int) -> CheckReport:
     The weighted closed form and T-sum enter with the roles of the two bases
     exchanged, so the lhs is the convolution side at (w2, w1).
     """
-    lhs = _side("thm6", n, r, h, w2, w1, x, 0)
-    rhs = _side("thm6", n, r, h, w1, w2, x, 0)
-    return _report("thm6", {"n": n, "r": r, "h": h, "w1": w1, "w2": w2, "x": x}, lhs, rhs)
+    params = {"n": n, "r": r, "h": h, "w1": w1, "w2": w2, "x": x}
+    return _mirror_report("thm6", params, h, (w2, w1, 0), (w1, w2, 0))
 
 
 _CHECKERS = {

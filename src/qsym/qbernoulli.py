@@ -112,11 +112,21 @@ def denominator_brackets(n: int, r: int, w: int, h: int | None = None) -> range:
     return ms
 
 
-def _scaffold(factors: list[LaurentPoly], width: int):
+def _term_scalars(n: int, r: int, h: int | None = None) -> list:
+    """(-1)^j C(n,j) prod_k (j+c_k) for j = 0..n: the scalar of closed-form term j."""
+    if h is None:
+        return [(-1) ** j * math.comb(n, j) * (j + 1) ** r for j in range(n + 1)]
+    c = weight_exponents(h, r)
+    return [(-1) ** j * math.comb(n, j) * math.prod(j + ck for ck in c) for j in range(n + 1)]
+
+
+def _scaffold(factors: list[LaurentPoly], width: int, scalars: list):
     """Denominator (1-q)^n * prod(factors) and per-term cofactors of a closed
     form in base q whose term j divides by factors[j : j+width],
     n = len(factors) - width.  Cofactor j, the product outside that window, is
-    a prefix times a suffix product, so no term needs a division."""
+    a prefix times a suffix product, so no term needs a division.  The
+    cofactors share the width that holds their sum with the term scalars, so a
+    closed form at a monomial argument re-widths none of them."""
     pre = [LaurentPoly.one()]
     for f in factors:
         pre.append(pre[-1] * f)
@@ -125,8 +135,9 @@ def _scaffold(factors: list[LaurentPoly], width: int):
         suf.append(f * suf[-1])
     suf.reverse()
     n = len(factors) - width
-    cof = tuple(pre[j] * suf[j + width] for j in range(n + 1))
-    return _ONE_MINUS_Q ** n * pre[-1], cof
+    cof = ratfun.common_width([pre[j] * suf[j + width] for j in range(n + 1)],
+                              (sum(map(abs, scalars)) - 1).bit_length())
+    return _ONE_MINUS_Q ** n * pre[-1], tuple(cof)
 
 
 def _inflate(scaffold, w: int):
@@ -142,7 +153,7 @@ def _higher_scaffold(n: int, r: int, w: int):
     ms = denominator_brackets(n, r, w)  # the span guard runs at base q^w
     if w > 1:
         return _inflate(_higher_scaffold(n, r, 1), w)
-    return _scaffold([bracket_poly(m) ** r for m in ms], 1)
+    return _scaffold([bracket_poly(m) ** r for m in ms], 1, _term_scalars(n, r))
 
 
 @lru_cache(maxsize=None)
@@ -152,7 +163,7 @@ def _weighted_scaffold(n: int, h: int, r: int, w: int):
     ms = denominator_brackets(n, r, w, h)  # the span guard runs at base q^w
     if w > 1:
         return _inflate(_weighted_scaffold(n, h, r, 1), w)
-    return _scaffold([bracket_poly(m) for m in ms], r)
+    return _scaffold([bracket_poly(m) for m in ms], r, _term_scalars(n, r, h))
 
 
 def closed_form(n: int, r: int, w: int, power, h: int | None = None) -> RatFun:
@@ -162,21 +173,24 @@ def closed_form(n: int, r: int, w: int, power, h: int | None = None) -> RatFun:
         sum_j C(n,j) (-1)^j power(j) prod_k (j+c_k) cofactor[j] / denominator.
 
     It is linear in power, so a sum of closed forms over several arguments is
-    one call whose power(j) sums their monomials."""
+    one call whose power(j) sums their monomials.  The n+1 terms are summed by
+    one ratfun.linear_combination; a one-digit power(j) = c q^s folds into the
+    term's scalar and shift, any other multiplies its cofactor first."""
     if h is None:
         BetaQuery(n, r, w)
-        scaffold, factor = _higher_scaffold(n, r, w), lambda j: (j + 1) ** r
+        den, cof = _higher_scaffold(n, r, w)
     else:
         WeightedBetaQuery(n, h, r, w)
-        c = weight_exponents(h, r)
-        scaffold = _weighted_scaffold(n, h, r, w)
-        factor = lambda j: math.prod(j + ck for ck in c)
-    den, cof = scaffold
-    num = LaurentPoly.zero()
-    for j in range(n + 1):
-        scalar = math.comb(n, j) * factor(j)
-        num = num + cof[j].scale(-scalar if j % 2 else scalar) * power(j)
-    return RatFun(num, den)
+        den, cof = _weighted_scaffold(n, h, r, w)
+    terms = []
+    for j, scalar in enumerate(_term_scalars(n, r, h)):
+        p = power(j)
+        if p.n == 1:  # p = (P / den) q^lo
+            k = scalar * p.P if p.den == 1 else Fraction(scalar * p.P, p.den)
+            terms.append((k, p.lo, cof[j]))
+        else:
+            terms.append((scalar, 0, cof[j] * p))
+    return RatFun(ratfun.linear_combination(terms), den)
 
 
 def _monomials(arg: int):
@@ -255,10 +269,9 @@ def _t_sum_grouped(n: int, i: int, exps: tuple, wlim: int, base: int) -> RatFun:
     the tuple sum groups by the binomial index m into window products over the
     exponents exps[l] + base m, and one exact division by (1-q^base)^(n-i)
     follows; [0]^0 = 1 is the m = 0 term of n = i."""
-    num = LaurentPoly.zero()
-    for m in range(n - i + 1):
-        c = math.comb(n - i, m)
-        num = num + window_product(wlim, [e + base * m for e in exps]).scale(-c if m % 2 else c)
+    num = ratfun.linear_combination(
+        ((-1) ** m * math.comb(n - i, m), 0, window_product(wlim, [e + base * m for e in exps]))
+        for m in range(n - i + 1))
     return RatFun(num.exact_div((_ONE_MINUS_Q ** (n - i)).inflate(base)))
 
 

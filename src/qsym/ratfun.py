@@ -22,6 +22,17 @@ nonzero byte column of the two's-complement digit image xored with itself
 shifted by one bit holds the highest bit at which a coefficient leaves its
 sign extension -- and is formed at the narrowest width its bound allows.
 
+``linear_combination`` forms sum k_j q^(s_j) p_j in one pass: over the common
+denominator D every term is an integer multiplier m_j times a packed operand,
+so each operand is re-widthed at most once, shifted into place and added, and
+one ``_make`` normalises the sum.  Its width follows the rule of an add, with
+the factor sum |m_j|: the largest operand bound plus bitlen(sum |m_j| - 1) at
+the widest operand width, narrowed from tight operand bounds when it outgrows
+that width.  The span guard runs before any operand is re-widthed.
+``common_width`` stores operands that are summed again and again at one width
+with tight bounds, wide enough for a given multiplier sum, so that their
+linear combinations re-width and narrow nothing.
+
 ``exact_div`` divides by the primitive part D of d -- its content divides
 gcd(P, c_0) and is read from the digits only when that gcd is not 1 -- with
 one ``divmod`` at a common width.  By Gauss's lemma a quotient of A by a
@@ -371,6 +382,37 @@ class LaurentPoly:
     @classmethod
     def from_pairs(cls, pairs) -> LaurentPoly:
         return cls({int(e): Fraction(s) for e, s in pairs})
+
+
+def linear_combination(terms) -> LaurentPoly:
+    """sum k * q**s * p over the triples (k, s, p) of a scalar k (int or
+    Fraction), an integer shift s and a LaurentPoly p, in one pass at one width
+    (see the module docstring)."""
+    terms = [(k, s, p) for k, s, p in terms if k and p.n]
+    if not terms:
+        return _ZERO
+    lo = min(p.lo + s for _, s, p in terms)
+    _check_span(max(p.lo + s + p.n for _, s, p in terms) - 1 - lo)
+    den = math.lcm(*[k.denominator * p.den for k, _, p in terms])
+    ks = [k.numerator * (den // (k.denominator * p.den)) for k, _, p in terms]
+    grow = (sum(map(abs, ks)) - 1).bit_length()
+    bits, size = max(p.bits for _, _, p in terms) + grow, max(p.size for _, _, p in terms)
+    if bits >= 8 * size:
+        bits = max(_tight(p) for _, _, p in terms) + grow
+        size = bits // 8 + 1
+    P = sum(_rewidth(p.P, p.n, p.size, size) * k << 8 * size * (p.lo + s - lo)
+            for k, (_, s, p) in zip(ks, terms))
+    return _make(lo, P, size, bits, den)
+
+
+def common_width(polys, grow: int = 0) -> list:
+    """The polys at one width, each with its tight bound, wide enough that a
+    linear_combination of them whose integer multipliers add up to at most
+    2**grow in absolute value is formed at that width, re-widthing none."""
+    bits = [_tight(p) for p in polys]
+    size = (max(bits, default=0) + grow) // 8 + 1
+    return [_new(p.lo, _rewidth(p.P, p.n, p.size, size), p.n, size, b, p.den)
+            for p, b in zip(polys, bits)]
 
 
 def _coeff(c: int, den: int):

@@ -21,7 +21,9 @@ products alone, powers of a and b stay exponents, the small b^k - a^k meet in on
 lcm, and O(n r) products of numbers of about (n + max|c_k|) p^N log2 height(q0)
 bits end in one Fraction, over a few dozen bits for b = 1 and no zero window.
 Convergence to the matching closed form is certified by the p-adic valuations
-of S_N minus the closed-form value being nondecreasing in N.
+of S_N minus the closed-form value being nondecreasing in N, each read from the
+stage's unreduced numerator and denominator: for b != 1 the reduced Fraction's
+gcd would cost more than the stage itself.
 """
 
 from __future__ import annotations
@@ -71,15 +73,15 @@ def p_valuation(r: Fraction, p: int):
     r = Fraction(r)
     if r == 0:
         return math.inf
+    return _int_valuation(r.numerator, p) - _int_valuation(r.denominator, p)
+
+
+def _int_valuation(k: int, p: int) -> int:
+    """Exponent of p in the nonzero integer k."""
     v = 0
-    n = abs(r.numerator)
-    while n % p == 0:
-        n //= p
+    while k % p == 0:
+        k //= p
         v += 1
-    d = r.denominator
-    while d % p == 0:
-        d //= p
-        v -= 1
     return v
 
 
@@ -165,10 +167,13 @@ def _windows(a: int, b: int, big_a: int, big_b: int, size: int, lo: int, hi: int
                 max(e, 0) * (size - 1)) if e else (size, 1, 1, 0, 0) for e in range(lo, hi + 1)}
 
 
-def _riemann_sum(n: int, x: int, ctx: PadicContext, N: int, exps: range, mult: int = 1) -> Fraction:
+def _riemann_sum(n: int, x: int, ctx: PadicContext, N: int, exps: range, mult: int = 1,
+                 reduced: bool = True):
     """S_N of the module docstring, c being each exponent of exps taken mult
     times (r = mult * len(exps)), in integers: O(n * len(exps)) operations, no
-    O(r) object, and one Fraction whose denominator keeps B - A only for e = 0 windows."""
+    O(r) object, and one Fraction whose denominator keeps B - A only for e = 0
+    windows; with reduced false, the unreduced pair (num, den) that Fraction
+    would take, skipping its gcd."""
     r = mult * len(exps)
     size = _check_stage(ctx, n, r, exps, N)
     a, b = ctx.q0.numerator, ctx.q0.denominator
@@ -190,20 +195,24 @@ def _riemann_sum(n: int, x: int, ctx: PadicContext, N: int, exps: range, mult: i
     k = size * r - r + n - top_j
     num = total * (b - a) ** max(r - n, 0) * b ** max(k, 0)
     den = (big_b - big_a) ** top_z * lcm * (b - a) ** max(n - r, 0) * a**top_i * b ** max(-k, 0)
-    return Fraction(num, den)
+    return Fraction(num, den) if reduced else (num, den)
 
 
-def riemann_sum_multi(n: int, r: int, x: int, ctx: PadicContext, N: int) -> Fraction:
-    """Stage-N r-fold sum for the unweighted family, as an exact rational; every
-    c_k is 1, so the r windows G(m + 1) are one power."""
-    return _riemann_sum(n, x, ctx, N, range(1, 2), r)
+def riemann_sum_multi(n: int, r: int, x: int, ctx: PadicContext, N: int, *,
+                      reduced: bool = True):
+    """Stage-N r-fold sum for the unweighted family, as an exact rational (the
+    unreduced pair (num, den) with reduced false); every c_k is 1, so the r
+    windows G(m + 1) are one power."""
+    return _riemann_sum(n, x, ctx, N, range(1, 2), r, reduced)
 
 
-def riemann_sum_weighted(n: int, h: int, r: int, x: int, ctx: PadicContext, N: int) -> Fraction:
+def riemann_sum_weighted(n: int, h: int, r: int, x: int, ctx: PadicContext, N: int, *,
+                         reduced: bool = True):
     """Stage-N r-fold sum with the extra per-coordinate weight q0^((c_k - 1) y_k),
-    c = weight_exponents(h, r).  Computable for every integer h, including the
-    e = 0 windows of a degenerate h; only the closed-form comparison is not."""
-    return _riemann_sum(n, x, ctx, N, weight_exponents(h, r))
+    c = weight_exponents(h, r), as riemann_sum_multi returns it.  Computable for
+    every integer h, including the e = 0 windows of a degenerate h; only the
+    closed-form comparison is not."""
+    return _riemann_sum(n, x, ctx, N, weight_exponents(h, r), 1, reduced)
 
 
 @dataclass
@@ -233,7 +242,11 @@ class ConvergenceReport:
 
 
 def convergence_report(family: str, params: dict, ctx: PadicContext) -> ConvergenceReport:
-    """Compare stage sums against the matching closed form at q0 for N = 1..Nmax."""
+    """Compare stage sums against the matching closed form at q0 for N = 1..Nmax.
+
+    Each valuation is read from the stage's unreduced num / den and the closed
+    value c / d as v_p(num d - c den) - v_p(den d), so no stage is reduced: for
+    q0 = a/b with b != 1 its gcd would cost far more than the stage itself."""
     if family not in FAMILIES:
         raise QsymDomainError(f"family must be one of {FAMILIES}")
     n = params["n"]
@@ -253,12 +266,15 @@ def convergence_report(family: str, params: dict, ctx: PadicContext) -> Converge
     _check_stage(ctx, n, r, exps, ctx.Nmax)
     closed = beta_weighted(n, h, r, 1, x) if family == "weighted" else beta_higher(n, r, 1, x)
     closed_val = closed.evaluate(ctx.q0)
+    c, d = closed_val.numerator, closed_val.denominator
     points = []
     for N in range(1, ctx.Nmax + 1):
         if family == "weighted":
-            s = riemann_sum_weighted(n, h, r, x, ctx, N)
+            num, den = riemann_sum_weighted(n, h, r, x, ctx, N, reduced=False)
         else:
-            s = riemann_sum_multi(n, r, x, ctx, N)
-        points.append((N, p_valuation(s - closed_val, ctx.p)))
+            num, den = riemann_sum_multi(n, r, x, ctx, N, reduced=False)
+        diff = num * d - c * den
+        v = _int_valuation(diff, ctx.p) - _int_valuation(den * d, ctx.p) if diff else math.inf
+        points.append((N, v))
     monotone = all(points[i + 1][1] >= points[i][1] for i in range(len(points) - 1))
     return ConvergenceReport(family, dict(params), ctx.p, ctx.q0, target, points, monotone)

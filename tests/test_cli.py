@@ -265,6 +265,24 @@ def test_verify_bad_input_exits_2(capsys, monkeypatch, env, argv):
     assert out == "" and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("env, argv", [
+    (None, ("--threads", "-3")),
+    (None, ("--threads", "0")),
+    ("0", ()),
+    ("-2", ()),
+    ("4", ("--threads", "0")),  # the flag wins over the variable
+])
+def test_verify_worker_count_below_one_exits_2_before_work(capsys, monkeypatch, env, argv):
+    if env is None:
+        monkeypatch.delenv("QSYM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("QSYM_THREADS", env)
+    monkeypatch.setattr(cli_mod, "sweep", None)  # a sweep started would exit 4
+    code, out, err = run(capsys, "verify", "--identity", "shift", *argv)
+    assert code == 2
+    assert out == "" and err.startswith("error: ") and "worker count" in err
+
+
 def test_table_rows_and_quoting(capsys):
     code, out, _ = run(capsys, "table", "--n", "0..1", "--r", "1", "--w", "1", "--arg", "0")
     assert code == 0

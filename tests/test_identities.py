@@ -335,22 +335,60 @@ def test_cached_sides_match_the_uncached_builders(cold_caches):
         assert [canonical_sides(r.lhs, r.rhs) for r in reports] == want
 
 
+def side_pairs(reports):
+    """The distinct unordered pairs of side keys the base-swap reports compare."""
+    pairs = set()
+    for rep in reports:
+        p = dict(rep.params)
+        w1, w2 = p.pop("w1"), p.pop("w2")
+        pairs.add((rep.identity, tuple(sorted(p.items())), frozenset({(w1, w2), (w2, w1)})))
+    return pairs
+
+
 def test_mirror_checks_share_each_side(cold_caches):
     cfg = SweepConfig(identities=("thm3", "thm4", "thm5", "thm6"), ns=(2, 3), rs=(1, 2),
                       w1s=(1, 2, 3), w2s=(1, 2, 3), xs=(1,), h_offsets=(0, 1))
     reports = sweep(cfg)
-    info = idn._side.cache_info()
-    assert info.hits == info.misses == len(reports)
+    info = idn._side_pair.cache_info()
+    # Each 3x3 block of (w1, w2) holds 3 diagonal and 3 mirror pairs: every pair
+    # is built once and every mirror check reads its partner's entry.
+    assert info.misses == len(side_pairs(reports)) == 2 * len(reports) // 3
+    assert info.hits == len(reports) - info.misses
 
 
 def test_side_cache_stays_within_its_bound(cold_caches):
     cfg = SweepConfig(identities=("thm3",), ns=(0, 1, 2, 3), rs=(1, 2), w1s=(1, 2, 3, 4),
                       w2s=(1, 2, 3, 4), xs=(0, 1))
-    sizes = []
+    sizes, reports = [], []
     for job in cfg.jobs():
-        assert idn._run_job(job).holds
-        sizes.append(idn._side.cache_info().currsize)
-    assert max(sizes) == idn._side.cache_info().maxsize
+        reports.append(idn._run_job(job))
+        assert reports[-1].holds
+        sizes.append(idn._side_pair.cache_info().currsize)
+    info = idn._side_pair.cache_info()
+    assert max(sizes) == info.maxsize
+    assert 2 * info.maxsize <= 64  # two sides a pair: no more than the old 64-side cache
+    assert info.misses == len(side_pairs(reports))  # no mirror partner was evicted
+
+
+def test_each_pair_of_sides_is_compared_once(monkeypatch, cold_caches):
+    calls = []
+    eq = RatFun.__eq__
+
+    def spy(a, b):
+        calls.append((a, b))  # holds both sides, so their ids stay unique
+        return eq(a, b)
+
+    monkeypatch.setattr(RatFun, "__eq__", spy)
+    reports = sweep(MIRROR_GRID)
+    swaps = [r for r in reports if r.identity != "multiplication"]
+    diagonal = [r for r in swaps if r.params["w1"] == r.params["w2"]]
+    assert diagonal and all(r.lhs is r.rhs and r.holds for r in diagonal)
+    mirror = {frozenset((id(r.lhs), id(r.rhs))) for r in swaps if r.lhs is not r.rhs}
+    compared = [frozenset((id(a), id(b))) for a, b in calls]
+    assert all(a is not b for a, b in calls)
+    assert mirror <= set(compared)
+    # One call per multiplication check and one per unordered pair of distinct sides.
+    assert len(compared) == len(set(compared)) == len(reports) - len(swaps) + len(mirror)
 
 
 def test_twist_is_not_hidden_by_warm_sides(monkeypatch, cold_caches):
@@ -359,6 +397,18 @@ def test_twist_is_not_hidden_by_warm_sides(monkeypatch, cold_caches):
     assert all(r.holds for r in sweep(cfg))
     monkeypatch.setattr(idn, "_THM4_LHS_TWIST", 1)
     assert not any(r.holds for r in sweep(cfg))
+
+
+def test_twisted_reports_keep_each_side_in_place(monkeypatch, cold_caches):
+    # A failing mirror pair is shared too: each report still shows its own lhs.
+    monkeypatch.setattr(idn, "_THM4_LHS_TWIST", 1)
+    cfg = SweepConfig(identities=("thm4",), ns=(1, 2), rs=(1, 2), w1s=(1, 2, 3), w2s=(1, 2, 3),
+                      xs=(1,))
+    for rep in sweep(cfg):
+        n, r, w1, w2, x = (rep.params[k] for k in ("n", "r", "w1", "w2", "x"))
+        assert not rep.holds
+        assert rep.lhs == oracle_side(n, r, None, w1, w2, x, 1), rep.params
+        assert rep.rhs == oracle_side(n, r, None, w2, w1, x), rep.params
 
 
 # -- the difference-table convolution side --------------------------------------

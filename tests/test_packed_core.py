@@ -18,8 +18,9 @@ import hypothesis.strategies as st
 
 import qsym.ratfun as ratfun_mod
 from qsym.qbernoulli import t_sum, t_sum_h
-from qsym.ratfun import (LaurentPoly, QsymDomainError, _new, _pack_int, _rewidth, _tight,
-                         _unpack_int)
+from qsym.ratfun import (LaurentPoly, QsymDomainError, ResourceLimitError, _new, _pack_int,
+                         _rewidth, _tight, _unpack_int)
+from sequential_sum import sequential_sum
 
 KRONECKER_MIN = 8
 
@@ -295,3 +296,86 @@ def test_one_and_zero_are_shared_constants():
         assert fields(pickle.loads(pickle.dumps(p))) == fields(p)
     assert fields(LaurentPoly.one()) == (0, [1], 1)
     assert fields(LaurentPoly.zero()) == (0, [], 1)
+
+
+# -- the fused linear combination -------------------------------------------------
+
+scalars = st.one_of(st.integers(-9, 9), st.sampled_from(EDGES), st.integers(-2**80, 2**80),
+                    st.fractions(min_value=-50, max_value=50, max_denominator=12))
+
+
+@st.composite
+def combinations(draw):
+    """Terms (k, s, p) with one-digit and multi-digit p, negative shifts and
+    exponents, Fraction scalars and denominators, and sometimes the negation of
+    an earlier term, so that parts or all of the sum cancel."""
+    one_digit = st.builds(lambda e, c: LaurentPoly({e: c}), st.integers(-6, 6), coeffs)
+    terms = draw(st.lists(st.tuples(scalars, st.integers(-6, 6),
+                                    st.one_of(polys(), one_digit)), max_size=6))
+    for i in draw(st.lists(st.integers(0, 5), max_size=3)):
+        if i < len(terms):
+            k, s, p = terms[i]
+            terms.append((-k, s, p))
+    return terms
+
+
+@settings(derandomize=True, max_examples=400)
+@given(combinations())
+def test_linear_combination_matches_the_sequential_loop(terms):
+    assert fields(ratfun_mod.linear_combination(terms)) == fields(sequential_sum(terms))
+
+
+@pytest.mark.parametrize("terms", [
+    [(3, -2, LaurentPoly({-1: Fraction(1, 4), 3: 5}))],  # a single term
+    [(Fraction(2, 3), 0, LaurentPoly({0: 1}))],  # a one-digit term with a Fraction scalar
+    [(5, 1, LaurentPoly({0: 2, 4: -7})), (-5, 1, LaurentPoly({0: 2, 4: -7}))],  # cancels
+    [(1, 0, LaurentPoly({0: 1, 1: 1})), (-1, 1, LaurentPoly({-1: 1, 0: 1}))],  # cancels shifted
+    [(0, 3, LaurentPoly({0: 1})), (7, 0, LaurentPoly.zero())],  # nothing to add
+])
+def test_linear_combination_edge_cases(terms):
+    assert fields(ratfun_mod.linear_combination(terms)) == fields(sequential_sum(terms))
+
+
+def test_linear_combination_span_guard_runs_before_packing(monkeypatch):
+    def packed(*args):
+        raise AssertionError("an operand was packed before the span guard")
+
+    wide = LaurentPoly({0: 1, 3: 2})
+    monkeypatch.setattr(ratfun_mod, "_rewidth", packed)
+    monkeypatch.setattr(ratfun_mod, "_make", packed)
+    monkeypatch.setattr(ratfun_mod, "_tight", packed)
+    terms = [(1, -ratfun_mod.MAX_SPAN + 2, wide), (5, 0, wide)]  # span MAX_SPAN + 1
+    with pytest.raises(ResourceLimitError, match=f"span {ratfun_mod.MAX_SPAN + 1} "):
+        ratfun_mod.linear_combination(terms)
+    monkeypatch.undo()
+    edge = [(1, -ratfun_mod.MAX_SPAN + 3, wide), (5, 0, wide)]  # span MAX_SPAN: allowed
+    assert fields(ratfun_mod.linear_combination(edge)) == fields(sequential_sum(edge))
+
+
+@settings(derandomize=True, max_examples=200)
+@given(st.lists(polys(), min_size=1, max_size=5), st.integers(0, 40), st.data())
+def test_common_width_holds_any_sum_within_its_grow(ps, grow, data):
+    ps = [p for p in ps if p] or [LaurentPoly({0: 1})]
+    ps = [LaurentPoly({e: c.numerator for e, c in p.terms.items()}) for p in ps]  # den 1
+    same = ratfun_mod.common_width(ps, grow)
+    assert [fields(p) for p in same] == [fields(p) for p in ps]
+    assert len({p.size for p in same}) == 1
+    assert all(p.bits == _tight(p) for p in same)
+    # Multipliers whose absolute values add up to at most 2**grow.
+    ks = [data.draw(st.integers(-2**grow, 2**grow)) for _ in ps]
+    ks = [(1 if k > 0 else -1) * (abs(k) // len(ks)) for k in ks]
+    terms = [(k, i, p) for i, (k, p) in enumerate(zip(ks, same))]
+    widths = []
+    real = ratfun_mod._rewidth
+
+    def spy(P, n, s1, s2):
+        widths.append((s1, s2))
+        return real(P, n, s1, s2)
+
+    ratfun_mod._rewidth = spy
+    try:
+        total = ratfun_mod.linear_combination(terms)
+    finally:
+        ratfun_mod._rewidth = real
+    assert all(s1 == s2 for s1, s2 in widths)
+    assert fields(total) == fields(sequential_sum(terms))

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from composition_kernel import composition_weights
+from sequential_sum import sequential_closed_form
 from qsym.qbernoulli import (
     BetaQuery,
     DegenerateWeightError,
@@ -22,6 +23,7 @@ from qsym.qbernoulli import (
     beta_weighted,
     classical_bernoulli,
     classical_bernoulli_higher,
+    closed_form,
     t_sum,
     t_sum_h,
     weight_exponents,
@@ -441,3 +443,23 @@ def test_closed_forms_match_term_by_term_formula(n, r, w, arg):
             return out
 
         assert beta_weighted(n, h, r, w, arg) == closed_form_by_terms(n, w, arg, weighted), h
+
+
+# power(j) as closed_form receives it: one-digit powers fold into the term's
+# scalar and shift, multi-digit ones multiply the cofactor first.
+POWERS = {
+    "monomial": lambda j: LaurentPoly({3 * j: 1}),
+    "negative exponent": lambda j: LaurentPoly({-2 * j - 1: 1}),
+    "int coefficient": lambda j: LaurentPoly({j: 7 - 3 * j}),
+    "fraction coefficient": lambda j: LaurentPoly({-j: Fraction(2 * j + 1, 6)}),
+    "multi-digit": lambda j: LaurentPoly({0: 1, j + 1: Fraction(-1, 3), -j: 5}),
+    "mixed": lambda j: LaurentPoly({j: 2}) if j % 2 else LaurentPoly({0: 1, 2 * j + 1: -4}),
+}
+
+
+@pytest.mark.parametrize("power", POWERS.values(), ids=POWERS.keys())
+def test_closed_form_matches_the_sequential_loop(power):
+    for n, r, w in itertools.product((0, 1, 3, 5), (1, 2), (1, 3)):
+        for h in (None, r, r + 2, -n - 1):
+            got, want = closed_form(n, r, w, power, h), sequential_closed_form(n, r, w, power, h)
+            assert got.den is want.den and got.num == want.num, (n, r, w, h)

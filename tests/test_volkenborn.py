@@ -100,6 +100,32 @@ def test_deep_integer_stage_sum_matches_the_fraction_form(p, q0):
         assert volkenborn_mod._riemann_sum(3, -1, ctx, N, exps, mult) == expected, (exps, mult, N)
 
 
+@pytest.mark.parametrize("p, q0", INTEGER_ORACLE_CONTEXTS)
+def test_report_valuations_match_the_fraction_path(p, q0):
+    # convergence_report reads each valuation from the unreduced stage; the
+    # reduced Fraction minus the closed value must give the same points.
+    ctx = PadicContext(p=p, q0=q0, Nmax=3, budget=10**40)
+    cases = [("multi", n, r, None, x)
+             for n, r, x in itertools.product((0, 1, 3), (1, 2), (-1, 0, 2))]
+    cases += [("weighted", n, r, h, x) for n, r, x in itertools.product((0, 2), (1, 2), (-1, 1))
+              for h in (-n - 1, r, r + 2)]
+    for family, n, r, h, x in cases:
+        if family == "weighted":
+            stage = lambda N, **kw: riemann_sum_weighted(n, h, r, x, ctx, N, **kw)
+            closed = beta_weighted(n, h, r, 1, x).evaluate(ctx.q0)
+            params = {"n": n, "h": h, "r": r, "x": x}
+        else:
+            stage = lambda N, **kw: riemann_sum_multi(n, r, x, ctx, N, **kw)
+            closed = beta_higher(n, r, 1, x).evaluate(ctx.q0)
+            params = {"n": n, "r": r, "x": x}
+        want = []
+        for N in (1, 2, 3):
+            value = stage(N)
+            assert Fraction(*stage(N, reduced=False)) == value, (family, params, N)
+            want.append((N, p_valuation(value - closed, p)))
+        assert convergence_report(family, params, ctx).points == want, (family, params)
+
+
 def test_stage_fraction_gets_a_small_denominator(monkeypatch):
     # Every window e != 0 carries the factor B - A of 1 - Q = (B - A) / B, so the
     # (1 - Q)^r of the stage cancels before the one Fraction: its denominator had
