@@ -23,7 +23,11 @@ bits end in one Fraction, over a few dozen bits for b = 1 and no zero window.
 Convergence to the matching closed form is certified by the p-adic valuations
 of S_N minus the closed-form value being nondecreasing in N, each read from the
 stage's unreduced numerator and denominator: for b != 1 the reduced Fraction's
-gcd would cost more than the stage itself.
+gcd would cost more than the stage itself.  The closed-form value at q0 is
+summed term by term in integers (qbernoulli._closed_value: O(n r) products
+of powers of a, b and b - a, one lcm, one Fraction), with no rational function
+built and nothing shared with the stage kernel, so each valuation compares two
+independent computations.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .qbernoulli import WeightedBetaQuery, beta_higher, beta_weighted, weight_exponents
+from .qbernoulli import WeightedBetaQuery, _closed_value, weight_exponents
 from .ratfun import QsymDomainError, ResourceLimitError
 
 FAMILIES = ("single", "multi", "weighted")
@@ -252,21 +256,19 @@ def convergence_report(family: str, params: dict, ctx: PadicContext) -> Converge
     n = params["n"]
     x = params.get("x", 0)
     if family == "single":
-        r, exps = 1, range(1, 2)
+        r, h, exps = 1, None, range(1, 2)
         target = f"integral of [x + y]^{n} against the q-measure, x = {x}"
     elif family == "multi":
-        r, exps = params["r"], range(1, 2)
+        r, h, exps = params["r"], None, range(1, 2)
         target = f"{r}-fold integral of [x + sum y]^{n}, x = {x}"
     else:
-        r = params["r"]
-        h = params["h"]
+        r, h = params["r"], params["h"]
         WeightedBetaQuery(n, h, r, 1, x)
         exps = weight_exponents(h, r)
         target = f"{r}-fold integral of [x + sum y]^{n} with weight exponent h = {h}, x = {x}"
     _check_stage(ctx, n, r, exps, ctx.Nmax)
-    closed = beta_weighted(n, h, r, 1, x) if family == "weighted" else beta_higher(n, r, 1, x)
-    closed_val = closed.evaluate(ctx.q0)
-    c, d = closed_val.numerator, closed_val.denominator
+    closed = _closed_value(n, r, x, ctx.q0, h)
+    c, d = closed.numerator, closed.denominator
     points = []
     for N in range(1, ctx.Nmax + 1):
         if family == "weighted":

@@ -21,8 +21,13 @@ def sp(p: LaurentPoly):
                        for e, c in p.terms.items()])
 
 
-def sp_ratfun(f: RatFun):
-    return sp(f.num) / sp(f.den)
+def qq_pair(f: RatFun):
+    """f as N / D, two sympy Polys over QQ: both Laurent parts shifted by one
+    power of q, so no expression is built or simplified."""
+    lo = min(e for p in (f.num, f.den) for e in p.terms)
+    return tuple(sympy.Poly.from_dict({(e - lo,): sympy.QQ(c.numerator, c.denominator)
+                                       for e, c in p.terms.items()}, q, domain=sympy.QQ)
+                 for p in (f.num, f.den))
 
 
 def sp_poly(p: LaurentPoly):
@@ -69,15 +74,17 @@ def test_ring_operations_match_sympy(a, b):
 def test_ratfun_eq_and_canonical_match_sympy(f, g, c, same):
     if same:
         g = RatFun(f.num * c, f.den * c)
-    assert (f == g) == (sympy.cancel(sp_ratfun(f) - sp_ratfun(g)) == 0)
+    (fn, fd), (gn, gd) = qq_pair(f), qq_pair(g)
+    assert (f == g) == (fn * gd - gn * fd).is_zero
     red = f.canonical()
-    assert sympy.cancel(sp_ratfun(red) - sp_ratfun(f)) == 0
-    # sympy's reduced denominator, without its power of q, made primitive with
-    # a positive leading coefficient, is the canonical denominator.
-    _, den = sympy.fraction(sympy.cancel(sp_ratfun(f)))
-    den = sympy.Poly(den, q)
-    den = sympy.Poly(sympy.expand(den.as_expr() / q ** min(m for (m,) in den.monoms())), q)
-    den = den.primitive()[1]
+    rn, rd = qq_pair(red)
+    assert (rn * fd - fn * rd).is_zero
+    # sympy's reduced denominator, without its power of q, made primitive over
+    # ZZ with a positive leading coefficient, is the canonical denominator.
+    _, den = fn.cancel(fd, include=True)
+    low = min(m for (m,) in den.monoms())
+    den = sympy.Poly.from_dict({(m - low,): c for (m,), c in den.terms()}, q, domain=sympy.QQ)
+    den = den.clear_denoms(convert=True)[1].primitive()[1]
     if den.LC() < 0:
         den = -den
     assert red.den.min_exp == 0

@@ -303,7 +303,7 @@ def test_stage_size_guard_refuses_before_any_work(monkeypatch):
     def no_work(*args):
         raise AssertionError("a report past the stage-size guard did work")
 
-    for name in ("beta_higher", "riemann_sum_multi", "_riemann_sum"):
+    for name in ("_closed_value", "riemann_sum_multi", "_riemann_sum"):
         monkeypatch.setattr(volkenborn_mod, name, no_work)
     # 9.6M bits at N = 7 for n = 40; the deepest stage is checked first.
     ctx = PadicContext(p=5, Nmax=7)
@@ -342,6 +342,19 @@ def test_convergence_report_closed_form_uses_weighted_family():
     closed = eval_rational(beta_weighted(2, 3, 2, 1, 1), Fraction(6))
     s2 = riemann_sum_weighted(2, 3, 2, 1, ctx, 2)
     assert rep.points[1] == (2, p_valuation(s2 - closed, 5))
+
+
+def test_report_builds_no_closed_form_polynomial():
+    # The closed value is summed in integers, so a report whose closed form
+    # spans past MAX_SPAN runs; the oracle is the defining sum over Fractions.
+    n, h, q0 = 10, 9_200, Fraction(-2)
+    with pytest.raises(ResourceLimitError, match="MAX_SPAN"):
+        beta_weighted(n, h, 1, 1, 0)
+    closed = sum((-1) ** j * math.comb(n, j) * (j + h) * (1 - q0) / (1 - q0 ** (j + h))
+                 for j in range(n + 1)) / (1 - q0) ** n
+    ctx = PadicContext(p=3, q0=q0, Nmax=1)
+    rep = convergence_report("weighted", {"n": n, "h": h, "r": 1}, ctx)
+    assert rep.points == [(1, p_valuation(riemann_sum_weighted(n, h, 1, 0, ctx, 1) - closed, 3))]
 
 
 def test_report_json_schema():
