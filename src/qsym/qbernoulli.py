@@ -130,7 +130,9 @@ def _closed_value(n: int, r: int, x: int, q0: Fraction, h: int | None = None) ->
     e > 0 and -(b-a) a^k / (b (b^k - a^k)) for e < 0.  Term j is num / den times
     a^i b^l, its dens meet in one lcm, and the sum ends in one Fraction: O(n r)
     integer operations.  The RatFun of beta_higher / beta_weighted is its
-    oracle."""
+    oracle.  It validates its query and derives c itself, as the oracle does,
+    although a convergence report has done both already; the size of a^i b^l
+    is bounded only by the report's stage-size guard."""
     if h is None:
         BetaQuery(n, r, 1, x)
         exps, mult = range(1, 2), r

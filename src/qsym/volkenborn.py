@@ -46,7 +46,9 @@ FAMILIES = ("single", "multi", "weighted")
 # q0 = 6 the single family needs 0.70M bits for n = 2, N = 7, 1.4M for n = 5
 # and 2.6M for n = 10, whose reports take 0.02, 0.13 and 0.44 s on a shared 2-core
 # machine (CPython 3.11): the products that build the windows K_k, not a gcd, cost
-# superlinearly in this size, and no budget on index tuples bounds it.
+# superlinearly in this size, and no budget on index tuples bounds it.  An
+# argument x adds the powers q0^(m x): x = -300000 fills 1.8M bits with n = 2,
+# N = 1, and that report takes 2.6 s, half of it the closed value's gcd.
 MAX_STAGE_BITS = 2_000_000
 
 
@@ -140,18 +142,19 @@ def _check_budget(ctx: PadicContext, r: int, N: int) -> int:
     return ctx.p**N
 
 
-def _check_stage(ctx: PadicContext, n: int, r: int, exps: range, N: int) -> int:
+def _check_stage(ctx: PadicContext, n: int, r: int, x: int, exps: range, N: int) -> int:
     """Refuse stage N before it is built, by ctx.budget and then by MAX_STAGE_BITS,
-    and return p^N.  Its numbers take about r (n + max|c_k|) p^N times the bit
-    length of q0's larger term; both bounds grow with N, so a report checks its
-    deepest stage first."""
+    and return p^N.  Its numbers take about r (n + max|c_k|) p^N + n |x| times
+    the bit length of q0's larger term, the n |x| being the powers q0^(m x) that
+    the stage and the closed value both build; both bounds grow with N, so a
+    report checks its deepest stage first."""
     if not 1 <= N <= ctx.Nmax:
         raise QsymDomainError(f"N must be in 1..{ctx.Nmax}")
     if n < 0 or r < 1:
         raise QsymDomainError("need n >= 0 and r >= 1")
     size = _check_budget(ctx, r, N)
     height = max(abs(ctx.q0.numerator), ctx.q0.denominator).bit_length()
-    bits = r * (n + max(abs(exps[0]), abs(exps[-1]))) * size * height
+    bits = (r * (n + max(abs(exps[0]), abs(exps[-1]))) * size + n * abs(x)) * height
     if bits > MAX_STAGE_BITS:
         raise ResourceLimitError(
             f"stage N = {N} builds numbers of about {bits} bits, over the guard "
@@ -179,7 +182,7 @@ def _riemann_sum(n: int, x: int, ctx: PadicContext, N: int, exps: range, mult: i
     windows; with reduced false, the unreduced pair (num, den) that Fraction
     would take, skipping its gcd."""
     r = mult * len(exps)
-    size = _check_stage(ctx, n, r, exps, N)
+    size = _check_stage(ctx, n, r, x, exps, N)
     a, b = ctx.q0.numerator, ctx.q0.denominator
     big_a, big_b = a**size, b**size
     window = _windows(a, b, big_a, big_b, size, min(exps), max(exps) + n)
@@ -266,7 +269,7 @@ def convergence_report(family: str, params: dict, ctx: PadicContext) -> Converge
         WeightedBetaQuery(n, h, r, 1, x)
         exps = weight_exponents(h, r)
         target = f"{r}-fold integral of [x + sum y]^{n} with weight exponent h = {h}, x = {x}"
-    _check_stage(ctx, n, r, exps, ctx.Nmax)
+    _check_stage(ctx, n, r, x, exps, ctx.Nmax)
     closed = _closed_value(n, r, x, ctx.q0, h)
     c, d = closed.numerator, closed.denominator
     points = []

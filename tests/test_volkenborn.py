@@ -283,14 +283,17 @@ def test_budget_refusal_allocates_nothing_of_length_r(family):
     ("single", {"n": 6}, 5, 5, 65_625),             # r (n + max|c_k|) p^N * bitlen(6)
     ("multi", {"n": 3, "r": 2}, 5, 4, 15_000),
     ("weighted", {"n": 4, "h": -6, "r": 2}, 7, 2, 4_312),  # c = (-6, -7), q0 = 8
+    ("multi", {"n": 3, "r": 2, "x": -500}, 5, 3, 7_500),  # (r (n + 1) p^N + n |x|) * 3
 ])
 def test_stage_size_guard_bound_is_the_predicted_size(monkeypatch, family, params, p, N, bits):
     ctx = PadicContext(p=p, Nmax=N)
     monkeypatch.setattr(volkenborn_mod, "MAX_STAGE_BITS", bits)
     if family == "weighted":
-        stage = lambda: riemann_sum_weighted(params["n"], params["h"], params["r"], 0, ctx, N)
+        stage = lambda: riemann_sum_weighted(params["n"], params["h"], params["r"],
+                                             params.get("x", 0), ctx, N)
     else:
-        stage = lambda: riemann_sum_multi(params["n"], params.get("r", 1), 0, ctx, N)
+        stage = lambda: riemann_sum_multi(params["n"], params.get("r", 1), params.get("x", 0),
+                                          ctx, N)
     assert isinstance(stage(), Fraction)  # at the bound: fine
     monkeypatch.setattr(volkenborn_mod, "MAX_STAGE_BITS", bits - 1)
     with pytest.raises(ResourceLimitError, match=f"about {bits} bits"):
@@ -309,7 +312,10 @@ def test_stage_size_guard_refuses_before_any_work(monkeypatch):
     ctx = PadicContext(p=5, Nmax=7)
     with pytest.raises(ResourceLimitError, match="N = 7 builds numbers of about 9609375 bits"):
         convergence_report("single", {"n": 40}, ctx)
-    assert volkenborn_mod._check_stage(ctx, 2, 1, range(1, 2), 7) == 5**7  # 0.70M bits: runs
+    assert volkenborn_mod._check_stage(ctx, 2, 1, 0, range(1, 2), 7) == 5**7  # 0.70M bits: runs
+    # The powers q0^(m x) count too: 6^(2 * 10^9) would be 650 MB at N = 1.
+    with pytest.raises(ResourceLimitError, match="N = 1 builds numbers of about 6000000045 bits"):
+        convergence_report("single", {"n": 2, "x": 10**9}, PadicContext(p=5, Nmax=1))
 
 
 def test_shift_equation_at_finite_stage():
