@@ -47,8 +47,9 @@ FAMILIES = ("single", "multi", "weighted")
 # and 2.6M for n = 10, whose reports take 0.02, 0.13 and 0.44 s on a shared 2-core
 # machine (CPython 3.11): the products that build the windows K_k, not a gcd, cost
 # superlinearly in this size, and no budget on index tuples bounds it.  An
-# argument x adds the powers q0^(m x): x = -300000 fills 1.8M bits with n = 2,
-# N = 1, and that report takes 2.6 s, half of it the closed value's gcd.
+# argument x adds the powers q0^(m x): the weighted report n = 2, h = 2, r = 1,
+# N = 1, x = -300000 needs 1.8M bits and takes 2.6 s, half of it the closed
+# value's gcd.
 MAX_STAGE_BITS = 2_000_000
 
 
