@@ -376,14 +376,22 @@ def _run_job(job) -> CheckReport:
     return _CHECKERS[ident](**params)
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def sweep(cfg: SweepConfig, threads: int = 1) -> list[CheckReport]:
     """Run every selected checker over the grid; deterministic report order.
 
-    The pool gets min(threads, jobs, cpu_count) workers: with the fork start
-    method every worker starts at once, so more would only cost memory.
+    The pool gets min(threads, jobs, usable CPUs) workers, the CPUs being those
+    this process may run on (cpu_count where the platform cannot say): with the
+    fork start method every worker starts at once, so more would only cost
+    memory, and workers sharing one CPU run slower than no pool.
     """
     jobs = cfg.jobs()
-    workers = min(threads, len(jobs), os.cpu_count() or 1)
+    workers = min(threads, len(jobs), _usable_cpus())
     if workers <= 1:
         return [_run_job(j) for j in jobs]
     from concurrent.futures import ProcessPoolExecutor  # lazily: most of qsym's import time

@@ -21,13 +21,18 @@ products alone, powers of a and b stay exponents, the small b^k - a^k meet in on
 lcm, and O(n r) products of numbers of about (n + max|c_k|) p^N log2 height(q0)
 bits end in one Fraction, over a few dozen bits for b = 1 and no zero window.
 Convergence to the matching closed form is certified by the p-adic valuations
-of S_N minus the closed-form value being nondecreasing in N, each read from the
-stage's unreduced numerator and denominator: for b != 1 the reduced Fraction's
-gcd would cost more than the stage itself.  The closed-form value at q0 is
-summed term by term in integers (qbernoulli._closed_value: O(n r) products
-of powers of a, b and b - a, one lcm, one Fraction), with no rational function
-built and nothing shared with the stage kernel, so each valuation compares two
-independent computations.
+of S_N minus the closed-form value being nondecreasing in N.  A report reads
+each from the same kernel run modulo p^K, K = N + 64: every power becomes a
+three-argument pow and every product is reduced, so the stage costs O(n r)
+operations on numbers of K digits in base p, and only the divisions by the small
+b^k - a^k stay exact.  An integer that is nonzero mod p^K has the valuation of its
+residue, so the result is exact; where a residue vanishes (always when S_N equals
+the closed value) the report builds the stage exactly, as an unreduced numerator
+and denominator, since for b != 1 the reduced Fraction's gcd would cost more than
+the stage itself.  The closed-form value at q0 is summed term by term in integers
+(qbernoulli._closed_value: O(n r) products of powers of a, b and b - a, one lcm,
+one Fraction), with no rational function built and nothing shared with the stage
+kernel, so each valuation compares two independent computations.
 """
 
 from __future__ import annotations
@@ -42,15 +47,21 @@ from .ratfun import QsymDomainError, ResourceLimitError
 
 FAMILIES = ("single", "multi", "weighted")
 
-# Largest predicted size, in bits, of the numbers a stage sum builds.  At p = 5,
-# q0 = 6 the single family needs 0.70M bits for n = 2, N = 7, 1.4M for n = 5
-# and 2.6M for n = 10, whose reports take 0.02, 0.13 and 0.44 s on a shared 2-core
-# machine (CPython 3.11): the products that build the windows K_k, not a gcd, cost
-# superlinearly in this size, and no budget on index tuples bounds it.  An
-# argument x adds the powers q0^(m x): the weighted report n = 2, h = 2, r = 1,
-# N = 1, x = -300000 needs 1.8M bits and takes 2.6 s, half of it the closed
-# value's gcd.
+# Largest predicted size, in bits, of the numbers an exact stage sum builds.  At
+# p = 5, q0 = 6 the single family needs 0.70M bits for n = 2, N = 7, 1.4M for n = 5
+# and 2.6M for n = 10, whose exact stages take 0.02, 0.10 and 0.50 s on a shared
+# 2-core machine (CPython 3.11): the products that build the windows K_k, not a gcd,
+# cost superlinearly in this size, and no budget on index tuples bounds it.  A
+# report reads its stages mod p^(N + 64) in under 1 ms at all three, and builds a
+# stage exactly only as the fallback, which this guard bounds.  An argument x adds
+# the powers q0^(m x): the weighted report n = 2, h = 2, r = 1, N = 1, x = -300000
+# needs 1.8M bits and takes 1.5 s, nearly all of it the closed value's gcd (its
+# exact stage takes 0.26 s).
 MAX_STAGE_BITS = 2_000_000
+
+# p-adic digits, past N, that a report keeps of each stage (see convergence_report);
+# the count only decides how often a report falls back to the exact stage.
+_RESIDUE_DIGITS = 64
 
 
 # The first 13 primes: as Miller-Rabin bases they decide every p < PSI_13
@@ -164,63 +175,64 @@ def _check_stage(ctx: PadicContext, n: int, r: int, x: int, exps: range, N: int)
     return size
 
 
-def _windows(a: int, b: int, big_a: int, big_b: int, size: int, lo: int, hi: int) -> dict:
+def _windows(a: int, b: int, big_a: int, big_b: int, size: int, lo: int, hi: int,
+             mod: int = None) -> dict:
     """G(e) = (B - A)^(1-z) M^z K / (d a^i b^j) for lo <= e <= hi as (K, d, z, i, j):
-    K_k and d = b^k - a^k with k = |e| (K_0 = 0, K_(k+1) = A K_k + B^k), or z = 1 at e = 0."""
+    K_k and d = b^k - a^k with k = |e| (K_0 = 0, K_(k+1) = A K_k + B^k), or z = 1 at e = 0.
+    With mod set, each K_k is reduced mod it; d stays exact (pow(v, 1, None) is v)."""
     ks, big_bk = [0], 1
     for _ in range(max(-lo, hi)):
-        ks.append(big_a * ks[-1] + big_bk)
-        big_bk *= big_b
+        ks.append(pow(big_a * ks[-1] + big_bk, 1, mod))
+        big_bk = pow(big_bk * big_b, 1, mod)
     return {e: (ks[abs(e)], b ** abs(e) - a ** abs(e), 0, max(-e, 0) * (size - 1),
                 max(e, 0) * (size - 1)) if e else (size, 1, 1, 0, 0) for e in range(lo, hi + 1)}
 
 
 def _riemann_sum(n: int, x: int, ctx: PadicContext, N: int, exps: range, mult: int = 1,
-                 reduced: bool = True):
+                 mod: int = None) -> tuple:
     """S_N of the module docstring, c being each exponent of exps taken mult
-    times (r = mult * len(exps)), in integers: O(n * len(exps)) operations, no
-    O(r) object, and one Fraction whose denominator keeps B - A only for e = 0
-    windows; with reduced false, the unreduced pair (num, den) that Fraction
-    would take, skipping its gcd."""
+    times (r = mult * len(exps)), in integers: O(n * len(exps)) operations and
+    no O(r) object.  Returns the unreduced pair (num, den), whose denominator
+    keeps B - A only for e = 0 windows; with mod set, both are only congruent to
+    that pair mod it, every power and product of size p^N being taken mod it.
+    The divisions lcm // den stay exact on the small b^k - a^k either way."""
     r = mult * len(exps)
     size = _check_stage(ctx, n, r, x, exps, N)
     a, b = ctx.q0.numerator, ctx.q0.denominator
-    big_a, big_b = a**size, b**size
-    window = _windows(a, b, big_a, big_b, size, min(exps), max(exps) + n)
+    big_a, big_b = pow(a, size, mod), pow(b, size, mod)
+    window = _windows(a, b, big_a, big_b, size, min(exps), max(exps) + n, mod)
     terms = []  # term m over (B - A)^(r - z) as (num, den, z, i, j): num / (den a^i b^j)
     for m in range(n + 1):
         num, den, z, i, j = (-1) ** m * math.comb(n, m), 1, 0, -m * x, m * x  # q0^(m x)
         for c in exps:
             wk, wd, wz, wi, wj = window[m + c]
-            num, den = num * wk**mult, den * wd**mult
+            num, den = pow(num * pow(wk, mult, mod), 1, mod), den * wd**mult
             z, i, j = z + mult * wz, i + mult * wi, j + mult * wj
         terms.append((num, den, z, i, j))
     lcm = math.lcm(*(t[1] for t in terms))
     top_z, top_i, top_j = (max(t[k] for t in terms) for k in (2, 3, 4))  # term 0 has i, j >= 0
-    total = sum(num * (lcm // den) * (big_b - big_a) ** (top_z - z) * a ** (top_i - i)
-                * b ** (top_j - j) for num, den, z, i, j in terms)
+    total = sum(num * (lcm // den) * pow(big_b - big_a, top_z - z, mod) * pow(a, top_i - i, mod)
+                * pow(b, top_j - j, mod) for num, den, z, i, j in terms)
     # (1-q0)^(r-n) / (1-Q)^r = (b-a)^(r-n) b^(M r - r + n) / (B - A)^r
     k = size * r - r + n - top_j
-    num = total * (b - a) ** max(r - n, 0) * b ** max(k, 0)
-    den = (big_b - big_a) ** top_z * lcm * (b - a) ** max(n - r, 0) * a**top_i * b ** max(-k, 0)
-    return Fraction(num, den) if reduced else (num, den)
+    num = total * (b - a) ** max(r - n, 0) * pow(b, max(k, 0), mod)
+    den = (pow(big_b - big_a, top_z, mod) * lcm * (b - a) ** max(n - r, 0) * pow(a, top_i, mod)
+           * pow(b, max(-k, 0), mod))
+    return num, den
 
 
-def riemann_sum_multi(n: int, r: int, x: int, ctx: PadicContext, N: int, *,
-                      reduced: bool = True):
-    """Stage-N r-fold sum for the unweighted family, as an exact rational (the
-    unreduced pair (num, den) with reduced false); every c_k is 1, so the r
-    windows G(m + 1) are one power."""
-    return _riemann_sum(n, x, ctx, N, range(1, 2), r, reduced)
+def riemann_sum_multi(n: int, r: int, x: int, ctx: PadicContext, N: int) -> Fraction:
+    """Stage-N r-fold sum for the unweighted family, as an exact rational; every
+    c_k is 1, so the r windows G(m + 1) are one power."""
+    return Fraction(*_riemann_sum(n, x, ctx, N, range(1, 2), r))
 
 
-def riemann_sum_weighted(n: int, h: int, r: int, x: int, ctx: PadicContext, N: int, *,
-                         reduced: bool = True):
+def riemann_sum_weighted(n: int, h: int, r: int, x: int, ctx: PadicContext, N: int) -> Fraction:
     """Stage-N r-fold sum with the extra per-coordinate weight q0^((c_k - 1) y_k),
-    c = weight_exponents(h, r), as riemann_sum_multi returns it.  Computable for
-    every integer h, including the e = 0 windows of a degenerate h; only the
+    c = weight_exponents(h, r), as an exact rational.  Computable for every
+    integer h, including the e = 0 windows of a degenerate h; only the
     closed-form comparison is not."""
-    return _riemann_sum(n, x, ctx, N, weight_exponents(h, r), 1, reduced)
+    return Fraction(*_riemann_sum(n, x, ctx, N, weight_exponents(h, r)))
 
 
 @dataclass
@@ -252,21 +264,22 @@ class ConvergenceReport:
 def convergence_report(family: str, params: dict, ctx: PadicContext) -> ConvergenceReport:
     """Compare stage sums against the matching closed form at q0 for N = 1..Nmax.
 
-    Each valuation is read from the stage's unreduced num / den and the closed
-    value c / d as v_p(num d - c den) - v_p(den d), so no stage is reduced: for
-    q0 = a/b with b != 1 its gcd would cost far more than the stage itself."""
+    Each valuation is v_p(num d - c den) - v_p(den d), with num / den the stage's
+    unreduced pair and c / d the closed value, read from both residues mod p^K,
+    K = N + _RESIDUE_DIGITS, or from the exact stage where one of them vanishes
+    (see the module docstring)."""
     if family not in FAMILIES:
         raise QsymDomainError(f"family must be one of {FAMILIES}")
     n = params["n"]
     x = params.get("x", 0)
     if family == "single":
-        r, h, exps = 1, None, range(1, 2)
+        r, h, exps, mult = 1, None, range(1, 2), 1
         target = f"integral of [x + y]^{n} against the q-measure, x = {x}"
     elif family == "multi":
-        r, h, exps = params["r"], None, range(1, 2)
+        r, h, exps, mult = params["r"], None, range(1, 2), params["r"]
         target = f"{r}-fold integral of [x + sum y]^{n}, x = {x}"
     else:
-        r, h = params["r"], params["h"]
+        r, h, mult = params["r"], params["h"], 1
         WeightedBetaQuery(n, h, r, 1, x)
         exps = weight_exponents(h, r)
         target = f"{r}-fold integral of [x + sum y]^{n} with weight exponent h = {h}, x = {x}"
@@ -275,12 +288,13 @@ def convergence_report(family: str, params: dict, ctx: PadicContext) -> Converge
     c, d = closed.numerator, closed.denominator
     points = []
     for N in range(1, ctx.Nmax + 1):
-        if family == "weighted":
-            num, den = riemann_sum_weighted(n, h, r, x, ctx, N, reduced=False)
-        else:
-            num, den = riemann_sum_multi(n, r, x, ctx, N, reduced=False)
-        diff = num * d - c * den
-        v = _int_valuation(diff, ctx.p) - _int_valuation(den * d, ctx.p) if diff else math.inf
+        mod = ctx.p ** (N + _RESIDUE_DIGITS)
+        num, den = _riemann_sum(n, x, ctx, N, exps, mult, mod)
+        diff, den_d = (num * d - c * den) % mod, den * d % mod
+        if not (diff and den_d):
+            num, den = _riemann_sum(n, x, ctx, N, exps, mult)
+            diff, den_d = num * d - c * den, den * d
+        v = _int_valuation(diff, ctx.p) - _int_valuation(den_d, ctx.p) if diff else math.inf
         points.append((N, v))
     monotone = all(points[i + 1][1] >= points[i][1] for i in range(len(points) - 1))
     return ConvergenceReport(family, dict(params), ctx.p, ctx.q0, target, points, monotone)

@@ -270,12 +270,19 @@ class _SerialPool:
         return map(fn, items)
 
 
+# cpus: the CPUs this process may run on (os.cpu_count counts more); None, a
+# platform without sched_getaffinity whose cpu_count cannot tell either.
 @pytest.mark.parametrize("threads, cpus, expected", [
-    (10_000, 3, 3), (2, 8, 2), (64, None, None), (5, 8, 4),
+    (10_000, 3, 3), (2, 8, 2), (64, None, None), (5, 8, 4), (2, 1, None),
 ])
 def test_sweep_clamps_workers_before_the_pool_starts(monkeypatch, threads, cpus, expected):
     cfg = SweepConfig(identities=("recurrence",), ns=(0, 1, 2, 3))
-    monkeypatch.setattr(idn.os, "cpu_count", lambda: cpus)
+    if cpus is None:
+        monkeypatch.delattr(idn.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(idn.os, "cpu_count", lambda: None)
+    else:
+        monkeypatch.setattr(idn.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(idn.os, "cpu_count", lambda: 64)
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _SerialPool)
     _SerialPool.seen = []
     reports = [r.to_json_line() for r in sweep(cfg, threads=threads)]

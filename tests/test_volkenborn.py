@@ -83,7 +83,7 @@ def test_integer_stage_sum_matches_the_fraction_form(p, q0):
                              (1, 2, 3), (1, 2, 3))
     for n, x, exps, mult, N in grid:
         expected = fraction_stage_sum(n, x, ctx.q0, p**N, exps, mult)
-        assert volkenborn_mod._riemann_sum(n, x, ctx, N, exps, mult) == expected, \
+        assert Fraction(*volkenborn_mod._riemann_sum(n, x, ctx, N, exps, mult)) == expected, \
             (n, x, exps, mult, N)
 
 
@@ -97,7 +97,8 @@ def test_deep_integer_stage_sum_matches_the_fraction_form(p, q0):
     ctx = PadicContext(p=p, q0=q0, Nmax=5, budget=10**40)
     for exps, mult, N in itertools.product((range(-1, 2), range(1, 2)), (1, 2), (4, 5)):
         expected = fraction_stage_sum(3, -1, ctx.q0, p**N, exps, mult)
-        assert volkenborn_mod._riemann_sum(3, -1, ctx, N, exps, mult) == expected, (exps, mult, N)
+        assert Fraction(*volkenborn_mod._riemann_sum(3, -1, ctx, N, exps, mult)) == expected, \
+            (exps, mult, N)
 
 
 @pytest.mark.parametrize("p, q0", INTEGER_ORACLE_CONTEXTS)
@@ -111,19 +112,93 @@ def test_report_valuations_match_the_fraction_path(p, q0):
               for h in (-n - 1, r, r + 2)]
     for family, n, r, h, x in cases:
         if family == "weighted":
-            stage = lambda N, **kw: riemann_sum_weighted(n, h, r, x, ctx, N, **kw)
+            stage = lambda N: riemann_sum_weighted(n, h, r, x, ctx, N)
+            exps, mult = weight_exponents(h, r), 1
             closed = beta_weighted(n, h, r, 1, x).evaluate(ctx.q0)
             params = {"n": n, "h": h, "r": r, "x": x}
         else:
-            stage = lambda N, **kw: riemann_sum_multi(n, r, x, ctx, N, **kw)
+            stage = lambda N: riemann_sum_multi(n, r, x, ctx, N)
+            exps, mult = range(1, 2), r
             closed = beta_higher(n, r, 1, x).evaluate(ctx.q0)
             params = {"n": n, "r": r, "x": x}
         want = []
         for N in (1, 2, 3):
             value = stage(N)
-            assert Fraction(*stage(N, reduced=False)) == value, (family, params, N)
+            pair = volkenborn_mod._riemann_sum(n, x, ctx, N, exps, mult)
+            assert Fraction(*pair) == value, (family, params, N)
             want.append((N, p_valuation(value - closed, p)))
         assert convergence_report(family, params, ctx).points == want, (family, params)
+
+
+# q0 = a/b with b != 1 at each p: below 1, above 1 and negative.
+RESIDUE_CONTEXTS = [(2, Fraction(1, 5), 3), (3, Fraction(4, 7), 3), (5, Fraction(-4, 11), 2),
+                    (7, Fraction(1, 8), 2)]
+
+
+def residue_cases():
+    """(family, params) for n <= 5, r <= 3, x in {-2, 0, 1}, h in {r, r+3, -n-1}."""
+    for n, x in itertools.product(range(6), (-2, 0, 1)):
+        yield "single", {"n": n, "x": x}
+        for r in (1, 2, 3):
+            yield "multi", {"n": n, "r": r, "x": x}
+            for h in (r, r + 3, -n - 1):
+                yield "weighted", {"n": n, "h": h, "r": r, "x": x}
+
+
+def spy_exact_stages(monkeypatch) -> list:
+    """Patch _riemann_sum to log each call's modulus (None: the exact stage)."""
+    calls, kernel = [], volkenborn_mod._riemann_sum
+
+    def spy(*args):
+        calls.append(args[6] if len(args) > 6 else None)
+        return kernel(*args)
+
+    monkeypatch.setattr(volkenborn_mod, "_riemann_sum", spy)
+    return calls
+
+
+@pytest.mark.parametrize("p, q0, nmax", RESIDUE_CONTEXTS)
+def test_residue_valuations_match_the_exact_stage(monkeypatch, p, q0, nmax):
+    # Each point against the exact rational stage minus the closed value; only
+    # the points where S_N equals it ("inf") may come from the exact stage.
+    ctx = PadicContext(p=p, q0=q0, Nmax=nmax)
+    want = []
+    for family, params in residue_cases():
+        n, x = params["n"], params["x"]
+        r, h = params.get("r", 1), params.get("h")
+        closed = volkenborn_mod._closed_value(n, r, x, ctx.q0, h)
+        stages = [riemann_sum_weighted(n, h, r, x, ctx, N) if h is not None
+                  else riemann_sum_multi(n, r, x, ctx, N) for N in range(1, nmax + 1)]
+        want.append([(N, p_valuation(s - closed, p)) for N, s in enumerate(stages, 1)])
+    calls = spy_exact_stages(monkeypatch)
+    assert [convergence_report(family, params, ctx).points
+            for family, params in residue_cases()] == want
+    assert calls.count(None) == sum(v == math.inf for points in want for _, v in points) > 0
+
+
+@pytest.mark.parametrize("p, q0, nmax", RESIDUE_CONTEXTS)
+def test_vanishing_residues_fall_back_to_the_exact_stage(monkeypatch, p, q0, nmax):
+    ctx = PadicContext(p=p, q0=q0, Nmax=nmax)
+    want = [convergence_report(family, params, ctx).points for family, params in residue_cases()]
+    # With K = N a residue vanishes at every point of this grid, so each point
+    # comes from the exact stage, after its residue stage.
+    monkeypatch.setattr(volkenborn_mod, "_RESIDUE_DIGITS", 0)
+    calls = spy_exact_stages(monkeypatch)
+    got = [convergence_report(family, params, ctx).points for family, params in residue_cases()]
+    assert got == want
+    assert calls.count(None) == len(calls) // 2 == nmax * len(want)
+
+
+def test_only_an_undecided_residue_builds_the_exact_stage(monkeypatch):
+    calls = spy_exact_stages(monkeypatch)
+    ctx = PadicContext(p=5, q0=Fraction(11, 6), Nmax=4)
+    rep = convergence_report("single", {"n": 6}, ctx)
+    assert math.inf not in dict(rep.points).values()
+    assert calls == [5 ** (N + volkenborn_mod._RESIDUE_DIGITS) for N in (1, 2, 3, 4)]
+    calls.clear()
+    rep = convergence_report("multi", {"n": 0, "r": 2}, ctx)  # S_N = 1 = beta exactly
+    assert set(dict(rep.points).values()) == {math.inf}
+    assert calls[1::2] == [None] * 4
 
 
 def test_stage_fraction_gets_a_small_denominator(monkeypatch):
