@@ -273,16 +273,17 @@ def convergence_report(family: str, params: dict, ctx: PadicContext) -> Converge
     n = params["n"]
     x = params.get("x", 0)
     if family == "single":
-        r, h, exps, mult = 1, None, range(1, 2), 1
+        r, h, exps = 1, None, range(1, 2)
         target = f"integral of [x + y]^{n} against the q-measure, x = {x}"
     elif family == "multi":
-        r, h, exps, mult = params["r"], None, range(1, 2), params["r"]
+        r, h, exps = params["r"], None, range(1, 2)
         target = f"{r}-fold integral of [x + sum y]^{n}, x = {x}"
     else:
-        r, h, mult = params["r"], params["h"], 1
+        r, h = params["r"], params["h"]
         WeightedBetaQuery(n, h, r, 1, x)
         exps = weight_exponents(h, r)
         target = f"{r}-fold integral of [x + sum y]^{n} with weight exponent h = {h}, x = {x}"
+    mult = r if h is None else 1  # the unweighted windows are one power
     _check_stage(ctx, n, r, x, exps, ctx.Nmax)
     closed = _closed_value(n, r, x, ctx.q0, h)
     c, d = closed.numerator, closed.denominator
