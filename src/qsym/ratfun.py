@@ -65,6 +65,9 @@ primitive part is accepted only when trial division leaves no remainder on
 either side, which proves it is the gcd and yields the reduced numerator and
 denominator.  A failed candidate is retried at a few wider digit sizes, then
 the Euclidean algorithm with primitive pseudo-remainders decides.
+``canonical()`` first deflates a pair that lives in q^g (g the gcd of the
+term offsets of both sides) to q and inflates the reduced pair back, since
+the gcd commutes with q -> q^g; a closed form in base q^w is such a pair.
 
 All values are immutable after construction and safe to share across threads.
 """
@@ -717,10 +720,13 @@ class RatFun:
             return RatFun(_ZERO, _ONE)
         n_content, n_prim = _primitive(self.num.coeffs)
         d_content, d_prim = _primitive(self.den.coeffs)
-        _, n_red, d_red = _gcd_cofactors(n_prim, d_prim)
+        # Both polynomials in q^g, g the gcd of the offsets of their terms: the
+        # gcd commutes with q -> q^g, so reduce the deflated pair and inflate.
+        g = math.gcd(*(t for cs in (n_prim, d_prim) for t, c in enumerate(cs) if c)) or 1
+        _, n_red, d_red = _gcd_cofactors(n_prim[::g], d_prim[::g])
         content = Fraction(n_content * self.den.den, d_content * self.num.den)
-        return RatFun(_from_coeffs(self.num.lo - self.den.lo, n_red).scale(content),
-                      _from_coeffs(0, d_red))
+        return RatFun(_from_coeffs(0, n_red).inflate(g).shift(self.num.lo - self.den.lo)
+                      .scale(content), _from_coeffs(0, d_red).inflate(g))
 
     # -- evaluation ----------------------------------------------------------
 

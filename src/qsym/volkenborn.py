@@ -21,24 +21,36 @@ products alone, powers of a and b stay exponents, the small b^k - a^k meet in on
 lcm, and O(n r) products of numbers of about (n + max|c_k|) p^N log2 height(q0)
 bits end in one Fraction, over a few dozen bits for b = 1 and no zero window.
 Convergence to the matching closed form is certified by the p-adic valuations
-of S_N minus the closed-form value being nondecreasing in N.  A report reads
-each from the same kernel run modulo p^K, K = N + 64: every power becomes a
-three-argument pow and every product is reduced, so the stage costs O(n r)
-operations on numbers of K digits in base p, and only the divisions by the small
-b^k - a^k stay exact.  An integer that is nonzero mod p^K has the valuation of its
-residue, so the result is exact; where a residue vanishes (always when S_N equals
-the closed value) the report builds the stage exactly, as an unreduced numerator
-and denominator, since for b != 1 the reduced Fraction's gcd would cost more than
-the stage itself.  The closed-form value at q0 is summed term by term in integers
+of S_N minus the closed-form value being nondecreasing in N.  A report has no
+zero window (WeightedBetaQuery refuses a degenerate h), so with [e]_Q =
+(1-Q^e) / (1-Q), which is 1 + ... + Q^(e-1) for e > 0 and -(Q^e + ... + Q^-1)
+for e < 0, every window is (1-Q) [e]_Q / (1-q0^e), the (1-Q)^r cancels, and
+
+    S_N = P(Q) = (1-q0)^(r-n) sum_m C(n,m) (-1)^m q0^(m x) prod_k [m+c_k]_Q / (1-q0^(m+c_k))
+
+for one Laurent polynomial P that does not depend on N; the closed value is P(1).
+A report builds P once (_stage_polynomial): each bracket product is a sliding sum
+of small integers, the small b^k - a^k meet in one exact lcm, and the powers of a
+and b are taken mod p^(Nmax + 64).  It subtracts the closed value and reads stage
+N from that one polynomial R as B^deg R(A/B) mod p^K, K = N + 64, by homogeneous
+Horner: O(deg P) operations on numbers of K digits in base p, deg P being about
+r (n + max|c_k|).  a and b are p-adic units, as v_p(1 - q0) >= 1, so an integer
+that is nonzero mod p^K has the valuation of its residue and the result is
+exact; where a residue vanishes (always when S_N equals the closed value) the
+report builds the stage exactly, as an unreduced numerator and denominator,
+since for b != 1 the reduced Fraction's gcd would cost more than the stage
+itself.  The closed-form value at q0 is summed term by term in integers
 (qbernoulli._closed_value: O(n r) products of powers of a, b and b - a, one lcm,
-one Fraction), with no rational function built and nothing shared with the stage
-kernel, so each valuation compares two independent computations.
+one Fraction), with no rational function built and nothing shared with P or the
+stage kernel, so each valuation compares two independent computations.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -52,15 +64,17 @@ FAMILIES = ("single", "multi", "weighted")
 # and 2.6M for n = 10, whose exact stages take 0.02, 0.10 and 0.50 s on a shared
 # 2-core machine (CPython 3.11): the products that build the windows K_k, not a gcd,
 # cost superlinearly in this size, and no budget on index tuples bounds it.  A
-# report reads its stages mod p^(N + 64) in under 1 ms at all three, and builds a
-# stage exactly only as the fallback, which this guard bounds.  An argument x adds
-# the powers q0^(m x): the weighted report n = 2, h = 2, r = 1, N = 1, x = -300000
-# needs 1.8M bits and takes 1.5 s, nearly all of it the closed value's gcd (its
-# exact stage takes 0.26 s).
+# report reads its stages from one stage polynomial mod p^(N + 64), in 0.13 ms for
+# n = 2 and 0.18 ms for n = 5 at Nmax = 7, and builds a stage exactly only as the
+# fallback, which this guard bounds.  An argument x adds the powers q0^(m x): the
+# weighted report n = 2, h = 2, r = 1, N = 1, x = -300000 needs 1.8M bits and takes
+# 1.4 s, nearly all of it the closed value's gcd (its exact stage takes 0.26 s).
 MAX_STAGE_BITS = 2_000_000
 
-# p-adic digits, past N, that a report keeps of each stage (see convergence_report);
-# the count only decides how often a report falls back to the exact stage.
+# p-adic digits, past N, that a report keeps of each stage: it builds the stage
+# polynomial mod p^(Nmax + this) and reads stage N mod p^(N + this) (see
+# convergence_report).  The count only decides how often a report falls back to
+# the exact stage.
 _RESIDUE_DIGITS = 64
 
 
@@ -132,7 +146,8 @@ class PadicContext:
         need = 2 if self.p == 2 else 1
         if self.q0 == 1:  # the stage sums divide by 1 - q0
             raise QsymDomainError("q0 = 1 is excluded: the stage sums divide by 1 - q0")
-        if p_valuation(1 - self.q0, self.p) < need:
+        a, b = self.q0.numerator, self.q0.denominator
+        if _int_valuation(b - a, self.p) - _int_valuation(b, self.p) < need:  # v_p(1 - q0)
             raise QsymDomainError(
                 f"q0 = {self.q0} too far from 1: need v_{self.p}(1 - q0) >= {need}"
             )
@@ -175,50 +190,98 @@ def _check_stage(ctx: PadicContext, n: int, r: int, x: int, exps: range, N: int)
     return size
 
 
-def _windows(a: int, b: int, big_a: int, big_b: int, size: int, lo: int, hi: int,
-             mod: int = None) -> dict:
+def _windows(a: int, b: int, big_a: int, big_b: int, size: int, lo: int, hi: int) -> dict:
     """G(e) = (B - A)^(1-z) M^z K / (d a^i b^j) for lo <= e <= hi as (K, d, z, i, j):
-    K_k and d = b^k - a^k with k = |e| (K_0 = 0, K_(k+1) = A K_k + B^k), or z = 1 at e = 0.
-    With mod set, each K_k is reduced mod it; d stays exact (pow(v, 1, None) is v)."""
+    K_k and d = b^k - a^k with k = |e| (K_0 = 0, K_(k+1) = A K_k + B^k), or z = 1 at e = 0."""
     ks, big_bk = [0], 1
     for _ in range(max(-lo, hi)):
-        ks.append(pow(big_a * ks[-1] + big_bk, 1, mod))
-        big_bk = pow(big_bk * big_b, 1, mod)
+        ks.append(big_a * ks[-1] + big_bk)
+        big_bk *= big_b
     return {e: (ks[abs(e)], b ** abs(e) - a ** abs(e), 0, max(-e, 0) * (size - 1),
                 max(e, 0) * (size - 1)) if e else (size, 1, 1, 0, 0) for e in range(lo, hi + 1)}
 
 
-def _riemann_sum(n: int, x: int, ctx: PadicContext, N: int, exps: range, mult: int = 1,
-                 mod: int = None) -> tuple:
+def _riemann_sum(n: int, x: int, ctx: PadicContext, N: int, exps: range, mult: int = 1) -> tuple:
     """S_N of the module docstring, c being each exponent of exps taken mult
     times (r = mult * len(exps)), in integers: O(n * len(exps)) operations and
     no O(r) object.  Returns the unreduced pair (num, den), whose denominator
-    keeps B - A only for e = 0 windows; with mod set, both are only congruent to
-    that pair mod it, every power and product of size p^N being taken mod it.
-    The divisions lcm // den stay exact on the small b^k - a^k either way."""
+    keeps B - A only for e = 0 windows."""
     r = mult * len(exps)
     size = _check_stage(ctx, n, r, x, exps, N)
     a, b = ctx.q0.numerator, ctx.q0.denominator
-    big_a, big_b = pow(a, size, mod), pow(b, size, mod)
-    window = _windows(a, b, big_a, big_b, size, min(exps), max(exps) + n, mod)
+    big_a, big_b = a**size, b**size
+    window = _windows(a, b, big_a, big_b, size, min(exps), max(exps) + n)
     terms = []  # term m over (B - A)^(r - z) as (num, den, z, i, j): num / (den a^i b^j)
     for m in range(n + 1):
         num, den, z, i, j = (-1) ** m * math.comb(n, m), 1, 0, -m * x, m * x  # q0^(m x)
         for c in exps:
             wk, wd, wz, wi, wj = window[m + c]
-            num, den = pow(num * pow(wk, mult, mod), 1, mod), den * wd**mult
+            num, den = num * wk**mult, den * wd**mult
             z, i, j = z + mult * wz, i + mult * wi, j + mult * wj
         terms.append((num, den, z, i, j))
     lcm = math.lcm(*(t[1] for t in terms))
     top_z, top_i, top_j = (max(t[k] for t in terms) for k in (2, 3, 4))  # term 0 has i, j >= 0
-    total = sum(num * (lcm // den) * pow(big_b - big_a, top_z - z, mod) * pow(a, top_i - i, mod)
-                * pow(b, top_j - j, mod) for num, den, z, i, j in terms)
+    total = sum(num * (lcm // den) * (big_b - big_a) ** (top_z - z) * a ** (top_i - i)
+                * b ** (top_j - j) for num, den, z, i, j in terms)
     # (1-q0)^(r-n) / (1-Q)^r = (b-a)^(r-n) b^(M r - r + n) / (B - A)^r
     k = size * r - r + n - top_j
-    num = total * (b - a) ** max(r - n, 0) * pow(b, max(k, 0), mod)
-    den = (pow(big_b - big_a, top_z, mod) * lcm * (b - a) ** max(n - r, 0) * pow(a, top_i, mod)
-           * pow(b, max(-k, 0), mod))
+    num = total * (b - a) ** max(r - n, 0) * b ** max(k, 0)
+    den = (big_b - big_a) ** top_z * lcm * (b - a) ** max(n - r, 0) * a**top_i * b ** max(-k, 0)
     return num, den
+
+
+def _window_denominators(a: int, b: int, lo: int, hi: int) -> dict:
+    """d = b^k - a^k, k = |e|, for each window lo <= e <= hi of the stage
+    polynomial: 1 / (1 - q0^e) is b^k / d for e > 0 and -a^k / d for e < 0."""
+    return {e: b ** abs(e) - a ** abs(e) for e in range(lo, hi + 1) if e}
+
+
+def _times_bracket(w: list, k: int) -> list:
+    """The coefficient list w times [k]_Q = (1 - Q^k) / (1 - Q), k >= 1: w (1 - Q^k),
+    then a running sum, whose last entry is 0."""
+    return list(itertools.accumulate(map(operator.sub, w + [0] * k, [0] * k + w)))[:-1]
+
+
+def _stage_polynomial(n: int, x: int, q0: Fraction, exps: range, mult: int, mod) -> tuple:
+    """P of the module docstring, with S_N = P(Q) at every stage N, for windows
+    e = m + c with no e = 0, c being each exponent of exps taken mult times.
+
+    Returns (coeffs, lo, scale, unit) with scale * unit * P(Q) equal to
+    sum_t coeffs[t] Q^(lo + t), lo <= 0 <= lo + len(coeffs) - 1.  scale, the
+    lcm of the window denominators times a power of b - a, is exact and holds
+    every factor of p that P divides by; unit = a^i b^j (i, j >= 0) is a p-adic
+    unit.  The bracket products are sliding sums of small integers; the powers
+    of a and b, and so coeffs and unit, are taken mod `mod` (None: exact), and
+    are then only congruent to the exact ones."""
+    a, b = q0.numerator, q0.denominator
+    r = mult * len(exps)
+    dens = _window_denominators(a, b, min(exps), max(exps) + n)
+    terms = []  # term m: (-1)^m C(n,m) a^i b^j / den times Q^s w(Q)
+    for m in range(n + 1):
+        # q0^(m x) = a^(m x) b^(-m x), and (1-q0)^(r-n) = (b-a)^(r-n) b^(n-r)
+        den, i, j, s, w = 1, m * x, n - r - m * x, 0, [1]
+        for c in exps:
+            e = m + c
+            den *= dens[e] ** mult
+            if e > 0:
+                j += mult * e
+            else:
+                i, s = i - mult * e, s + mult * e
+            for _ in range(mult):
+                w = _times_bracket(w, abs(e))
+        terms.append(((-1) ** m * math.comb(n, m), den, i, j, s, w))
+    lcm = math.lcm(*(t[1] for t in terms))
+    low_i, low_j = (min(0, *(t[k] for t in terms)) for k in (2, 3))
+    lo = min(0, *(t[4] for t in terms))
+    coeffs = [0] * (max(1, *(t[4] + len(t[5]) for t in terms)) - lo)
+    for sign, den, i, j, s, w in terms:
+        scalar = (sign * (lcm // den) * (b - a) ** max(r - n, 0)
+                  * pow(a, i - low_i, mod) * pow(b, j - low_j, mod))
+        if mod:
+            scalar %= mod
+        span = slice(s - lo, s - lo + len(w))
+        coeffs[span] = map(operator.add, coeffs[span], map(scalar.__mul__, w))
+    return coeffs, lo, lcm * (b - a) ** max(n - r, 0), pow(a, -low_i, mod) * pow(b, -low_j, mod)
 
 
 def riemann_sum_multi(n: int, r: int, x: int, ctx: PadicContext, N: int) -> Fraction:
@@ -264,10 +327,12 @@ class ConvergenceReport:
 def convergence_report(family: str, params: dict, ctx: PadicContext) -> ConvergenceReport:
     """Compare stage sums against the matching closed form at q0 for N = 1..Nmax.
 
-    Each valuation is v_p(num d - c den) - v_p(den d), with num / den the stage's
-    unreduced pair and c / d the closed value, read from both residues mod p^K,
-    K = N + _RESIDUE_DIGITS, or from the exact stage where one of them vanishes
-    (see the module docstring)."""
+    With c / d the closed value and P = _stage_polynomial(...), the integer
+    polynomial R(Q) = scale unit d Q^(-lo) (P(Q) - c / d) is built once, its
+    coefficients mod p^(Nmax + _RESIDUE_DIGITS).  Stage N reads B^deg R(A / B)
+    mod p^K, K = N + _RESIDUE_DIGITS, by homogeneous Horner; A, B and unit are
+    p-adic units, so a nonzero residue has valuation v_p(scale d) + v_p(S_N - c / d).
+    A zero residue falls back to the exact stage (see the module docstring)."""
     if family not in FAMILIES:
         raise QsymDomainError(f"family must be one of {FAMILIES}")
     n = params["n"]
@@ -287,15 +352,26 @@ def convergence_report(family: str, params: dict, ctx: PadicContext) -> Converge
     _check_stage(ctx, n, r, x, exps, ctx.Nmax)
     closed = _closed_value(n, r, x, ctx.q0, h)
     c, d = closed.numerator, closed.denominator
+    p, a, b = ctx.p, ctx.q0.numerator, ctx.q0.denominator
+    top = p ** (ctx.Nmax + _RESIDUE_DIGITS)
+    coeffs, lo, scale, unit = _stage_polynomial(n, x, ctx.q0, exps, mult, top)
+    d_top = d % top
+    rs = [t * d_top % top for t in coeffs]
+    rs[-lo] = (rs[-lo] - c % top * scale * unit) % top
+    v_scale = _int_valuation(scale, p) + _int_valuation(d, p)
     points = []
     for N in range(1, ctx.Nmax + 1):
-        mod = ctx.p ** (N + _RESIDUE_DIGITS)
-        num, den = _riemann_sum(n, x, ctx, N, exps, mult, mod)
-        diff, den_d = (num * d - c * den) % mod, den * d % mod
-        if not (diff and den_d):
+        mod = p ** (N + _RESIDUE_DIGITS)
+        big_a, big_b = pow(a, p**N, mod), pow(b, p**N, mod)
+        acc, b_power = 0, 1
+        for t in reversed(rs):
+            acc, b_power = (acc * big_a + t * b_power) % mod, b_power * big_b % mod
+        if acc:
+            v = _int_valuation(acc, p) - v_scale
+        else:
             num, den = _riemann_sum(n, x, ctx, N, exps, mult)
-            diff, den_d = num * d - c * den, den * d
-        v = _int_valuation(diff, ctx.p) - _int_valuation(den_d, ctx.p) if diff else math.inf
+            diff = num * d - c * den
+            v = _int_valuation(diff, p) - _int_valuation(den * d, p) if diff else math.inf
         points.append((N, v))
     monotone = all(points[i + 1][1] >= points[i][1] for i in range(len(points) - 1))
     return ConvergenceReport(family, dict(params), ctx.p, ctx.q0, target, points, monotone)

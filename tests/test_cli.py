@@ -380,12 +380,12 @@ def test_volkenborn_large_prime_under_a_raised_budget_exits_3_fast(capsys, p, ma
 
 
 def test_volkenborn_inexact_window_is_a_bug_exit_4(capsys, monkeypatch):
-    # No window takes a quotient, so the fault is forced in the window builder:
-    # every window over d = 0 makes the stage sum raise ZeroDivisionError, an
-    # ArithmeticError, which can only be a qsym bug.
-    windows = volkenborn_mod._windows
-    monkeypatch.setattr(volkenborn_mod, "_windows", lambda *args: {
-        e: (k, 0, z, i, j) for e, (k, d, z, i, j) in windows(*args).items()})
+    # No window takes a quotient, so the fault is forced in the stage polynomial's
+    # window denominators: every d = 0 makes its lcm // den raise ZeroDivisionError,
+    # an ArithmeticError, which can only be a qsym bug.
+    dens = volkenborn_mod._window_denominators
+    monkeypatch.setattr(volkenborn_mod, "_window_denominators",
+                        lambda *args: dict.fromkeys(dens(*args), 0))
     code, out, err = run(capsys, "volkenborn", "--n", "1", "--p", "5", "--N", "2")
     assert code == 4 and out == ""
     assert "Traceback" in err and "ZeroDivisionError" in err

@@ -481,3 +481,40 @@ def test_closed_value_matches_the_ratfun_at_each_point():
             assert _closed_value(n, r, x, q0, h) == form.evaluate(q0), (n, r, x, h, q0)
     with pytest.raises(DegenerateWeightError):
         _closed_value(2, 2, 1, Fraction(6), 0)
+
+
+def closed_forms_for_canonical():
+    """Unreduced closed forms and T-sums, some of them already in q^w."""
+    for n, r, w in itertools.product(range(6), (1, 2, 3), (1, 2)):
+        for arg in (0, w, 1, -w):
+            yield beta_higher(n, r, w, arg)
+        for h in (r, r + 2, -n - 1):
+            yield beta_weighted(n, h, r, w, arg)
+    for n, r, wlim, base in itertools.product(range(5), (1, 2), (2, 3), (1, 2)):
+        for i in range(n + 1):
+            yield t_sum(n, i, r, wlim, base)
+            yield t_sum_h(n, i, r + 1, r, wlim, base)
+
+
+def reduce_without_deflation(f):
+    """canonical()'s (num, den) lists, reduced by one gcd on the full lists."""
+    _, n_prim = ratfun_mod._primitive(f.num.coeffs)
+    _, d_prim = ratfun_mod._primitive(f.den.coeffs)
+    return ratfun_mod._gcd_cofactors(n_prim, d_prim)[1:]
+
+
+def test_canonical_commutes_with_inflation():
+    # canonical() reduces a pair in q^g as a pair in q; inflating by g before or
+    # after it must give the same form, and the gcd on the full lists agrees.
+    count = 0
+    for f in closed_forms_for_canonical():
+        c = f.canonical()
+        for g in (1, 2, 3):
+            got = RatFun(f.num.inflate(g), f.den.inflate(g)).canonical()
+            want = RatFun(c.num.inflate(g), c.den.inflate(g))
+            assert got.to_json_obj() == want.to_json_obj() and str(got) == str(want), (f, g)
+            num, den = reduce_without_deflation(RatFun(f.num.inflate(g), f.den.inflate(g)))
+            assert got.den.coeffs == den, (f, g)
+            assert ratfun_mod._primitive(got.num.coeffs)[1] == num, (f, g)
+            count += 1
+    assert count > 1000

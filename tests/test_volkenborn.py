@@ -146,11 +146,11 @@ def residue_cases():
 
 
 def spy_exact_stages(monkeypatch) -> list:
-    """Patch _riemann_sum to log each call's modulus (None: the exact stage)."""
+    """Patch _riemann_sum, the exact stage, to log the N of each call."""
     calls, kernel = [], volkenborn_mod._riemann_sum
 
     def spy(*args):
-        calls.append(args[6] if len(args) > 6 else None)
+        calls.append(args[3])
         return kernel(*args)
 
     monkeypatch.setattr(volkenborn_mod, "_riemann_sum", spy)
@@ -173,7 +173,7 @@ def test_residue_valuations_match_the_exact_stage(monkeypatch, p, q0, nmax):
     calls = spy_exact_stages(monkeypatch)
     assert [convergence_report(family, params, ctx).points
             for family, params in residue_cases()] == want
-    assert calls.count(None) == sum(v == math.inf for points in want for _, v in points) > 0
+    assert len(calls) == sum(v == math.inf for points in want for _, v in points) > 0
 
 
 @pytest.mark.parametrize("p, q0, nmax", RESIDUE_CONTEXTS)
@@ -181,12 +181,12 @@ def test_vanishing_residues_fall_back_to_the_exact_stage(monkeypatch, p, q0, nma
     ctx = PadicContext(p=p, q0=q0, Nmax=nmax)
     want = [convergence_report(family, params, ctx).points for family, params in residue_cases()]
     # With K = N a residue vanishes at every point of this grid, so each point
-    # comes from the exact stage, after its residue stage.
+    # comes from the exact stage.
     monkeypatch.setattr(volkenborn_mod, "_RESIDUE_DIGITS", 0)
     calls = spy_exact_stages(monkeypatch)
     got = [convergence_report(family, params, ctx).points for family, params in residue_cases()]
     assert got == want
-    assert calls.count(None) == len(calls) // 2 == nmax * len(want)
+    assert calls == list(range(1, nmax + 1)) * len(want)
 
 
 def test_only_an_undecided_residue_builds_the_exact_stage(monkeypatch):
@@ -194,11 +194,33 @@ def test_only_an_undecided_residue_builds_the_exact_stage(monkeypatch):
     ctx = PadicContext(p=5, q0=Fraction(11, 6), Nmax=4)
     rep = convergence_report("single", {"n": 6}, ctx)
     assert math.inf not in dict(rep.points).values()
-    assert calls == [5 ** (N + volkenborn_mod._RESIDUE_DIGITS) for N in (1, 2, 3, 4)]
-    calls.clear()
+    assert calls == []
     rep = convergence_report("multi", {"n": 0, "r": 2}, ctx)  # S_N = 1 = beta exactly
     assert set(dict(rep.points).values()) == {math.inf}
-    assert calls[1::2] == [None] * 4
+    assert calls == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("p, q0, nmax", RESIDUE_CONTEXTS)
+def test_stage_polynomial_gives_each_stage_and_the_closed_value(p, q0, nmax):
+    # scale unit P(Q) = sum_t coeffs[t] Q^(lo + t), built exactly, against the
+    # exact stage at Q = q0^(p^N) and the closed value at Q = 1.
+    ctx = PadicContext(p=p, q0=q0, Nmax=3, budget=10**40)
+    for family, params in residue_cases():
+        n, x = params["n"], params["x"]
+        r, h = params.get("r", 1), params.get("h")
+        exps, mult = (range(1, 2), r) if h is None else (weight_exponents(h, r), 1)
+        coeffs, lo, scale, unit = volkenborn_mod._stage_polynomial(n, x, q0, exps, mult, None)
+        assert lo <= 0 < lo + len(coeffs)
+
+        def at(big_a, big_b):  # P(A / B)
+            deg = len(coeffs) - 1
+            total = sum(c * big_a**t * big_b ** (deg - t) for t, c in enumerate(coeffs))
+            return Fraction(total * big_b**-lo, big_b**deg * big_a**-lo * scale * unit)
+
+        assert at(1, 1) == volkenborn_mod._closed_value(n, r, x, q0, h), (family, params)
+        for N in (1, 2, 3):
+            stage = Fraction(*volkenborn_mod._riemann_sum(n, x, ctx, N, exps, mult))
+            assert at(q0.numerator ** p**N, q0.denominator ** p**N) == stage, (family, params, N)
 
 
 def test_stage_fraction_gets_a_small_denominator(monkeypatch):
@@ -255,6 +277,18 @@ def test_context_validation():
     assert PadicContext(p=5).q0 == 6
     assert default_q0(3) == 4
     assert is_prime(2) and is_prime(13) and not is_prime(1)
+
+
+def test_context_checks_primality_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(volkenborn_mod, "is_prime", lambda p: calls.append(p) or is_prime(p))
+    assert PadicContext(p=5, q0=Fraction(11, 6)).q0 == Fraction(11, 6)
+    assert calls == [5]
+    # v_5(1 - 1/5) = -1 and v_2(1 - 3) = 1: the messages name the bound.
+    with pytest.raises(ValueError, match=r"q0 = 1/5 too far from 1: need v_5\(1 - q0\) >= 1"):
+        PadicContext(p=5, q0=Fraction(1, 5))
+    with pytest.raises(ValueError, match=r"q0 = 3 too far from 1: need v_2\(1 - q0\) >= 2"):
+        PadicContext(p=2, q0=Fraction(3))
 
 
 def test_n0_normalization():
@@ -381,7 +415,7 @@ def test_stage_size_guard_refuses_before_any_work(monkeypatch):
     def no_work(*args):
         raise AssertionError("a report past the stage-size guard did work")
 
-    for name in ("_closed_value", "riemann_sum_multi", "_riemann_sum"):
+    for name in ("_closed_value", "_stage_polynomial", "riemann_sum_multi", "_riemann_sum"):
         monkeypatch.setattr(volkenborn_mod, name, no_work)
     # 9.6M bits at N = 7 for n = 40; the deepest stage is checked first.
     ctx = PadicContext(p=5, Nmax=7)
