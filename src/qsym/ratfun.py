@@ -18,9 +18,9 @@ image of P biased by half a digit of the narrower width.  A factor k adds
 bitlen(k - 1) bits to a bound: one per add, bitlen(min(n_a, n_b) - 1) plus
 both bounds per product.  The narrowing rule: a product, and an add whose
 bound outgrows its width, first takes tight bounds from the digits -- the top
-nonzero byte column of the two's-complement digit image xored with itself
-shifted by one bit holds the highest bit at which a coefficient leaves its
-sign extension -- and is formed at the narrowest width its bound allows.
+nonzero byte column of the two's-complement digit image, each negative digit
+negated in its field, holds the bit length of the widest coefficient -- and is
+formed at the narrowest width its bound allows.
 
 ``linear_combination`` forms sum k_j q^(s_j) p_j in one pass: over the common
 denominator D every term is an integer multiplier m_j times a packed operand,
@@ -314,8 +314,8 @@ class LaurentPoly:
             g = math.gcd(*_unpack_int(D, d.n, d.size))
             D //= g
         # Mignotte: a quotient over the integers has |q_i| < 2**deg(q) * ||self||_2,
-        # so its digits pass the bound below (one bit for _tight_bits) at width cap.
-        cap = (self.n - d.n + self.bits + (self.n.bit_length() + 1) // 2 + 1 + bd
+        # so its digits pass the bound below at width cap.
+        cap = (self.n - d.n + self.bits + (self.n.bit_length() + 1) // 2 + bd
                + (min(self.n - d.n + 1, d.n) - 1).bit_length()) // 8 + 1
         while True:
             q, r = divmod(_rewidth(self.P, self.n, self.size, size),
@@ -491,18 +491,18 @@ def _rewidth(P: int, n: int, s1: int, s2: int) -> int:
 
 
 def _tight_bits(P: int, n: int, size: int) -> int:
-    """A bound b, |c_i| < 2**b, on the digits c_i of P at width size bytes
-    (n digits with room for a carry), from the highest bit at which some digit
-    differs from its sign extension: the two's-complement length of the widest."""
+    """The least b with |c_i| < 2**b for the digits c_i of P at width size bytes
+    (n digits with room for a carry): the bit length of the widest |c_i|, read
+    from the two's-complement digit image with each negative field negated."""
     half = _digit_bias(n, size)
     twos = (P + half) ^ half
-    ones = half >> (8 * size - 1)
-    raw = ((twos ^ (twos >> 1)) & (half - ones)).to_bytes(n * size, "little")
+    signs = (twos & half) >> (8 * size - 1)  # 1 in each field of a negative digit
+    raw = ((twos ^ ((signs << 8 * size) - signs)) + signs).to_bytes(n * size, "little")
     for j in range(size - 1, -1, -1):
         top = max(raw[j::size])
         if top:
-            return 8 * j + top.bit_length() + 1
-    return 1
+            return 8 * j + top.bit_length()
+    return 0
 
 
 def _tight(p: LaurentPoly) -> int:

@@ -30,16 +30,16 @@ for e < 0, every window is (1-Q) [e]_Q / (1-q0^e), the (1-Q)^r cancels, and
 
 for one Laurent polynomial P that does not depend on N; the closed value is P(1).
 A report builds P once (_stage_polynomial): each bracket product is a sliding sum
-of small integers, the small b^k - a^k meet in one exact lcm, and the powers of a
-and b are taken mod p^(Nmax + 64).  It subtracts the closed value and reads stage
-N from that one polynomial R as B^deg R(A/B) mod p^K, K = N + 64, by homogeneous
-Horner: O(deg P) operations on numbers of K digits in base p, deg P being about
-r (n + max|c_k|).  a and b are p-adic units, as v_p(1 - q0) >= 1, so an integer
-that is nonzero mod p^K has the valuation of its residue and the result is
-exact; where a residue vanishes (always when S_N equals the closed value) the
-report builds the stage exactly, as an unreduced numerator and denominator,
-since for b != 1 the reduced Fraction's gcd would cost more than the stage
-itself.  The closed-form value at q0 is summed term by term in integers
+of small integers, the small b^k - a^k meet in one exact lcm, the scale, and the
+powers of a and b are taken mod p^K, K = Nmax + 64 + v_p(scale) + v_p(d), d the
+closed value's denominator.  It subtracts the closed value and reads every stage
+N from that one polynomial R as B^deg R(A/B) mod p^K by homogeneous Horner:
+O(deg P) operations on numbers of K digits in base p, deg P being about
+r (n + max|c_k|).  a and b are p-adic units, as v_p(1 - q0) >= 1, so a nonzero
+residue has the valuation of the integer; a zero one means S_N agrees with the
+closed value to Nmax + 64 digits, and the report then builds the stage exactly,
+as an unreduced numerator and denominator, since for b != 1 the reduced
+Fraction's gcd would cost more than the stage itself.  The closed-form value at q0 is summed term by term in integers
 (qbernoulli._closed_value: O(n r) products of powers of a, b and b - a, one lcm,
 one Fraction), with no rational function built and nothing shared with P or the
 stage kernel, so each valuation compares two independent computations.
@@ -64,17 +64,16 @@ FAMILIES = ("single", "multi", "weighted")
 # and 2.6M for n = 10, whose exact stages take 0.02, 0.10 and 0.50 s on a shared
 # 2-core machine (CPython 3.11): the products that build the windows K_k, not a gcd,
 # cost superlinearly in this size, and no budget on index tuples bounds it.  A
-# report reads its stages from one stage polynomial mod p^(N + 64), in 0.13 ms for
-# n = 2 and 0.18 ms for n = 5 at Nmax = 7, and builds a stage exactly only as the
+# report reads its stages from one stage polynomial mod p^K, in 0.13 ms for n = 2
+# and 0.18 ms for n = 5 at Nmax = 7, and builds a stage exactly only as the
 # fallback, which this guard bounds.  An argument x adds the powers q0^(m x): the
 # weighted report n = 2, h = 2, r = 1, N = 1, x = -300000 needs 1.8M bits and takes
 # 1.4 s, nearly all of it the closed value's gcd (its exact stage takes 0.26 s).
 MAX_STAGE_BITS = 2_000_000
 
-# p-adic digits, past N, that a report keeps of each stage: it builds the stage
-# polynomial mod p^(Nmax + this) and reads stage N mod p^(N + this) (see
-# convergence_report).  The count only decides how often a report falls back to
-# the exact stage.
+# p-adic digits of S_N minus the closed value, past Nmax, that a report reads: its
+# precision is K = Nmax + this + v_p(scale) + v_p(d) (see convergence_report).  The
+# count only decides where a report falls back to the exact stage.
 _RESIDUE_DIGITS = 64
 
 
@@ -109,7 +108,9 @@ def p_valuation(r: Fraction, p: int):
 
 
 def _int_valuation(k: int, p: int) -> int:
-    """Exponent of p in the nonzero integer k."""
+    """Exponent of p in the nonzero integer k; 0, of infinite exponent, raises."""
+    if not k:
+        raise ZeroDivisionError("the p-adic valuation of 0 is infinite")
     v = 0
     while k % p == 0:
         k //= p
@@ -242,17 +243,18 @@ def _times_bracket(w: list, k: int) -> list:
     return list(itertools.accumulate(map(operator.sub, w + [0] * k, [0] * k + w)))[:-1]
 
 
-def _stage_polynomial(n: int, x: int, q0: Fraction, exps: range, mult: int, mod) -> tuple:
+def _stage_polynomial(n: int, x: int, q0: Fraction, exps: range, mult: int, p: int,
+                      digits: int) -> tuple:
     """P of the module docstring, with S_N = P(Q) at every stage N, for windows
     e = m + c with no e = 0, c being each exponent of exps taken mult times.
 
-    Returns (coeffs, lo, scale, unit) with scale * unit * P(Q) equal to
-    sum_t coeffs[t] Q^(lo + t), lo <= 0 <= lo + len(coeffs) - 1.  scale, the
-    lcm of the window denominators times a power of b - a, is exact and holds
+    Returns (coeffs, lo, scale, unit, mod) with scale * unit * P(Q) congruent to
+    sum_t coeffs[t] Q^(lo + t) mod `mod`, lo <= 0 <= lo + len(coeffs) - 1.  scale,
+    the lcm of the window denominators times a power of b - a, is exact and holds
     every factor of p that P divides by; unit = a^i b^j (i, j >= 0) is a p-adic
-    unit.  The bracket products are sliding sums of small integers; the powers
-    of a and b, and so coeffs and unit, are taken mod `mod` (None: exact), and
-    are then only congruent to the exact ones."""
+    unit; mod = p^(digits + v_p(scale)).  The bracket products are sliding sums
+    of small integers; the powers of a and b, and so coeffs and unit, are taken
+    mod `mod`."""
     a, b = q0.numerator, q0.denominator
     r = mult * len(exps)
     dens = _window_denominators(a, b, min(exps), max(exps) + n)
@@ -271,17 +273,17 @@ def _stage_polynomial(n: int, x: int, q0: Fraction, exps: range, mult: int, mod)
                 w = _times_bracket(w, abs(e))
         terms.append(((-1) ** m * math.comb(n, m), den, i, j, s, w))
     lcm = math.lcm(*(t[1] for t in terms))
+    scale = lcm * (b - a) ** max(n - r, 0)
+    mod = p ** (digits + _int_valuation(scale, p))
     low_i, low_j = (min(0, *(t[k] for t in terms)) for k in (2, 3))
     lo = min(0, *(t[4] for t in terms))
     coeffs = [0] * (max(1, *(t[4] + len(t[5]) for t in terms)) - lo)
     for sign, den, i, j, s, w in terms:
         scalar = (sign * (lcm // den) * (b - a) ** max(r - n, 0)
-                  * pow(a, i - low_i, mod) * pow(b, j - low_j, mod))
-        if mod:
-            scalar %= mod
+                  * pow(a, i - low_i, mod) * pow(b, j - low_j, mod) % mod)
         span = slice(s - lo, s - lo + len(w))
         coeffs[span] = map(operator.add, coeffs[span], map(scalar.__mul__, w))
-    return coeffs, lo, lcm * (b - a) ** max(n - r, 0), pow(a, -low_i, mod) * pow(b, -low_j, mod)
+    return coeffs, lo, scale, pow(a, -low_i, mod) * pow(b, -low_j, mod), mod
 
 
 def riemann_sum_multi(n: int, r: int, x: int, ctx: PadicContext, N: int) -> Fraction:
@@ -328,11 +330,11 @@ def convergence_report(family: str, params: dict, ctx: PadicContext) -> Converge
     """Compare stage sums against the matching closed form at q0 for N = 1..Nmax.
 
     With c / d the closed value and P = _stage_polynomial(...), the integer
-    polynomial R(Q) = scale unit d Q^(-lo) (P(Q) - c / d) is built once, its
-    coefficients mod p^(Nmax + _RESIDUE_DIGITS).  Stage N reads B^deg R(A / B)
-    mod p^K, K = N + _RESIDUE_DIGITS, by homogeneous Horner; A, B and unit are
-    p-adic units, so a nonzero residue has valuation v_p(scale d) + v_p(S_N - c / d).
-    A zero residue falls back to the exact stage (see the module docstring)."""
+    polynomial R(Q) = scale unit d Q^(-lo) (P(Q) - c / d) is built once, mod p^K,
+    K = Nmax + _RESIDUE_DIGITS + v_p(scale) + v_p(d).  Every stage N reads
+    B^deg R(A / B) mod p^K by homogeneous Horner; A, B and unit are p-adic units,
+    so a nonzero residue has valuation v_p(scale d) + v_p(S_N - c / d), and a zero
+    one, v_p(S_N - c / d) >= Nmax + _RESIDUE_DIGITS, falls back to the exact stage."""
     if family not in FAMILIES:
         raise QsymDomainError(f"family must be one of {FAMILIES}")
     n = params["n"]
@@ -353,15 +355,13 @@ def convergence_report(family: str, params: dict, ctx: PadicContext) -> Converge
     closed = _closed_value(n, r, x, ctx.q0, h)
     c, d = closed.numerator, closed.denominator
     p, a, b = ctx.p, ctx.q0.numerator, ctx.q0.denominator
-    top = p ** (ctx.Nmax + _RESIDUE_DIGITS)
-    coeffs, lo, scale, unit = _stage_polynomial(n, x, ctx.q0, exps, mult, top)
-    d_top = d % top
-    rs = [t * d_top % top for t in coeffs]
-    rs[-lo] = (rs[-lo] - c % top * scale * unit) % top
-    v_scale = _int_valuation(scale, p) + _int_valuation(d, p)
+    digits = ctx.Nmax + _RESIDUE_DIGITS + _int_valuation(d, p)
+    coeffs, lo, scale, unit, mod = _stage_polynomial(n, x, ctx.q0, exps, mult, p, digits)
+    rs = [t * d % mod for t in coeffs]
+    rs[-lo] = (rs[-lo] - c % mod * scale * unit) % mod
+    v_scale = _int_valuation(scale * d, p)
     points = []
     for N in range(1, ctx.Nmax + 1):
-        mod = p ** (N + _RESIDUE_DIGITS)
         big_a, big_b = pow(a, p**N, mod), pow(b, p**N, mod)
         acc, b_power = 0, 1
         for t in reversed(rs):

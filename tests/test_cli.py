@@ -381,8 +381,9 @@ def test_volkenborn_large_prime_under_a_raised_budget_exits_3_fast(capsys, p, ma
 
 def test_volkenborn_inexact_window_is_a_bug_exit_4(capsys, monkeypatch):
     # No window takes a quotient, so the fault is forced in the stage polynomial's
-    # window denominators: every d = 0 makes its lcm // den raise ZeroDivisionError,
-    # an ArithmeticError, which can only be a qsym bug.
+    # window denominators: every d = 0 makes their lcm, and so the scale, 0, whose
+    # valuation raises ZeroDivisionError, an ArithmeticError, which can only be a
+    # qsym bug.
     dens = volkenborn_mod._window_denominators
     monkeypatch.setattr(volkenborn_mod, "_window_denominators",
                         lambda *args: dict.fromkeys(dens(*args), 0))

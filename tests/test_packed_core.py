@@ -19,7 +19,7 @@ import hypothesis.strategies as st
 import qsym.ratfun as ratfun_mod
 from qsym.qbernoulli import t_sum, t_sum_h
 from qsym.ratfun import (LaurentPoly, QsymDomainError, ResourceLimitError, _new, _pack_int,
-                         _rewidth, _tight, _unpack_int)
+                         _rewidth, _tight, _tight_bits, _unpack_int)
 from sequential_sum import sequential_sum
 
 KRONECKER_MIN = 8
@@ -181,6 +181,21 @@ def test_eq_is_exact_across_widths(a, b, extra):
     assert wa == a and a == wa and fields(wa) == fields(a)
     assert (a == b) == (fields(a) == fields(b)) == (wa == b)
     assert (a + b) - b == a  # the sum's width need not be a's
+
+
+@pytest.mark.parametrize("c", [1, -1, 127, -127, 128, -128, 129, -129, 255, -256])
+def test_tight_bits_is_the_least_bound(c):
+    # The least b with every |c_i| < 2**b, with c the widest digit, at every
+    # width that holds it and with a spare top digit for a carry; a product
+    # narrowed by it keeps the invariants.
+    want = abs(c).bit_length()
+    for coeffs in ([c], [1, c], [c, -1, 0, c]):
+        for size, spare in itertools.product(range(want // 8 + 1, 4), (0, 1)):
+            P = _pack_int(coeffs, size)
+            assert _tight_bits(P, len(coeffs) + spare, size) == want, (coeffs, size, spare)
+    p = widened(LaurentPoly({0: c, 1: 1}), 2)
+    assert _tight(p) == want
+    assert fields(p * p) == ref_mul(fields(p), fields(p))
 
 
 @settings(derandomize=True, max_examples=200)

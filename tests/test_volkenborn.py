@@ -180,13 +180,36 @@ def test_residue_valuations_match_the_exact_stage(monkeypatch, p, q0, nmax):
 def test_vanishing_residues_fall_back_to_the_exact_stage(monkeypatch, p, q0, nmax):
     ctx = PadicContext(p=p, q0=q0, Nmax=nmax)
     want = [convergence_report(family, params, ctx).points for family, params in residue_cases()]
-    # With K = N a residue vanishes at every point of this grid, so each point
-    # comes from the exact stage.
+    # With no digits past Nmax a residue vanishes exactly where S_N agrees with
+    # the closed value to Nmax digits, so those points, and only they, come from
+    # the exact stage; some of them are finite.
     monkeypatch.setattr(volkenborn_mod, "_RESIDUE_DIGITS", 0)
     calls = spy_exact_stages(monkeypatch)
     got = [convergence_report(family, params, ctx).points for family, params in residue_cases()]
     assert got == want
-    assert calls == list(range(1, nmax + 1)) * len(want)
+    assert calls == [N for points in want for N, v in points if v >= nmax]
+    assert any(nmax <= v < math.inf for points in want for _, v in points)
+
+
+# Reports whose scale and closed-value denominator hold 64 or more factors of p
+# (the scale holds (b - a)^(n - r), so 2^(2 (n - r)) at p = 2, q0 = 5), with their
+# points as the exact stages give them.
+DEEP_SCALE_REPORTS = [
+    ("single", {"n": 40}, 2, 6, [(1, 4), (2, 4), (3, 5), (4, 6), (5, 7), (6, 8)], True),
+    ("multi", {"n": 60, "r": 2}, 2, 6, [(1, 1), (2, 5), (3, 4), (4, 5), (5, 6), (6, 7)], False),
+    ("weighted", {"n": 80, "h": 3, "r": 2}, 2, 5, [(1, 1), (2, 2), (3, 3), (4, 4), (5, 5)], True),
+    ("single", {"n": 70}, 3, 6, [(1, 1), (2, 2), (3, 3), (4, 4), (5, 5), (6, 6)], True),
+    ("single", {"n": 100}, 2, 4, [(1, 3), (2, 3), (3, 4), (4, 5)], True),
+]
+
+
+@pytest.mark.parametrize("family, params, p, nmax, points, monotone", DEEP_SCALE_REPORTS)
+def test_deep_scale_reports_read_every_stage_from_residues(monkeypatch, family, params, p,
+                                                           nmax, points, monotone):
+    calls = spy_exact_stages(monkeypatch)
+    rep = convergence_report(family, params, PadicContext(p=p, Nmax=nmax))
+    assert (rep.points, rep.monotone) == (points, monotone)
+    assert calls == []
 
 
 def test_only_an_undecided_residue_builds_the_exact_stage(monkeypatch):
@@ -202,25 +225,31 @@ def test_only_an_undecided_residue_builds_the_exact_stage(monkeypatch):
 
 @pytest.mark.parametrize("p, q0, nmax", RESIDUE_CONTEXTS)
 def test_stage_polynomial_gives_each_stage_and_the_closed_value(p, q0, nmax):
-    # scale unit P(Q) = sum_t coeffs[t] Q^(lo + t), built exactly, against the
-    # exact stage at Q = q0^(p^N) and the closed value at Q = 1.
-    ctx = PadicContext(p=p, q0=q0, Nmax=3, budget=10**40)
+    # scale unit P(Q) = sum_t coeffs[t] Q^(lo + t) mod p^K, K = digits + v_p(scale),
+    # against the exact stage at Q = q0^(p^N) and the closed value at Q = 1.
+    ctx, digits = PadicContext(p=p, q0=q0, Nmax=3, budget=10**40), 40
     for family, params in residue_cases():
         n, x = params["n"], params["x"]
         r, h = params.get("r", 1), params.get("h")
         exps, mult = (range(1, 2), r) if h is None else (weight_exponents(h, r), 1)
-        coeffs, lo, scale, unit = volkenborn_mod._stage_polynomial(n, x, q0, exps, mult, None)
+        coeffs, lo, scale, unit, mod = volkenborn_mod._stage_polynomial(n, x, q0, exps, mult,
+                                                                        p, digits)
         assert lo <= 0 < lo + len(coeffs)
+        k = digits + p_valuation(scale, p)
+        assert mod == p**k
 
-        def at(big_a, big_b):  # P(A / B)
+        def agreement(big_a, big_b, value):
+            # p-adic digits to which B^deg Q^-lo scale unit value, Q = A / B,
+            # agrees with sum_t coeffs[t] A^t B^(deg - t)
             deg = len(coeffs) - 1
             total = sum(c * big_a**t * big_b ** (deg - t) for t, c in enumerate(coeffs))
-            return Fraction(total * big_b**-lo, big_b**deg * big_a**-lo * scale * unit)
+            return p_valuation(big_b ** (deg + lo) * big_a**-lo * scale * unit * value - total, p)
 
-        assert at(1, 1) == volkenborn_mod._closed_value(n, r, x, q0, h), (family, params)
+        assert agreement(1, 1, volkenborn_mod._closed_value(n, r, x, q0, h)) >= k, params
         for N in (1, 2, 3):
             stage = Fraction(*volkenborn_mod._riemann_sum(n, x, ctx, N, exps, mult))
-            assert at(q0.numerator ** p**N, q0.denominator ** p**N) == stage, (family, params, N)
+            big_a, big_b = q0.numerator ** p**N, q0.denominator ** p**N
+            assert agreement(big_a, big_b, stage) >= k, (family, params, N)
 
 
 def test_stage_fraction_gets_a_small_denominator(monkeypatch):
@@ -264,6 +293,8 @@ def test_p_valuation_examples():
     assert p_valuation(Fraction(0), 3) == math.inf
     with pytest.raises(ValueError):
         p_valuation(Fraction(1), 4)
+    with pytest.raises(ZeroDivisionError):  # the exponent of p in 0 is infinite
+        volkenborn_mod._int_valuation(0, 3)
 
 
 def test_context_validation():
