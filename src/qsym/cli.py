@@ -19,7 +19,14 @@ import traceback
 from fractions import Fraction
 
 from .identities import IDENTITIES, SweepConfig, sweep
-from .qbernoulli import beta_higher, beta_weighted, denominator_brackets, t_sum, t_sum_h
+from .qbernoulli import (
+    BetaQuery,
+    beta_higher,
+    beta_weighted,
+    denominator_brackets,
+    t_sum,
+    t_sum_h,
+)
 from .ratfun import PoleError, QsymDomainError, ResourceLimitError
 from .volkenborn import FAMILIES, PadicContext, convergence_report
 
@@ -171,8 +178,10 @@ def run_verify(args) -> int:
 
 
 def run_table(args) -> int:
-    # The denominator span grows with n, r and w, so one guard at the largest
-    # corner refuses an oversized table before any row is built.
+    # Both checks run before the header: the smallest corner holds any bad
+    # parameter, and the denominator span grows with n, r and w, so one guard
+    # at the largest corner refuses an oversized table before any row is built.
+    BetaQuery(min(args.n), min(args.r), min(args.w))
     denominator_brackets(max(args.n), max(args.r), max(args.w))
     print("n,r,w,arg,ratfun")
     for n in sorted(set(args.n)):

@@ -140,21 +140,23 @@ def check_multiplication(n: int, r: int, w1: int, x: int) -> CheckReport:
 # -- base-swap symmetry identities: one side builder per form, for both families
 
 
-def _swap_side(n: int, cs, wa: int, wb: int, x: int, closed) -> RatFun:
+def _swap_side(n: int, r: int, h, wa: int, wb: int, x: int) -> RatFun:
     """[wa]^(n-r) * sum over j in {0..wa-1}^r of q^(wb sum_k c_k j_k)
-    * (closed form in base q^wa at argument wa wb x + wb sum j), r = len(cs);
-    c = (1, ..., 1) for thm3 and the multiplication formula,
-    weight_exponents(h, r) for thm5.
+    * (closed form in base q^wa at argument wa wb x + wb sum j), for the
+    order-r family (h None: c = (1, ..., 1), thm3 and the multiplication
+    formula) or the weighted (h, r) family (c = weight_exponents(h, r), thm5).
 
-    closed(w, power) is the family's closed form with power(j) in place of
-    q^(j arg), and linear in it, so the tuple sum moves into one call: by the
-    geometric-window identity of qbernoulli, term j of the closed form gets
+    closed_form takes power(j) in place of q^(j arg) and is linear in it, so
+    the tuple sum moves into one call: by the geometric-window identity of
+    qbernoulli, term j of the closed form gets
     power(j) = q^(j wa wb x) * prod_k window(wa, wb (c_k + j)).
     """
+    cs = (1,) * r if h is None else weight_exponents(h, r)
+
     def power(j):
         return window_product(wa, [wb * (c + j) for c in cs]).shift(j * wa * wb * x)
 
-    return q_bracket(wa, 1) ** (n - len(cs)) * closed(wa, power)
+    return q_bracket(wa, 1) ** (n - r) * closed_form(n, r, wa, power, h)
 
 
 def _convolution_side(n: int, r: int, h, wa: int, wb: int, x: int, twist: int) -> RatFun:
@@ -184,8 +186,7 @@ def _side(identity: str, n: int, r: int, h, wa: int, wb: int, x: int, twist: int
     twist is nonzero only on thm4's lhs.  The closed forms and T-sums are
     looked up as module globals on each call."""
     if identity in ("thm3", "thm5"):
-        cs = (1,) * r if h is None else weight_exponents(h, r)
-        return _swap_side(n, cs, wa, wb, x, lambda w, power: closed_form(n, r, w, power, h))
+        return _swap_side(n, r, h, wa, wb, x)
     return _convolution_side(n, r, h, wa, wb, x, twist)
 
 

@@ -2,8 +2,8 @@
 
 The bracket [m] in base q^w is (1 - q^(w*m)) / (1 - q^w).  It is always a
 Laurent polynomial: a geometric sum for m >= 0 and a negative-exponent sum
-for m < 0, so every function here returns a RatFun whose denominator is 1
-except for q_binomial.
+for m < 0.  bracket_poly returns that LaurentPoly; every other function here
+returns a RatFun whose denominator is 1 except for q_binomial.
 """
 
 from __future__ import annotations

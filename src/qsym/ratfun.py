@@ -45,8 +45,8 @@ the narrowest width its bound allows.  A failed bound is retried at least
 twice as wide, up to the width that holds any integer quotient by Mignotte's
 bound, |q_i| <= 2**deg(q) * ||A||_2, where it proves that d does not divide.
 Coefficient lists appear only at the boundary: the ``{exponent: coefficient}``
-constructor, ``coeffs``, ``terms``, ``evaluate``, the gcd, a divisor's
-content, ``__str__`` and JSON.
+constructor, ``coeffs``, ``terms``, ``evaluate``, the gcd's primitive inputs,
+candidates and pseudo-remainders, a divisor's content, ``__str__`` and JSON.
 
 A RatFun is a quotient ``num / den`` of Laurent polynomials, den nonzero.
 Equality is cross-multiplication (``a/b == c/d  iff  a*d == c*b``), so gcd
@@ -57,14 +57,15 @@ and while the denominator vanishes at q0 the numerator must vanish too (else q0
 is a pole) and both are divided exactly by b*q - a.  The q -> 1 limit is the
 value at 1.
 
-``canonical()`` and ``poly_gcd`` use the heuristic gcd of Char, Geddes and
-Gonnet (J. Symb. Comput. 7, 1989) on the primitive integer parts, packed at
+``canonical()`` uses the heuristic gcd of Char, Geddes and Gonnet (J. Symb.
+Comput. 7, 1989) on the primitive integer parts, packed once and re-widthed to
 x = 2**(8*size) with half a digit above 2*max|coefficient| + 29: the integer
 gcd of the two values is read back from its symmetric base-x digits, and its
-primitive part is accepted only when trial division leaves no remainder on
-either side, which proves it is the gcd and yields the reduced numerator and
-denominator.  A failed candidate is retried at a few wider digit sizes, then
-the Euclidean algorithm with primitive pseudo-remainders decides.
+primitive part is accepted only when ``exact_div`` divides both sides by it,
+which proves it is the gcd and yields the reduced numerator and denominator as
+packed quotients.  A failed candidate is retried at a few wider digit sizes,
+then the Euclidean algorithm with primitive pseudo-remainders decides and
+``exact_div`` forms the quotients by its gcd.
 ``canonical()`` first deflates a pair that lives in q^g (g the gcd of the
 term offsets of both sides) to q and inflates the reduced pair back, since
 the gcd commutes with q -> q^g; a closed form in base q^w is such a pair.
@@ -520,58 +521,32 @@ def _primitive(coeffs: list) -> tuple:
     return g, coeffs if g == 1 else [c // g for c in coeffs]
 
 
-def _int_div(num: list, den: list):
-    """Quotient of integer coefficient lists when the primitive den divides num, else None."""
-    dd = len(den) - 1
-    lead = den[-1]
-    rem = list(num)
-    quot = [0] * (len(num) - dd)
-    for k in range(len(num) - 1 - dd, -1, -1):
-        c = rem[k + dd]
-        if c:
-            c, r = divmod(c, lead)
-            if r:
-                return None
-            quot[k] = c
-            for j, b in enumerate(den, k):
-                if b:
-                    rem[j] -= c * b
-    if any(rem[:dd]):
-        return None
-    return quot
-
-
-def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Gcd of the polynomial parts over the rationals, returned as a primitive
-    integer polynomial with positive leading coefficient (monomial factors of
-    the inputs are units and are discarded), by the heuristic gcd of the
-    module docstring."""
-    if a.is_zero or b.is_zero:
-        return _from_coeffs(0, _primitive((b if a.is_zero else a).coeffs)[1])
-    return _from_coeffs(0, _gcd_cofactors(_primitive(a.coeffs)[1], _primitive(b.coeffs)[1])[0])
-
-
 # Evaluation points the heuristic gcd tries, each with wider digits, before it
 # falls back to the pseudo-remainder sequence.
 _HEU_ATTEMPTS = 4
 
 
 def _gcd_cofactors(A: list, B: list) -> tuple:
-    """(G, A/G, B/G) for primitive integer lists A and B with positive leading
-    coefficients, G their gcd (primitive, positive leading coefficient)."""
+    """(G, A/G, B/G) as LaurentPolys for primitive integer lists A and B with
+    positive leading coefficients and nonzero constant terms, G their gcd
+    (primitive, positive leading coefficient).  Every trial division is
+    exact_div, which treats q**k as a unit.  It decides polynomial divisibility
+    here because every G has a nonzero constant term: a candidate's is h mod x,
+    h divides A(x), and x does not, as 0 < |A[0]| < x."""
+    a, b = _from_coeffs(0, A), _from_coeffs(0, B)
     bound = 2 * max(max(map(abs, A)), max(map(abs, B))) + 29
     size = bound.bit_length() // 8 + 1  # half a digit, 2**(8*size - 1), exceeds bound
     for _ in range(_HEU_ATTEMPTS):
-        h = math.gcd(_pack_int(A, size), _pack_int(B, size))
-        G = _primitive(_symmetric_digits(h, size))[1]
-        qa = _int_div(A, G)
+        h = math.gcd(_rewidth(a.P, a.n, a.size, size), _rewidth(b.P, b.n, b.size, size))
+        G = _from_coeffs(0, _primitive(_symmetric_digits(h, size))[1])
+        qa = a.exact_div(G)
         if qa is not None:
-            qb = _int_div(B, G)
+            qb = b.exact_div(G)
             if qb is not None:
                 return G, qa, qb
         size += size // 2 + 1
-    G = _prs_gcd(A, B)
-    return G, _int_div(A, G), _int_div(B, G)
+    G = _from_coeffs(0, _prs_gcd(A, B))
+    return G, a.exact_div(G), b.exact_div(G)
 
 
 def _symmetric_digits(h: int, size: int) -> list:
@@ -725,8 +700,8 @@ class RatFun:
         g = math.gcd(*(t for cs in (n_prim, d_prim) for t, c in enumerate(cs) if c)) or 1
         _, n_red, d_red = _gcd_cofactors(n_prim[::g], d_prim[::g])
         content = Fraction(n_content * self.den.den, d_content * self.num.den)
-        return RatFun(_from_coeffs(0, n_red).inflate(g).shift(self.num.lo - self.den.lo)
-                      .scale(content), _from_coeffs(0, d_red).inflate(g))
+        return RatFun(n_red.inflate(g).shift(self.num.lo - self.den.lo).scale(content),
+                      d_red.inflate(g))
 
     # -- evaluation ----------------------------------------------------------
 

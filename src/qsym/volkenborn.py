@@ -39,10 +39,11 @@ r (n + max|c_k|).  a and b are p-adic units, as v_p(1 - q0) >= 1, so a nonzero
 residue has the valuation of the integer; a zero one means S_N agrees with the
 closed value to Nmax + 64 digits, and the report then builds the stage exactly,
 as an unreduced numerator and denominator, since for b != 1 the reduced
-Fraction's gcd would cost more than the stage itself.  The closed-form value at q0 is summed term by term in integers
-(qbernoulli._closed_value: O(n r) products of powers of a, b and b - a, one lcm,
-one Fraction), with no rational function built and nothing shared with P or the
-stage kernel, so each valuation compares two independent computations.
+Fraction's gcd would cost more than the stage itself.  The closed-form value at
+q0 is summed term by term in integers (qbernoulli._closed_value: O(n r)
+products of powers of a, b and b - a, one lcm, one Fraction), with no rational
+function built and nothing shared with P or the stage kernel, so each valuation
+compares two independent computations.
 """
 
 from __future__ import annotations

@@ -292,6 +292,13 @@ def test_table_rows_and_quoting(capsys):
     assert lines[2] == '1,1,1,0,"-1/(q + 1)"'
 
 
+@pytest.mark.parametrize("argv", [("--w", "0"), ("--r", "0"), ("--n=-1",)])
+def test_table_bad_parameter_exits_2_before_the_header(capsys, argv):
+    code, out, err = run(capsys, "table", *argv)
+    assert code == 2
+    assert out == "" and err.startswith("error: ")
+
+
 def test_table_deterministic_reruns(capsys):
     args = ["table", "--n", "0..6", "--r", "2", "--w", "1", "--arg", "0"]
     _, out1, _ = run(capsys, *args)

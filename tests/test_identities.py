@@ -19,8 +19,8 @@ from qsym.identities import (
     check_thm6,
     sweep,
 )
-from qsym.qbernoulli import (DegenerateWeightError, beta_higher, beta_weighted, closed_form,
-                             t_sum, t_sum_h, weight_exponents)
+from qsym.qbernoulli import (DegenerateWeightError, beta_higher, beta_weighted, t_sum, t_sum_h,
+                             weight_exponents)
 from qsym.qcore import q_bracket
 from qsym.ratfun import LaurentPoly, RatFun, ResourceLimitError, ratfun_eq
 
@@ -135,8 +135,7 @@ def test_thm5_side_matches_tuple_enumeration(n, r):
         cs = weight_exponents(h, r)
         for wa, wb in itertools.product(range(1, 5), repeat=2):
             for x in (0, 1):
-                got = idn._swap_side(n, cs, wa, wb, x,
-                                     lambda w, power: closed_form(n, r, w, power, h))
+                got = idn._swap_side(n, r, h, wa, wb, x)
                 want = swap_side_by_tuples(n, cs, wa, wb, x,
                                            lambda w, arg: beta_weighted(n, h, r, w, arg))
                 assert ratfun_eq(got, want), (h, wa, wb, x)
@@ -145,10 +144,9 @@ def test_thm5_side_matches_tuple_enumeration(n, r):
 @pytest.mark.parametrize("n, r", SIDE_CASES)
 def test_thm3_side_matches_tuple_enumeration(n, r):
     beta = lambda w, arg: beta_higher(n, r, w, arg)
-    closed = lambda w, power: closed_form(n, r, w, power)
     for x in (0, 1):
         for wa, wb in itertools.product(range(1, 5), repeat=2):
-            got = idn._swap_side(n, (1,) * r, wa, wb, x, closed)
+            got = idn._swap_side(n, r, None, wa, wb, x)
             assert ratfun_eq(got, swap_side_by_tuples(n, (1,) * r, wa, wb, x, beta)), (wa, wb, x)
         # the multiplication formula is the side at wb = 1
         for w1 in range(1, 5):
@@ -314,14 +312,10 @@ def uncached_sides(ident, p):
     per-check closed forms and T-sums the checkers built before the side cache."""
     n, r, x, h = p["n"], p["r"], p["x"], p.get("h")
     if ident == "multiplication":
-        closed = lambda w, power: closed_form(n, r, w, power)
-        return (beta_higher(n, r, 1, p["w1"] * x),
-                idn._swap_side(n, (1,) * r, p["w1"], 1, x, closed))
+        return beta_higher(n, r, 1, p["w1"] * x), idn._swap_side(n, r, None, p["w1"], 1, x)
     w1, w2 = p["w1"], p["w2"]
     if ident in ("thm3", "thm5"):
-        cs = (1,) * r if h is None else weight_exponents(h, r)
-        closed = lambda w, power: closed_form(n, r, w, power, h)
-        return (idn._swap_side(n, cs, w1, w2, x, closed), idn._swap_side(n, cs, w2, w1, x, closed))
+        return idn._swap_side(n, r, h, w1, w2, x), idn._swap_side(n, r, h, w2, w1, x)
     if ident == "thm4":
         return oracle_side(n, r, None, w1, w2, x), oracle_side(n, r, None, w2, w1, x)
     return oracle_side(n, r, h, w2, w1, x), oracle_side(n, r, h, w1, w2, x)

@@ -500,7 +500,7 @@ def reduce_without_deflation(f):
     """canonical()'s (num, den) lists, reduced by one gcd on the full lists."""
     _, n_prim = ratfun_mod._primitive(f.num.coeffs)
     _, d_prim = ratfun_mod._primitive(f.den.coeffs)
-    return ratfun_mod._gcd_cofactors(n_prim, d_prim)[1:]
+    return [p.coeffs for p in ratfun_mod._gcd_cofactors(n_prim, d_prim)[1:]]
 
 
 def test_canonical_commutes_with_inflation():

@@ -15,7 +15,6 @@ from qsym.ratfun import (
     ResourceLimitError,
     eval_rational,
     limit_at_one,
-    poly_gcd,
     ratfun_eq,
 )
 import qsym.ratfun as ratfun_mod
@@ -291,7 +290,7 @@ def test_exact_div_inverts_mul(a, b):
 @settings(derandomize=True, max_examples=60)
 @given(nonzero_polys(), nonzero_polys())
 def test_gcd_divides_both(a, b):
-    g = poly_gcd(a, b)
+    g = _checked_cofactors(_prim(a), _prim(b))[0]
     assert a.exact_div(g) is not None
     assert b.exact_div(g) is not None
 
@@ -350,6 +349,14 @@ def _prim(p: LaurentPoly) -> list:
     return p.content_and_primitive()[1].coeffs
 
 
+def _checked_cofactors(A: list, B: list) -> tuple:
+    """_gcd_cofactors(A, B) = (G, A/G, B/G), packed, once G * (A/G) = A and
+    G * (B/G) = B are checked."""
+    g, qa, qb = got = ratfun_mod._gcd_cofactors(A, B)
+    assert g * qa == P(dict(enumerate(A))) and g * qb == P(dict(enumerate(B)))
+    return got
+
+
 def _reduce_by(f: RatFun, g: list) -> RatFun:
     """f reduced by its gcd g the long way: shift out the monomials, exact_div
     both sides by g, move the denominator's content into the numerator."""
@@ -362,7 +369,7 @@ def _reduce_by(f: RatFun, g: list) -> RatFun:
 
 def _assert_matches_prs(f: RatFun) -> None:
     g = ratfun_mod._prs_gcd(_prim(f.num), _prim(f.den))
-    assert poly_gcd(f.num, f.den).coeffs == g
+    assert _checked_cofactors(_prim(f.num), _prim(f.den))[0].coeffs == g
     c, ref = f.canonical(), _reduce_by(f, g)
     assert c.num == ref.num and c.den == ref.den
 
@@ -412,25 +419,39 @@ def test_heuristic_gcd_retries_then_falls_back(monkeypatch):
     A, B = [-22, 23, -2, 1], [50, 1]
     pack = ratfun_mod._pack_int
     assert math.gcd(pack(A, 2), pack(B, 2)) == pack(B, 2) == 2**16 + 50
-    prs_calls = []
-    prs = ratfun_mod._prs_gcd
+    prs_calls, points = [], []
+    prs, digits = ratfun_mod._prs_gcd, ratfun_mod._symmetric_digits
 
     def spy(*lists):
         prs_calls.append(lists)
         return prs(*lists)
 
+    def point_spy(h, size):
+        points.append(size)
+        return digits(h, size)
+
     monkeypatch.setattr(ratfun_mod, "_prs_gcd", spy)
-    assert ratfun_mod._gcd_cofactors(A, B) == ([1], A, B)
-    assert ratfun_mod._gcd_cofactors(B, A) == ([1], B, A)  # q + 50 divides the first only
+    monkeypatch.setattr(ratfun_mod, "_symmetric_digits", point_spy)
+
+    def cofactor_lists(A, B):
+        points.clear()
+        return [p.coeffs for p in _checked_cofactors(A, B)]
+
+    # (q + 1)(q + 2) and (q + 1)(q + 3): the first point proves the gcd q + 1.
+    assert cofactor_lists([2, 3, 1], [3, 4, 1]) == [[1, 1], [2, 1], [3, 1]] and points == [1]
+    assert cofactor_lists(A, B) == [[1], A, B] and points == [2, 4]
+    assert cofactor_lists(B, A) == [[1], B, A]  # q + 50 divides the first only
     assert prs_calls == []  # the second, wider point proved the gcd
     monkeypatch.setattr(ratfun_mod, "_HEU_ATTEMPTS", 1)
-    assert ratfun_mod._gcd_cofactors(A, B) == ([1], A, B)
+    assert cofactor_lists(A, B) == [[1], A, B] and points == [2]
     assert prs_calls == [(A, B)]
+    monkeypatch.setattr(ratfun_mod, "_HEU_ATTEMPTS", 0)
+    assert cofactor_lists([2, 3, 1], [3, 4, 1]) == [[1, 1], [2, 1], [3, 1]] and points == []
+    assert len(prs_calls) == 2
 
     # With no heuristic attempt at all, canonical() reduces through PRS alone.
-    monkeypatch.setattr(ratfun_mod, "_HEU_ATTEMPTS", 0)
     c = P({0: 1, 1: 3, 2: 1})
     f = RatFun(P(dict(enumerate(A))) * c, P(dict(enumerate(B))) * c.shift(2))
     reduced = f.canonical()
     assert reduced.num == P({-2: -22, -1: 23, 0: -2, 1: 1}) and reduced.den == P({0: 50, 1: 1})
-    assert len(prs_calls) == 2
+    assert len(prs_calls) == 3
