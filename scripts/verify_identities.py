@@ -42,11 +42,11 @@ def main() -> int:
     total_fail = 0
     print(f"{'battery':<16} {'checks':>7} {'failures':>9} {'seconds':>8}")
     for name, cfg in BATTERY:
-        t0 = time.time()
+        t0 = time.perf_counter()
         reports = sweep(cfg, threads=args.threads)
         failures = [r for r in reports if not r.holds]
         total_fail += len(failures)
-        print(f"{name:<16} {len(reports):>7} {len(failures):>9} {time.time() - t0:>8.2f}")
+        print(f"{name:<16} {len(reports):>7} {len(failures):>9} {time.perf_counter() - t0:>8.2f}")
         for rep in failures:
             print(f"  counterexample: {rep.to_json_line()}")
     print("all identities hold" if not total_fail else f"{total_fail} FAILURES")

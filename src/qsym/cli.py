@@ -15,7 +15,6 @@ import json
 import os
 import sys
 import time
-import traceback
 from fractions import Fraction
 
 from .identities import IDENTITIES, SweepConfig, sweep
@@ -163,7 +162,7 @@ def run_verify(args) -> int:
         sample=args.sample,
         seed=args.seed,
     )
-    t0 = time.time()
+    t0 = time.perf_counter()
     reports = sweep(cfg, threads=threads)
     for rep in reports:
         print(rep.to_json_line(verbose=args.verbose))
@@ -171,7 +170,7 @@ def run_verify(args) -> int:
     if args.verbose:
         print(
             f"[{time.strftime('%Y-%m-%dT%H:%M:%S')}] {len(reports)} checks, "
-            f"{failures} failures, {time.time() - t0:.2f}s, threads={threads}",
+            f"{failures} failures, {time.perf_counter() - t0:.2f}s, threads={threads}",
             file=sys.stderr,
         )
     return EXIT_FAIL if failures else EXIT_OK
@@ -233,6 +232,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except Exception:
+        import traceback  # lazily: only a bug reaches here
+
         traceback.print_exc()
         return EXIT_INTERNAL
 

@@ -26,11 +26,11 @@ import itertools
 import json
 import math
 import os
-import random
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import lru_cache
 
 from .qbernoulli import (
+    WeightedBetaQuery,
     beta_higher,
     beta_number,
     beta_weighted,
@@ -61,15 +61,10 @@ IDENTITIES = (
 _THM4_LHS_TWIST = 0
 
 
-@dataclass
-class CheckReport:
+class CheckReport(namedtuple("CheckReport", "identity params lhs rhs holds")):
     """Outcome of one identity check: parameters, both sides, verdict."""
 
-    identity: str
-    params: dict
-    lhs: RatFun
-    rhs: RatFun
-    holds: bool
+    __slots__ = ()
 
     def to_json_obj(self, verbose: bool = False) -> dict:
         obj = {"identity": self.identity, "params": self.params, "holds": self.holds}
@@ -273,38 +268,28 @@ _CHECKERS = {
 # -- sweeps ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GuardLimits:
+class GuardLimits(namedtuple("GuardLimits", "max_n max_r max_w max_abs_x max_abs_h",
+                             defaults=(12, 4, 6, 4, 8))):
     """Grid guards, checked before any work: a sweep refuses n, r, w, x or h
     outside these ranges, which bound the degree of every closed form and the
     span of every window product."""
 
-    max_n: int = 12
-    max_r: int = 4
-    max_w: int = 6
-    max_abs_x: int = 4
-    max_abs_h: int = 8
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SweepConfig:
+class SweepConfig(namedtuple(
+    "SweepConfig",
+    "identities ns rs w1s w2s xs hs h_offsets guards sample seed",
+    defaults=(IDENTITIES, (0, 1, 2), (1, 2), (1, 2), (1, 2), (0, 1), None, (0, 1, 3),
+              GuardLimits(), None, 0),
+)):
     """Parameter ranges and identity selection for one verification sweep.
 
     hs = None picks, for each r, the offsets h = r + off for off in h_offsets,
     which keeps the weighted checks away from degenerate h.
     """
 
-    identities: tuple = IDENTITIES
-    ns: tuple = (0, 1, 2)
-    rs: tuple = (1, 2)
-    w1s: tuple = (1, 2)
-    w2s: tuple = (1, 2)
-    xs: tuple = (0, 1)
-    hs: tuple | None = None
-    h_offsets: tuple = (0, 1, 3)
-    guards: GuardLimits = field(default_factory=GuardLimits)
-    sample: int | None = None
-    seed: int = 0
+    __slots__ = ()
 
     def hs_for(self, r: int) -> tuple:
         if self.hs is not None:
@@ -366,9 +351,13 @@ class SweepConfig:
                     ):
                         out.append((ident, {"n": n, "r": r, "h": h, "w1": w1, "w2": w2, "x": x}))
         if self.sample is not None and self.sample < len(out):
+            import random  # lazily: only a sampled sweep draws
             rng = random.Random(self.seed)
             idx = sorted(rng.sample(range(len(out)), self.sample))
             out = [out[i] for i in idx]
+        for ident, params in out:  # a degenerate h fails here, before any check runs
+            if ident in ("thm5", "thm6"):
+                WeightedBetaQuery(params["n"], params["h"], params["r"])
         return out
 
 

@@ -33,8 +33,7 @@ numbers generated by their additive recurrence.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -49,42 +48,43 @@ class DegenerateWeightError(QsymDomainError):
     """Weighted closed form requested at an h where a factor (j+c_k)/[j+c_k] is 0/0."""
 
 
-@dataclass(frozen=True)
-class BetaQuery:
+class BetaQuery(namedtuple("BetaQuery", "n r w arg", defaults=(1, 1, 0))):
     """Parameters of one higher-order evaluation: degree n, order r, base q^w,
-    scaled argument arg."""
+    scaled argument arg.  An immutable named tuple, checked on construction."""
 
-    n: int
-    r: int = 1
-    w: int = 1
-    arg: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 0:
-            raise QsymDomainError(f"degree n must be >= 0, got {self.n}")
-        if self.r < 1:
-            raise QsymDomainError(f"order r must be >= 1, got {self.r}")
-        if self.w < 1:
-            raise QsymDomainError(f"base exponent w must be >= 1, got {self.w}")
+    def __new__(cls, n: int, r: int = 1, w: int = 1, arg: int = 0):
+        if n < 0:
+            raise QsymDomainError(f"degree n must be >= 0, got {n}")
+        if r < 1:
+            raise QsymDomainError(f"order r must be >= 1, got {r}")
+        if w < 1:
+            raise QsymDomainError(f"base exponent w must be >= 1, got {w}")
+        return super().__new__(cls, n, r, w, arg)
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace checks again
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class WeightedBetaQuery:
+class WeightedBetaQuery(namedtuple("WeightedBetaQuery", "n h r w arg", defaults=(1, 1, 0))):
     """Parameters of one weighted evaluation; h is the integer weight."""
 
-    n: int
-    h: int
-    r: int = 1
-    w: int = 1
-    arg: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        BetaQuery(self.n, self.r, self.w, self.arg)
-        if not (self.h > self.r - 1 or self.h < -self.n):
+    def __new__(cls, n: int, h: int, r: int = 1, w: int = 1, arg: int = 0):
+        BetaQuery(n, r, w, arg)
+        if not (h > r - 1 or h < -n):
             raise DegenerateWeightError(
-                f"h={self.h} is degenerate for n={self.n}, r={self.r}: "
-                f"some factor j+h-k with 0<=j<={self.n}, 0<=k<{self.r} is zero"
+                f"h={h} is degenerate for n={n}, r={r}: "
+                f"some factor j+h-k with 0<=j<={n}, 0<=k<{r} is zero"
             )
+        return super().__new__(cls, n, h, r, w, arg)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def weight_exponents(h: int, r: int) -> range:

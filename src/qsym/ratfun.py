@@ -262,9 +262,9 @@ class LaurentPoly:
         return _new(self.lo * w, P, (self.n - 1) * w + 1, self.size, self.bits, self.den)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if not isinstance(other, LaurentPoly):
+        if not isinstance(other, LaurentPoly):  # first: a test against Fraction runs ABCMeta's
+            if isinstance(other, (int, Fraction)):
+                return self.scale(other)
             return NotImplemented
         if not self.n or not other.n:
             return _ZERO

@@ -52,7 +52,7 @@ import itertools
 import json
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .qbernoulli import WeightedBetaQuery, _closed_value, weight_exponents
@@ -124,37 +124,33 @@ def default_q0(p: int) -> Fraction:
     return Fraction(5) if p == 2 else Fraction(1 + p)
 
 
-@dataclass(frozen=True)
-class PadicContext:
+class PadicContext(namedtuple("PadicContext", "p q0 Nmax budget", defaults=(None, 4, 10**6))):
     """Prime p, evaluation point q0 with v_p(1 - q0) >= 1 (>= 2 for p = 2),
     largest stage Nmax, and a budget on the p^(r N) index tuples a stage sum
     stands for; the closed form never visits them, so it no longer tracks cost
-    (MAX_STAGE_BITS bounds that)."""
+    (MAX_STAGE_BITS bounds that).  q0 = None means default_q0(p)."""
 
-    p: int
-    q0: Fraction = None
-    Nmax: int = 4
-    budget: int = 10**6
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.p > self.budget:  # refuses every stage (r N >= 1)
-            raise ResourceLimitError(f"p = {self.p} exceeds the budget {self.budget}")
-        if not is_prime(self.p):
-            raise QsymDomainError(f"p = {self.p} is not prime")
-        if self.q0 is None:
-            object.__setattr__(self, "q0", default_q0(self.p))
-        else:
-            object.__setattr__(self, "q0", Fraction(self.q0))
-        need = 2 if self.p == 2 else 1
-        if self.q0 == 1:  # the stage sums divide by 1 - q0
+    def __new__(cls, p: int, q0: Fraction = None, Nmax: int = 4, budget: int = 10**6):
+        if p > budget:  # refuses every stage (r N >= 1)
+            raise ResourceLimitError(f"p = {p} exceeds the budget {budget}")
+        if not is_prime(p):
+            raise QsymDomainError(f"p = {p} is not prime")
+        q0 = default_q0(p) if q0 is None else Fraction(q0)
+        need = 2 if p == 2 else 1
+        if q0 == 1:  # the stage sums divide by 1 - q0
             raise QsymDomainError("q0 = 1 is excluded: the stage sums divide by 1 - q0")
-        a, b = self.q0.numerator, self.q0.denominator
-        if _int_valuation(b - a, self.p) - _int_valuation(b, self.p) < need:  # v_p(1 - q0)
-            raise QsymDomainError(
-                f"q0 = {self.q0} too far from 1: need v_{self.p}(1 - q0) >= {need}"
-            )
-        if self.Nmax < 1:
+        a, b = q0.numerator, q0.denominator
+        if _int_valuation(b - a, p) - _int_valuation(b, p) < need:  # v_p(1 - q0)
+            raise QsymDomainError(f"q0 = {q0} too far from 1: need v_{p}(1 - q0) >= {need}")
+        if Nmax < 1:
             raise QsymDomainError("Nmax must be >= 1")
+        return super().__new__(cls, p, q0, Nmax, budget)
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace checks again
+        return cls(*iterable)
 
 
 def _check_budget(ctx: PadicContext, r: int, N: int) -> int:
@@ -301,17 +297,11 @@ def riemann_sum_weighted(n: int, h: int, r: int, x: int, ctx: PadicContext, N: i
     return Fraction(*_riemann_sum(n, x, ctx, N, weight_exponents(h, r)))
 
 
-@dataclass
-class ConvergenceReport:
+class ConvergenceReport(namedtuple("ConvergenceReport",
+                                   "family params p q0 target points monotone")):
     """Per-N valuations of (stage-N sum minus closed form) for one target."""
 
-    family: str
-    params: dict
-    p: int
-    q0: Fraction
-    target: str
-    points: list
-    monotone: bool
+    __slots__ = ()
 
     def to_json_obj(self) -> dict:
         return {

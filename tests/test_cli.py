@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import qsym.cli as cli_mod
+import qsym.identities as identities_mod
 import qsym.qbernoulli as qbernoulli_mod
 import qsym.ratfun as ratfun_mod
 import qsym.volkenborn as volkenborn_mod
@@ -21,17 +22,42 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_cli_import_leaves_the_process_pool_unloaded():
-    # concurrent.futures.process is most of qsym's import time; only a sweep
-    # on more than one worker needs it.
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _fresh_modules(code: str) -> set:
+    """sys.modules after running code in a fresh interpreter with qsym on its path."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    code = "import sys, qsym.cli; print('concurrent.futures.process' in sys.modules)"
+    code += "\nimport sys; sys.stdout.write('\\n'.join(sys.modules))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    return set(proc.stdout.split("\n"))
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # concurrent.futures.process is most of qsym's import time; only a sweep
+    # on more than one worker needs it.
+    assert "concurrent.futures.process" not in _fresh_modules("import qsym.cli")
+
+
+def test_cli_import_loads_no_module_it_only_needs_on_a_rare_path():
+    # dataclasses (with inspect, ast and dis) cost more start-up than the records
+    # need; traceback serves only exit 4 and random only a sampled sweep.  The
+    # interpreter may load some of them before qsym (a site hook may), so the
+    # check is against what an empty program loads.
+    added = _fresh_modules("import qsym.cli") - _fresh_modules("pass")
+    rare = {"dataclasses", "inspect", "ast", "dis", "traceback", "random"}
+    assert not added & rare, sorted(added & rare)
+
+
+def test_package_import_loads_every_library_module():
+    # The benchmark tracer rebinds functions in every qsym module loaded by
+    # ``import qsym``; cli and __main__ are the entry points it imports itself.
+    library = {f"qsym.{p.stem}" for p in SRC.glob("qsym/*.py")} - {
+        "qsym.__init__", "qsym.cli", "qsym.__main__"}
+    assert "qsym.volkenborn" in library and library <= _fresh_modules("import qsym")
 
 
 def test_compute_beta_trivial(capsys):
@@ -263,6 +289,21 @@ def test_verify_bad_input_exits_2(capsys, monkeypatch, env, argv):
     code, out, err = run(capsys, "verify", "--identity", "shift", *argv)
     assert code == 2
     assert out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_verify_degenerate_h_exits_2_before_any_check(capsys, monkeypatch, threads):
+    # thm3 and thm4 come first in the sweep; the degenerate thm5 jobs must
+    # refuse the sweep before any of them runs.
+    def never(**params):
+        raise AssertionError("a checker ran")
+
+    monkeypatch.setattr(identities_mod, "_CHECKERS", dict.fromkeys(identities_mod._CHECKERS, never))
+    code, out, err = run(capsys, "verify", "--identity", "thm3", "--identity", "thm4",
+                         "--identity", "thm5", "--max-n", "6", "--max-r", "3", "--max-w", "3",
+                         "--h=-2", "--threads", threads)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: h=-2 is degenerate for n=2, r=1")
 
 
 @pytest.mark.parametrize("env, argv", [

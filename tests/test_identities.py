@@ -449,3 +449,26 @@ def test_convolution_side_is_the_swapped_base_swap_side(h_of):
         conv, swap = ("thm4", "thm3") if h is None else ("thm6", "thm5")
         assert (idn._side(conv, n, r, h, wa, wb, x, 0)
                 == idn._side(swap, n, r, h, wb, wa, x, 0)), (n, r, h, wa, wb, x)
+
+
+DEGENERATE = SweepConfig(identities=("thm3", "thm5"), ns=(0, 1, 2), rs=(1, 2), hs=(-2,))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_degenerate_h_refuses_the_sweep_before_any_check(monkeypatch, threads):
+    # The first degenerate job is thm5 at n = 2, r = 1, after every thm3 job.
+    def never(**params):
+        raise AssertionError("a checker ran")
+
+    monkeypatch.setattr(idn, "_CHECKERS", dict.fromkeys(idn._CHECKERS, never))
+    message = "h=-2 is degenerate for n=2, r=1"
+    with pytest.raises(DegenerateWeightError, match=message):
+        DEGENERATE.jobs()
+    with pytest.raises(DegenerateWeightError, match=message):
+        sweep(DEGENERATE, threads=threads)
+
+
+def test_degenerate_h_is_checked_only_on_the_sampled_jobs():
+    assert DEGENERATE._replace(sample=0).jobs() == []
+    nondegenerate = DEGENERATE._replace(ns=(0, 1))
+    assert len(nondegenerate.jobs()) == 64
