@@ -23,6 +23,7 @@ from .qbernoulli import (
     beta_higher,
     beta_weighted,
     denominator_brackets,
+    numerator_span_guard,
     t_sum,
     t_sum_h,
 )
@@ -177,11 +178,14 @@ def run_verify(args) -> int:
 
 
 def run_table(args) -> int:
-    # Both checks run before the header: the smallest corner holds any bad
-    # parameter, and the denominator span grows with n, r and w, so one guard
-    # at the largest corner refuses an oversized table before any row is built.
+    # Every check runs before the header: the smallest corner holds any bad
+    # parameter, the denominator span grows with n, r and w, and the numerator
+    # span with n, r, w and |arg|, so the guards at the largest n, r and w, with
+    # the smallest and the largest arg, refuse an oversized table before any row.
     BetaQuery(min(args.n), min(args.r), min(args.w))
     denominator_brackets(max(args.n), max(args.r), max(args.w))
+    for arg in (min(args.arg), max(args.arg)):
+        numerator_span_guard(max(args.n), max(args.r), max(args.w), arg)
     print("n,r,w,arg,ratfun")
     for n in sorted(set(args.n)):
         for r in sorted(set(args.r)):

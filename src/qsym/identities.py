@@ -16,13 +16,12 @@ inversion, sum_(i>=j) C(n-j, i-j) N_i = W_j, turns its T-sum numerators N_i
 back into window products W_j = T(j, j).  The checkers deliberately do not use
 this, so thm4 and thm6 still check the paper's convolution form, not thm3's.
 
-A sweep runs selected checkers over a Cartesian grid, in deterministic
-parameter order, optionally fanned out over worker processes.
+A sweep runs selected checkers over a Cartesian grid, in the order the table
+_GRID_AXES fixes, optionally fanned out over worker processes.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
@@ -44,17 +43,16 @@ from .qbernoulli import (
 from .qcore import bracket_poly, q_bracket
 from .ratfun import LaurentPoly, QsymDomainError, RatFun, ResourceLimitError
 
-IDENTITIES = (
-    "recurrence",
-    "shift",
-    "expansion",
-    "limit-q1",
-    "multiplication",
-    "thm3",
-    "thm4",
-    "thm5",
-    "thm6",
-)
+# Each identity, in report order, with its checker's parameters in grid order:
+# a sweep varies the first axis slowest, takes h from SweepConfig.hs_for(r) and
+# every other axis a from the SweepConfig field "<a>s".
+_GRID_AXES = {
+    "recurrence": "n", "shift": "n", "expansion": "n x", "limit-q1": "n r x",
+    "multiplication": "n r w1 x",
+    "thm3": "n r w1 w2 x", "thm4": "n r w1 w2 x",
+    "thm5": "n r h w1 w2 x", "thm6": "n r h w1 w2 x",
+}
+IDENTITIES = tuple(_GRID_AXES)
 
 # Test-only hook: a nonzero value multiplies the i = n term of the thm4 LHS by
 # q**twist, so a sweep must report failures (checker non-vacuity).
@@ -185,11 +183,13 @@ def _side(identity: str, n: int, r: int, h, wa: int, wb: int, x: int, twist: int
     return _convolution_side(n, r, h, wa, wb, x, twist)
 
 
-# Serial sweeps run jobs in (identity, n, r, h, w1, w2, x) order, so the mirror
+# Serial sweeps run jobs in _GRID_AXES order, (w1, w2, x) innermost, so the mirror
 # check of a pair comes at most |w1s| |w2s| |xs| checks, each adding at most one
-# pair, after it: 9 on the benchmark grid, 8 on verify's default grid.  The
-# bound keeps every partner with room to spare, and its 32 pairs hold at most
-# the 64 sides a per-side cache of the same reach held.
+# pair, after it: 9 on the benchmark grid, 8 on verify's default grid.  The 32
+# pairs, at most the 64 sides a per-side cache of the same reach held, keep every
+# partner while |w1s| |w2s| |xs| <= 32.  Past that some mirror checks rebuild
+# their pair (w1s = w2s = 1..5, xs = 0..2 keeps 42 of 60 partners); a bound for
+# the whole GuardLimits box (324 pairs) could hold about 85 MB of sides.
 _PAIR_CACHE_SIZE = 32
 
 
@@ -286,7 +286,8 @@ class SweepConfig(namedtuple(
     """Parameter ranges and identity selection for one verification sweep.
 
     hs = None picks, for each r, the offsets h = r + off for off in h_offsets,
-    which keeps the weighted checks away from degenerate h.
+    which keeps the weighted checks away from degenerate h.  jobs() walks the
+    axes of _GRID_AXES, which fixes the order of the checks.
     """
 
     __slots__ = ()
@@ -321,42 +322,26 @@ class SweepConfig(namedtuple(
                 if abs(h) > g.max_abs_h:
                     raise ResourceLimitError(f"h = {h} outside guard |h| <= {g.max_abs_h}")
 
+    def _points(self, axes: str) -> list:
+        """The grid points over axes, each a params dict, the first axis slowest."""
+        points = [{}]
+        for a in axes.split():
+            points = [{**p, a: v} for p in points
+                      for v in (self.hs_for(p["r"]) if a == "h" else getattr(self, a + "s"))]
+        return points
+
     def jobs(self) -> list:
-        """Deterministic (identity, params) list covering the grid."""
+        """Deterministic (identity, params) list covering the grid, in _GRID_AXES order."""
         self.validate()
-        out = []
-        order = [i for i in IDENTITIES if i in self.identities]
-        for ident in order:
-            if ident in ("recurrence", "shift"):
-                for n in self.ns:
-                    out.append((ident, {"n": n}))
-            elif ident == "expansion":
-                for n, x in itertools.product(self.ns, self.xs):
-                    out.append((ident, {"n": n, "x": x}))
-            elif ident == "limit-q1":
-                for n, r, x in itertools.product(self.ns, self.rs, self.xs):
-                    out.append((ident, {"n": n, "r": r, "x": x}))
-            elif ident == "multiplication":
-                for n, r, w1, x in itertools.product(self.ns, self.rs, self.w1s, self.xs):
-                    out.append((ident, {"n": n, "r": r, "w1": w1, "x": x}))
-            elif ident in ("thm3", "thm4"):
-                for n, r, w1, w2, x in itertools.product(
-                    self.ns, self.rs, self.w1s, self.w2s, self.xs
-                ):
-                    out.append((ident, {"n": n, "r": r, "w1": w1, "w2": w2, "x": x}))
-            else:  # thm5, thm6
-                for n, r in itertools.product(self.ns, self.rs):
-                    for h, w1, w2, x in itertools.product(
-                        self.hs_for(r), self.w1s, self.w2s, self.xs
-                    ):
-                        out.append((ident, {"n": n, "r": r, "h": h, "w1": w1, "w2": w2, "x": x}))
+        out = [(ident, params) for ident, axes in _GRID_AXES.items() if ident in self.identities
+               for params in self._points(axes)]
         if self.sample is not None and self.sample < len(out):
             import random  # lazily: only a sampled sweep draws
             rng = random.Random(self.seed)
             idx = sorted(rng.sample(range(len(out)), self.sample))
             out = [out[i] for i in idx]
-        for ident, params in out:  # a degenerate h fails here, before any check runs
-            if ident in ("thm5", "thm6"):
+        for _, params in out:  # a degenerate h fails here, before any check runs
+            if "h" in params:
                 WeightedBetaQuery(params["n"], params["h"], params["r"])
         return out
 

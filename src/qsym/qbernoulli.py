@@ -105,11 +105,17 @@ def denominator_brackets(n: int, r: int, w: int, h: int | None = None) -> range:
         c = weight_exponents(h, r)
         ms, mult = range(c[-1], c[0] + n + 1), 1
     span = w * (n + mult * (abs((ms.start + ms.stop - 1) * len(ms)) // 2 - len(ms)))
-    if span > ratfun.MAX_SPAN:
-        raise ResourceLimitError(
-            f"predicted denominator span {span} exceeds the guard MAX_SPAN={ratfun.MAX_SPAN}"
-        )
+    ratfun.check_span(span, "predicted denominator")
     return ms
+
+
+def numerator_span_guard(n: int, r: int, w: int, arg: int) -> None:
+    """Refuse, before any work, a beta_higher(n, r, w, arg) whose numerator
+    spans more than ratfun.MAX_SPAN.  Term j is q^(j arg) times a cofactor of
+    degree w r (T - j), T = n(n+1)/2, so the span is w r T + max(0, n (arg - w r))
+    for arg >= 0 and w r T + n |arg| for arg < 0: it grows with n, r, w and |arg|."""
+    span = w * r * n * (n + 1) // 2 + max(0, n * (arg - w * r)) - min(0, n * arg)
+    ratfun.check_span(span, "predicted numerator")
 
 
 def _term_scalars(n: int, r: int, h: int | None = None) -> list:
@@ -296,10 +302,7 @@ def _check_t_args(n: int, i: int, r: int, wlim: int, base: int, h: int | None = 
     exps = tuple(base * (i + ck) for ck in cs)
     lo = (wlim - 1) * sum(e for e in exps if e < 0)
     hi = (wlim - 1) * sum(e for e in exps if e > 0) + base * max(r * (wlim - 1), 1) * (n - i)
-    if hi - lo > ratfun.MAX_SPAN:
-        raise ResourceLimitError(
-            f"predicted exponent span {hi - lo} exceeds the guard MAX_SPAN={ratfun.MAX_SPAN}"
-        )
+    ratfun.check_span(hi - lo, "predicted exponent")
     return exps
 
 

@@ -95,10 +95,10 @@ class QsymDomainError(ValueError):
 MAX_SPAN = 100_000
 
 
-def _check_span(span: int) -> None:
+def check_span(span: int, what: str = "exponent") -> None:
     """Refuse a polynomial wider than MAX_SPAN before its digits exist."""
     if span > MAX_SPAN:
-        raise ResourceLimitError(f"exponent span {span} exceeds the guard MAX_SPAN={MAX_SPAN}")
+        raise ResourceLimitError(f"{what} span {span} exceeds the guard MAX_SPAN={MAX_SPAN}")
 
 
 class LaurentPoly:
@@ -115,7 +115,7 @@ class LaurentPoly:
                 raise TypeError(f"coefficient must be int or Fraction, got {type(c).__name__}")
         terms = {e: c for e, c in terms.items() if c}
         lo, hi = min(terms, default=0), max(terms, default=-1)
-        _check_span(hi - lo)
+        check_span(hi - lo)
         den = math.lcm(*[c.denominator for c in terms.values()])
         coeffs = [0] * (hi - lo + 1)
         for e, c in terms.items():
@@ -202,7 +202,7 @@ class LaurentPoly:
             return other
         a, b = (self, other) if self.lo <= other.lo else (other, self)
         shift = b.lo - a.lo
-        _check_span(max(a.n, shift + b.n) - 1)
+        check_span(max(a.n, shift + b.n) - 1)
         ka = kb = 1
         if a.den != b.den:
             den = math.lcm(a.den, b.den)
@@ -257,7 +257,7 @@ class LaurentPoly:
             raise QsymDomainError(f"inflate wants w >= 1, got {w}")
         if w == 1 or not self.n:
             return self
-        _check_span((self.n - 1) * w)
+        check_span((self.n - 1) * w)
         P = _rewidth(self.P, self.n, self.size, self.size * w)
         return _new(self.lo * w, P, (self.n - 1) * w + 1, self.size, self.bits, self.den)
 
@@ -268,7 +268,7 @@ class LaurentPoly:
             return NotImplemented
         if not self.n or not other.n:
             return _ZERO
-        _check_span(self.n + other.n - 2)
+        check_span(self.n + other.n - 2)
         if other.n == 1:  # a monomial: one scale and a shift
             return self._times(other.P, other.den, other.lo)
         if self.n == 1:
@@ -396,7 +396,7 @@ def linear_combination(terms) -> LaurentPoly:
     if not terms:
         return _ZERO
     lo = min(p.lo + s for _, s, p in terms)
-    _check_span(max(p.lo + s + p.n for _, s, p in terms) - 1 - lo)
+    check_span(max(p.lo + s + p.n for _, s, p in terms) - 1 - lo)
     den = math.lcm(*[k.denominator * p.den for k, _, p in terms])
     ks = [k.numerator * (den // (k.denominator * p.den)) for k, _, p in terms]
     grow = (sum(map(abs, ks)) - 1).bit_length()

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -242,6 +243,60 @@ def test_table_guard_runs_before_any_row(capsys, monkeypatch, cold_caches, max_s
     code, out, _ = run(capsys, "table", "--n", "0..3", "--r", "1..2", "--arg", "0,1")
     assert code == expected
     assert len(out.splitlines()) == (17 if expected == 0 else 0)
+
+
+def test_table_numerator_guard_runs_before_the_header(capsys, monkeypatch):
+    # The numerator span grows with |arg|: the row at arg = 40000 spans 120,003.
+    monkeypatch.setattr(cli_mod, "beta_higher", None)  # no closed form may be built
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "table", "--n", "0..3", "--arg", "0,40000")
+    assert (code, out) == (3, "") and "span 120003 " in err
+    assert time.perf_counter() - t0 < 1.0
+
+
+TABLE_BOUNDARIES = [
+    ("--n 3 --arg 33332", 0, "0be86d9856bb9463a2645a56f156f94922b91200a143e9254ddd981a7ed6e89b"),
+    ("--n 3 --arg 33333", 3, None),  # numerator span 100,002
+    ("--n 3 --arg -33331", 0, "8f42be5b518e8162ca93f21a633e7cffe2e5efbfc43ad01b1bdf92538df54efe"),
+    ("--n 3 --arg -33332", 3, None),  # 100,002
+    ("--n 3 --arg -33333", 3, None),  # 100,005
+    ("--n 3 --r 2 --w 3 --arg 33327", 0,
+     "c28feb789ec3383ca5abdcf9e068a8d0594e4d38746d366e656cf5e99619deb9"),
+    ("--n 3 --r 2 --w 3 --arg 33328", 3, None),
+    ("--n 3 --r 2 --w 3 --arg -33321", 0,
+     "1af8ca34480b0a984ad29eff352a16e343c7d5477d8bfde359cfe00981195bc1"),
+    ("--n 3 --r 2 --w 3 --arg -33322", 3, None),
+]
+
+
+@pytest.mark.parametrize("argv, expected, sha256", TABLE_BOUNDARIES,
+                         ids=[argv for argv, _, _ in TABLE_BOUNDARIES])
+def test_table_numerator_guard_boundaries(capsys, argv, expected, sha256):
+    # Digests taken before the numerator guard, when each refused table still
+    # printed its header.
+    code, out, _ = run(capsys, "table", *argv.split())
+    assert code == expected
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256 if sha256 else out == ""
+
+
+@pytest.mark.parametrize("args", [(-5, 0, 6), (-3, 0, 9)])
+def test_table_refuses_exactly_what_the_build_refuses(capsys, monkeypatch, cold_caches, args):
+    # Around the largest span of the grid (39 at one arg corner, at most 33 at
+    # the other and 30 for the denominator), the table exits 3 with nothing on
+    # stdout exactly when building one of its values hits a span guard.
+    grid = list(itertools.product(range(4), (1, 2), (1, 2), args))
+    for max_span in range(28, 42):
+        monkeypatch.setattr(ratfun_mod, "MAX_SPAN", max_span)
+        cold_caches()
+        try:
+            for n, r, w, arg in grid:
+                qbernoulli_mod.beta_higher(n, r, w, arg).canonical()
+            builds = True
+        except ratfun_mod.ResourceLimitError:
+            builds = False
+        code, out, _ = run(capsys, "table", "--n", "0..3", "--r", "1..2", "--w", "1..2",
+                           "--arg=" + ",".join(map(str, args)))
+        assert (code, len(out.splitlines())) == ((0, 1 + len(grid)) if builds else (3, 0)), max_span
 
 
 def test_verify_recurrence(capsys):

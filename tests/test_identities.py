@@ -1,5 +1,9 @@
+import inspect
 import itertools
 import json
+import random
+import types
+from pathlib import Path
 
 import pytest
 
@@ -472,3 +476,75 @@ def test_degenerate_h_is_checked_only_on_the_sampled_jobs():
     assert DEGENERATE._replace(sample=0).jobs() == []
     nondegenerate = DEGENERATE._replace(ns=(0, 1))
     assert len(nondegenerate.jobs()) == 64
+
+
+# -- the grid order --------------------------------------------------------------
+
+
+def literal_jobs(cfg):
+    """The documented report order (identity, n, r, [h], w1, w2, x), written out
+    per identity, then the documented --sample/--seed draw."""
+    ns, rs, w1s, w2s, xs = cfg.ns, cfg.rs, cfg.w1s, cfg.w2s, cfg.xs
+
+    def hs(r):
+        return cfg.hs if cfg.hs is not None else [r + off for off in cfg.h_offsets]
+
+    jobs = [("recurrence", {"n": n}) for n in ns]
+    jobs += [("shift", {"n": n}) for n in ns]
+    jobs += [("expansion", {"n": n, "x": x}) for n in ns for x in xs]
+    jobs += [("limit-q1", {"n": n, "r": r, "x": x}) for n in ns for r in rs for x in xs]
+    jobs += [("multiplication", {"n": n, "r": r, "w1": w1, "x": x})
+             for n in ns for r in rs for w1 in w1s for x in xs]
+    for ident in ("thm3", "thm4"):
+        jobs += [(ident, {"n": n, "r": r, "w1": w1, "w2": w2, "x": x})
+                 for n in ns for r in rs for w1 in w1s for w2 in w2s for x in xs]
+    for ident in ("thm5", "thm6"):
+        jobs += [(ident, {"n": n, "r": r, "h": h, "w1": w1, "w2": w2, "x": x})
+                 for n in ns for r in rs for h in hs(r) for w1 in w1s for w2 in w2s for x in xs]
+    jobs = [job for job in jobs if job[0] in cfg.identities]
+    if cfg.sample is not None and cfg.sample < len(jobs):
+        idx = sorted(random.Random(cfg.seed).sample(range(len(jobs)), cfg.sample))
+        jobs = [jobs[i] for i in idx]
+    return jobs
+
+
+# Two values on every axis, none in sorted order, so the field order shows.
+TWO_BY_TWO = SweepConfig(ns=(2, 1), rs=(2, 1), w1s=(3, 1), w2s=(1, 2), xs=(1, -1),
+                         h_offsets=(3, 0))
+
+
+@pytest.mark.parametrize("cfg", [
+    TWO_BY_TWO,
+    TWO_BY_TWO._replace(hs=(5, -4)),
+    TWO_BY_TWO._replace(sample=23, seed=5),
+    TWO_BY_TWO._replace(identities=("thm6", "expansion", "thm3", "recurrence")),
+], ids=["h-offsets", "hs", "sampled", "selected"])
+def test_jobs_follow_the_documented_grid_order(cfg):
+    want = literal_jobs(cfg)
+    assert len(want) == (23 if cfg.sample else sum(
+        2 ** len(idn._GRID_AXES[i].split()) for i in cfg.identities))
+    assert cfg.jobs() == want
+
+
+def load_workloads():
+    """perfbench/workloads.py, run from its source so that nothing is written
+    beside it; it imports nothing from qsym."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    mod = types.ModuleType("workloads")
+    exec(compile(path.read_text(), str(path), "exec"), mod.__dict__)
+    return mod
+
+
+@pytest.mark.parametrize("scale", ["full", "tiny"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_jobs_match_the_benchmark_sweep(monkeypatch, scale, seed):
+    monkeypatch.setenv("PERFBENCH_SCALE", scale)
+    workloads = load_workloads()
+    assert SweepConfig(**workloads.sweep_config(seed)).jobs() == workloads.sweep_jobs(seed)
+
+
+def test_every_identity_has_grid_axes_naming_its_checker_parameters():
+    assert idn.IDENTITIES == tuple(idn._CHECKERS) == tuple(idn._GRID_AXES)
+    for ident, checker in idn._CHECKERS.items():
+        axes = idn._GRID_AXES[ident].split()
+        assert sorted(axes) == sorted(inspect.signature(checker).parameters), ident
