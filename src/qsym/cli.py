@@ -41,13 +41,13 @@ EXIT_PIPE = 141
 def _parse_range(text: str) -> tuple:
     """Accept "3", "1,2,5" or "0..6" (inclusive); refuse an empty range."""
     text = text.strip()
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        values = tuple(range(int(lo), int(hi) + 1))
-    else:
-        values = tuple(int(t) for t in text.split(","))
+    lo, dots, hi = text.partition("..")
+    try:
+        values = tuple(range(int(lo), int(hi) + 1)) if dots else _int_list(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a range lo..hi of integers: {text!r}") from None
     if not values:
-        raise QsymDomainError(f"empty range {text!r}")
+        raise argparse.ArgumentTypeError(f"empty range {text!r}")
     return values
 
 
@@ -60,7 +60,10 @@ def _fraction(text: str) -> Fraction:
 
 
 def _int_list(text: str) -> tuple:
-    return tuple(int(t) for t in text.split(","))
+    try:
+        return tuple(int(t) for t in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a list a,b,... of integers: {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -37,7 +37,7 @@ from .qbernoulli import (
     closed_form,
     t_sum,
     t_sum_h,
-    weight_exponents,
+    weights,
     window_product,
 )
 from .qcore import bracket_poly, q_bracket
@@ -136,18 +136,18 @@ def check_multiplication(n: int, r: int, w1: int, x: int) -> CheckReport:
 def _swap_side(n: int, r: int, h, wa: int, wb: int, x: int) -> RatFun:
     """[wa]^(n-r) * sum over j in {0..wa-1}^r of q^(wb sum_k c_k j_k)
     * (closed form in base q^wa at argument wa wb x + wb sum j), for the
-    order-r family (h None: c = (1, ..., 1), thm3 and the multiplication
-    formula) or the weighted (h, r) family (c = weight_exponents(h, r), thm5).
+    order-r family (h None: thm3 and the multiplication formula) or the
+    weighted (h, r) family (thm5), c read from weights(r, h).
 
     closed_form takes power(j) in place of q^(j arg) and is linear in it, so
     the tuple sum moves into one call: by the geometric-window identity of
     qbernoulli, term j of the closed form gets
     power(j) = q^(j wa wb x) * prod_k window(wa, wb (c_k + j)).
     """
-    cs = (1,) * r if h is None else weight_exponents(h, r)
+    exps, mult = weights(r, h)
 
     def power(j):
-        return window_product(wa, [wb * (c + j) for c in cs]).shift(j * wa * wb * x)
+        return window_product(wa, [wb * (c + j) for c in exps], mult).shift(j * wa * wb * x)
 
     return q_bracket(wa, 1) ** (n - r) * closed_form(n, r, wa, power, h)
 
@@ -156,11 +156,12 @@ def _convolution_side(n: int, r: int, h, wa: int, wb: int, x: int, twist: int) -
     """sum_i C(n,i) [wa]^(n-i) [wb]^(i-r) beta_i T(n,i), beta_i = num_i / den_i the order-r
     (h None) or weighted closed form in base q^wb at wa wb x and T(n,i) its T-sum in base
     q^wa, with no division.  The difference table of the window products T(s,s) ends in
-    N_i = T(n,i) (1-q^wa)^(n-i), so [wa]^(n-i) T(n,i) = N_i / (1-q)^(n-i); with e_k = [k+1]^r
-    or [h+k] in base q^wb, den_n = den_i (1-q^wb)^(n-i) e_(i+1)...e_n.  The side is thus
+    N_i = T(n,i) (1-q^wa)^(n-i), so [wa]^(n-i) T(n,i) = N_i / (1-q)^(n-i); with e_k =
+    [k + c_1]^mult in base q^wb, den_n = den_i (1-q^wb)^(n-i) e_(i+1)...e_n.  The side is thus
     [wb]^(n-r) sum_i C(n,i) e_(i+1)...e_n num_i N_i / den_n, summed by Horner's rule.
     A nonzero twist multiplies the i = n term by q^twist."""
     hr, beta, tsum = ((r,), beta_higher, t_sum) if h is None else ((h, r), beta_weighted, t_sum_h)
+    exps, mult = weights(r, h)
     N = [tsum(s, s, *hr, wb, wa).num for s in range(n + 1)]
     for k in range(n, 0, -1):
         N[:k] = [N[s] - N[s + 1] for s in range(k)]
@@ -168,8 +169,7 @@ def _convolution_side(n: int, r: int, h, wa: int, wb: int, x: int, twist: int) -
     acc = RatFun(0)
     for i in range(n + 1):
         b = beta(i, *hr, wb, wa * wb * x)
-        e = bracket_poly(i + 1, wb, r) if h is None else bracket_poly(h + i, wb)
-        acc = acc * e + b.num.scale(math.comb(n, i)) * N[i]
+        acc = acc * bracket_poly(i + exps[0], wb, mult) + b.num.scale(math.comb(n, i)) * N[i]
     return acc * RatFun(bracket_poly(wb, 1, max(n - r, 0)),
                         bracket_poly(wb, 1, max(r - n, 0)) * b.den)
 

@@ -1,9 +1,9 @@
 """Closed-form evaluators for the Carlitz q-Bernoulli families.
 
 Both families come from one q-Volkenborn integral whose coordinate k carries
-the weight exponent c_k: c = (1, ..., 1) for the order-r polynomials
-beta_higher(n, r, w, arg), c = weight_exponents(h, r) = (h, ..., h-r+1) for
-the weighted ones beta_weighted(n, h, r, w, arg).  Both are
+the weight exponent c_k, read from weights(r, h): c = (1, ..., 1) for the
+order-r polynomials beta_higher(n, r, w, arg), c = (h, ..., h-r+1) for the
+weighted ones beta_weighted(n, h, r, w, arg).  Both are
 
     (1 / (1 - q^w)^n) * sum_{j=0}^{n} C(n,j) (-1)^j q^(j*arg) prod_k (j+c_k)/[j+c_k]
 
@@ -33,7 +33,7 @@ numbers generated by their additive recurrence.
 from __future__ import annotations
 
 import math
-from collections import Counter, namedtuple
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -87,23 +87,23 @@ class WeightedBetaQuery(namedtuple("WeightedBetaQuery", "n h r w arg", defaults=
         return cls(*iterable)
 
 
-def weight_exponents(h: int, r: int) -> range:
-    """c = (h, h-1, ..., h-r+1), the weight exponents of the weighted (h, r)
-    family; a range, so an unbounded r costs nothing before a guard sees it."""
-    return range(h, h - r, -1)
+def weights(r: int, h: int | None = None) -> tuple:
+    """c as (exps, mult), each exponent of the range exps taken mult times, for the
+    order-r (h None) or weighted (h, r) family; nothing of length r is built, so an
+    unbounded r costs nothing before a guard sees it."""
+    if h is None:
+        return range(1, 2), r
+    return range(h, h - r, -1), 1
 
 
 def denominator_brackets(n: int, r: int, w: int, h: int | None = None) -> range:
-    """The m of the denominator (1-q^w)^n * prod_m [m]^mult: m = 1..n+1 with
-    mult = r for beta_higher (h None), the union of the windows j + c with
-    mult = 1 for beta_weighted.  Refuses, before any work, a denominator
-    spanning more than ratfun.MAX_SPAN: [m] spans w(|m|-1) and no m is 0, so
-    sum |m| = |sum m| and the span costs O(1) for any n, r and h."""
-    if h is None:
-        ms, mult = range(1, n + 2), r
-    else:
-        c = weight_exponents(h, r)
-        ms, mult = range(c[-1], c[0] + n + 1), 1
+    """The m of the denominator (1-q^w)^n * prod_m [m]^mult, (exps, mult) =
+    weights(r, h): the union of the windows j + exps over j = 0..n.  Refuses,
+    before any work, a denominator spanning more than ratfun.MAX_SPAN: [m]
+    spans w(|m|-1) and no m is 0, so sum |m| = |sum m| and the span costs O(1)
+    for any n, r and h."""
+    exps, mult = weights(r, h)
+    ms = range(exps[-1], exps[0] + n + 1)
     span = w * (n + mult * (abs((ms.start + ms.stop - 1) * len(ms)) // 2 - len(ms)))
     ratfun.check_span(span, "predicted denominator")
     return ms
@@ -120,10 +120,9 @@ def numerator_span_guard(n: int, r: int, w: int, arg: int) -> None:
 
 def _term_scalars(n: int, r: int, h: int | None = None) -> list:
     """(-1)^j C(n,j) prod_k (j+c_k) for j = 0..n: the scalar of closed-form term j."""
-    if h is None:
-        return [(-1) ** j * math.comb(n, j) * (j + 1) ** r for j in range(n + 1)]
-    c = weight_exponents(h, r)
-    return [(-1) ** j * math.comb(n, j) * math.prod(j + ck for ck in c) for j in range(n + 1)]
+    exps, mult = weights(r, h)
+    return [(-1) ** j * math.comb(n, j) * math.prod(range(j + exps[-1], j + exps[0] + 1)) ** mult
+            for j in range(n + 1)]
 
 
 def _closed_value(n: int, r: int, x: int, q0: Fraction, h: int | None = None) -> Fraction:
@@ -136,15 +135,11 @@ def _closed_value(n: int, r: int, x: int, q0: Fraction, h: int | None = None) ->
     e > 0 and -(b-a) a^k / (b (b^k - a^k)) for e < 0.  Term j is num / den times
     a^i b^l, its dens meet in one lcm, and the sum ends in one Fraction: O(n r)
     integer operations.  The RatFun of beta_higher / beta_weighted is its
-    oracle.  It validates its query and derives c itself, as the oracle does,
-    although a convergence report has done both already; the size of a^i b^l
-    is bounded only by the report's stage-size guard."""
-    if h is None:
-        BetaQuery(n, r, 1, x)
-        exps, mult = range(1, 2), r
-    else:
-        WeightedBetaQuery(n, h, r, 1, x)
-        exps, mult = weight_exponents(h, r), 1
+    oracle.  It validates its query and reads c from weights, as the oracle
+    does, although a convergence report has done both already; the size of
+    a^i b^l is bounded only by the report's stage-size guard."""
+    BetaQuery(n, r, 1, x) if h is None else WeightedBetaQuery(n, h, r, 1, x)
+    exps, mult = weights(r, h)
     a, b = q0.numerator, q0.denominator
     terms = []  # (num, den, i, l): num / den * a^i b^l
     for j, scalar in enumerate(_term_scalars(n, r, h)):
@@ -166,13 +161,15 @@ def _closed_value(n: int, r: int, x: int, q0: Fraction, h: int | None = None) ->
                     lcm * (b - a) ** max(n - r, 0) * a ** max(-low_i, 0) * b ** max(-low_l, 0))
 
 
-def _scaffold(factors: list[LaurentPoly], width: int, scalars: list):
-    """Denominator (1-q)^n * prod(factors) and per-term cofactors of a closed
-    form in base q whose term j divides by factors[j : j+width],
-    n = len(factors) - width.  Cofactor j, the product outside that window, is
-    a prefix times a suffix product, so no term needs a division.  The
+def _scaffold(ms: range, n: int, r: int, h: int | None):
+    """Denominator (1-q)^n * prod_(m in ms) [m]^mult and per-term cofactors of the
+    closed form in base q, (exps, mult) = weights(r, h): term j divides by the
+    len(exps) factors from [ms[j]]^mult on.  Cofactor j, the product outside that
+    window, is a prefix times a suffix product, so no term needs a division.  The
     cofactors share the width that holds their sum with the term scalars, so a
     closed form at a monomial argument re-widths none of them."""
+    exps, mult = weights(r, h)
+    factors = [bracket_poly(m, 1, mult) for m in ms]
     pre = [LaurentPoly.one()]
     for f in factors:
         pre.append(pre[-1] * f)
@@ -180,9 +177,8 @@ def _scaffold(factors: list[LaurentPoly], width: int, scalars: list):
     for f in reversed(factors):
         suf.append(f * suf[-1])
     suf.reverse()
-    n = len(factors) - width
-    cof = ratfun.common_width([pre[j] * suf[j + width] for j in range(n + 1)],
-                              (sum(map(abs, scalars)) - 1).bit_length())
+    cof = ratfun.common_width([pre[j] * suf[j + len(exps)] for j in range(n + 1)],
+                              (sum(map(abs, _term_scalars(n, r, h))) - 1).bit_length())
     return _ONE_MINUS_Q ** n * pre[-1], tuple(cof)
 
 
@@ -199,7 +195,7 @@ def _higher_scaffold(n: int, r: int, w: int):
     ms = denominator_brackets(n, r, w)  # the span guard runs at base q^w
     if w > 1:
         return _inflate(_higher_scaffold(n, r, 1), w)
-    return _scaffold([bracket_poly(m) ** r for m in ms], 1, _term_scalars(n, r))
+    return _scaffold(ms, n, r, None)
 
 
 @lru_cache(maxsize=None)
@@ -209,7 +205,7 @@ def _weighted_scaffold(n: int, h: int, r: int, w: int):
     ms = denominator_brackets(n, r, w, h)  # the span guard runs at base q^w
     if w > 1:
         return _inflate(_weighted_scaffold(n, h, r, 1), w)
-    return _scaffold([bracket_poly(m) for m in ms], r, _term_scalars(n, r, h))
+    return _scaffold(ms, n, r, h)
 
 
 def closed_form(n: int, r: int, w: int, power, h: int | None = None) -> RatFun:
@@ -263,30 +259,30 @@ def beta_weighted(n: int, h: int, r: int = 1, w: int = 1, arg: int = 0) -> RatFu
     return closed_form(n, r, w, _monomials(arg), h)
 
 
-def window_product(limit: int, exps) -> LaurentPoly:
-    """prod_k sum_{t<limit} q^(e_k t) over the exponents e_k in exps, limit >= 1:
-    the geometric windows of the module docstring.  Equal exponents share one
-    cached bracket power."""
+def window_product(limit: int, exps, mult: int) -> LaurentPoly:
+    """prod_k sum_{t<limit} q^(e_k t) over the exponents e_k, each e of exps
+    taken mult times, limit >= 1: the geometric windows of the module
+    docstring.  The mult windows of one exponent are one cached bracket power."""
     out = LaurentPoly.one()
-    for e, k in Counter(exps).items():
+    for e in exps:
         if e:
-            out = out * bracket_poly(limit, abs(e), k).shift(min(e, 0) * (limit - 1) * k)
+            out = out * bracket_poly(limit, abs(e), mult).shift(min(e, 0) * (limit - 1) * mult)
         else:
-            out = out.scale(limit**k)
+            out = out.scale(limit**mult)
     return out
 
 
 def _check_t_args(n: int, i: int, r: int, wlim: int, base: int, h: int | None = None) -> tuple:
-    """Validate the T-sum arguments and return the ratio exponents base(i+c_k),
-    c = (1, ..., 1) for t_sum and weight_exponents(h, r) for t_sum_h.
+    """Validate the T-sum arguments and return the ratio exponents base(i+c_k)
+    as (exps, mult), c read from weights(r, h): h None for t_sum.
 
     Before any work, refuse a sum whose order r or predicted span exceeds
     ratfun.MAX_SPAN.  The span is that of the largest polynomial built, the
     numerator of _t_sum_grouped: its term m is a product of windows over the
     exponents e_k + base m, which lies between (wlim-1) times the sum of the
     negative e_k and (wlim-1) times the sum of the positive e_k plus
-    base r (wlim-1) m, m <= n-i.  The divisor (1-q^base)^(n-i) spans
-    base(n-i), which the bound also covers when wlim = 1.
+    base r (wlim-1) m, m <= n-i, so it spans (wlim-1) sum |e_k| + base r (wlim-1)(n-i).
+    The divisor (1-q^base)^(n-i) spans base(n-i), which the bound also covers when wlim = 1.
     """
     if not 0 <= i <= n:
         raise QsymDomainError(f"need 0 <= i <= n, got i={i}, n={n}")
@@ -298,22 +294,22 @@ def _check_t_args(n: int, i: int, r: int, wlim: int, base: int, h: int | None = 
         raise QsymDomainError(f"base exponent must be >= 1, got {base}")
     if r > ratfun.MAX_SPAN:
         raise ResourceLimitError(f"order r {r} exceeds the guard MAX_SPAN={ratfun.MAX_SPAN}")
-    cs = (1,) * r if h is None else weight_exponents(h, r)
-    exps = tuple(base * (i + ck) for ck in cs)
-    lo = (wlim - 1) * sum(e for e in exps if e < 0)
-    hi = (wlim - 1) * sum(e for e in exps if e > 0) + base * max(r * (wlim - 1), 1) * (n - i)
-    ratfun.check_span(hi - lo, "predicted exponent")
-    return exps
+    c, mult = weights(r, h)
+    exps = tuple(base * (i + ck) for ck in c)
+    span = (wlim - 1) * mult * sum(map(abs, exps)) + base * max(r * (wlim - 1), 1) * (n - i)
+    ratfun.check_span(span, "predicted exponent")
+    return exps, mult
 
 
-def _t_sum_grouped(n: int, i: int, exps: tuple, wlim: int, base: int) -> RatFun:
-    """sum over tuples j in {0..wlim-1}^r of [sum j]^(n-i) q^(sum_l exps[l] j_l),
-    brackets in base q^base.  With [s]^(n-i) expanded binomially in q^(base s),
-    the tuple sum groups by the binomial index m into window products over the
-    exponents exps[l] + base m, and one exact division by (1-q^base)^(n-i)
-    follows; [0]^0 = 1 is the m = 0 term of n = i."""
+def _t_sum_grouped(n: int, i: int, exps: tuple, mult: int, wlim: int, base: int) -> RatFun:
+    """sum over tuples j in {0..wlim-1}^r of [sum j]^(n-i) q^(sum_k e_k j_k), each
+    e of exps taken mult times as an e_k, brackets in base q^base.  With [s]^(n-i)
+    expanded binomially in q^(base s), the tuple sum groups by the binomial index m
+    into window products over the exponents e_k + base m, and one exact division
+    by (1-q^base)^(n-i) follows; [0]^0 = 1 is the m = 0 term of n = i."""
     num = ratfun.linear_combination(
-        ((-1) ** m * math.comb(n - i, m), 0, window_product(wlim, [e + base * m for e in exps]))
+        ((-1) ** m * math.comb(n - i, m), 0,
+         window_product(wlim, [e + base * m for e in exps], mult))
         for m in range(n - i + 1))
     return RatFun(num.exact_div((_ONE_MINUS_Q ** (n - i)).inflate(base)))
 
@@ -326,18 +322,18 @@ def t_sum(n: int, i: int, r: int, wlim: int, base: int = 1) -> RatFun:
     Every coordinate carries the ratio q^(base(i+1)), so each window product
     of _t_sum_grouped is one cached bracket power.
     """
-    return _t_sum_grouped(n, i, _check_t_args(n, i, r, wlim, base), wlim, base)
+    return _t_sum_grouped(n, i, *_check_t_args(n, i, r, wlim, base), wlim, base)
 
 
 @lru_cache(maxsize=None)
 def t_sum_h(n: int, i: int, h: int, r: int, wlim: int, base: int = 1) -> RatFun:
     """Weighted T-sum: sum over tuples j of [sum j]^(n-i) q^(base * sum_k (i+c_k) j_k),
-    c = weight_exponents(h, r).
+    c = (h, ..., h-r+1).
 
     The same window expansion as t_sum, over the ratios q^(base(i+c_k)); a
     zero exponent (i + c_k = 0) contributes the constant window wlim.
     """
-    return _t_sum_grouped(n, i, _check_t_args(n, i, r, wlim, base, h), wlim, base)
+    return _t_sum_grouped(n, i, *_check_t_args(n, i, r, wlim, base, h), wlim, base)
 
 
 # -- classical (q = 1) oracle -------------------------------------------------

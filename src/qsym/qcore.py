@@ -20,11 +20,11 @@ def _check_base(w: int) -> None:
 
 @lru_cache(maxsize=None)
 def bracket_poly(m: int, w: int = 1, k: int = 1) -> LaurentPoly:
-    """[m]^k in base q^w as a Laurent polynomial.  The powers share the cache
-    because the T-sums raise the same brackets to the same powers on every call."""
+    """[m]^k in base q^w as a Laurent polynomial.  Callers pass (m, w, k) in full,
+    as the cache keys (m, w) and (m, w, 1) apart; the T-sums reuse the powers."""
     _check_base(w)
     if k != 1:
-        return bracket_poly(m, w) ** k
+        return bracket_poly(m, w, 1) ** k
     if m >= 0:
         return LaurentPoly({w * i: 1 for i in range(m)})
     return LaurentPoly({-w * i: -1 for i in range(1, -m + 1)})
@@ -35,13 +35,13 @@ def _factorial_poly(r: int, w: int) -> LaurentPoly:
     call because no sweep, CLI command or stage sum asks for it."""
     out = LaurentPoly.one()
     for m in range(2, r + 1):
-        out = out * bracket_poly(m, w)
+        out = out * bracket_poly(m, w, 1)
     return out
 
 
 def q_bracket(m: int, w: int = 1) -> RatFun:
     """The q-analogue [m] = (1 - q^(w*m)) / (1 - q^w)."""
-    return RatFun(bracket_poly(m, w))
+    return RatFun(bracket_poly(m, w, 1))
 
 
 def q_factorial(r: int, w: int = 1) -> RatFun:
@@ -62,5 +62,5 @@ def q_binomial(m: int, r: int, w: int = 1) -> RatFun:
     _check_base(w)
     num = LaurentPoly.one()
     for k in range(r):
-        num = num * bracket_poly(m - k, w)
+        num = num * bracket_poly(m - k, w, 1)
     return RatFun(num, _factorial_poly(r, w))

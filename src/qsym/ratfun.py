@@ -46,7 +46,8 @@ twice as wide, up to the width that holds any integer quotient by Mignotte's
 bound, |q_i| <= 2**deg(q) * ||A||_2, where it proves that d does not divide.
 Coefficient lists appear only at the boundary: the ``{exponent: coefficient}``
 constructor, ``coeffs``, ``terms``, ``evaluate``, the gcd's primitive inputs,
-candidates and pseudo-remainders, a divisor's content, ``__str__`` and JSON.
+candidates and pseudo-remainders, a divisor's content, ``_make``'s reduction of
+a denominator that shares a factor with P, ``__str__`` and JSON.
 
 A RatFun is a quotient ``num / den`` of Laurent polynomials, den nonzero.
 Equality is cross-multiplication (``a/b == c/d  iff  a*d == c*b``), so gcd

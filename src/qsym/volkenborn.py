@@ -2,7 +2,7 @@
 
 For a prime p, a rational q0 close to 1 in the p-adic sense, and N >= 1, the
 stage-N sum over r coordinates, with brackets at q = q0 and c = (1, ..., 1)
-(unweighted) or c = weight_exponents(h, r) (weighted), is
+(unweighted) or c = (h, ..., h-r+1) (weighted), read from qbernoulli.weights, is
 
     S_N = (1 / [p^N])^r * sum over y in {0..p^N-1}^r of [x + sum y]^n * q0^(sum c_k y_k).
 
@@ -42,8 +42,8 @@ as an unreduced numerator and denominator, since for b != 1 the reduced
 Fraction's gcd would cost more than the stage itself.  The closed-form value at
 q0 is summed term by term in integers (qbernoulli._closed_value: O(n r)
 products of powers of a, b and b - a, one lcm, one Fraction), with no rational
-function built and nothing shared with P or the stage kernel, so each valuation
-compares two independent computations.
+function built and nothing but the definition of c (weights) shared with P or
+the stage kernel, so each valuation compares two independent computations.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ import operator
 from collections import namedtuple
 from fractions import Fraction
 
-from .qbernoulli import WeightedBetaQuery, _closed_value, weight_exponents
+from .qbernoulli import WeightedBetaQuery, _closed_value, weights
 from .ratfun import QsymDomainError, ResourceLimitError
 
 FAMILIES = ("single", "multi", "weighted")
@@ -199,7 +199,7 @@ def _windows(a: int, b: int, big_a: int, big_b: int, size: int, lo: int, hi: int
                 max(e, 0) * (size - 1)) if e else (size, 1, 1, 0, 0) for e in range(lo, hi + 1)}
 
 
-def _riemann_sum(n: int, x: int, ctx: PadicContext, N: int, exps: range, mult: int = 1) -> tuple:
+def _riemann_sum(n: int, x: int, ctx: PadicContext, N: int, exps: range, mult: int) -> tuple:
     """S_N of the module docstring, c being each exponent of exps taken mult
     times (r = mult * len(exps)), in integers: O(n * len(exps)) operations and
     no O(r) object.  Returns the unreduced pair (num, den), whose denominator
@@ -286,15 +286,15 @@ def _stage_polynomial(n: int, x: int, q0: Fraction, exps: range, mult: int, p: i
 def riemann_sum_multi(n: int, r: int, x: int, ctx: PadicContext, N: int) -> Fraction:
     """Stage-N r-fold sum for the unweighted family, as an exact rational; every
     c_k is 1, so the r windows G(m + 1) are one power."""
-    return Fraction(*_riemann_sum(n, x, ctx, N, range(1, 2), r))
+    return Fraction(*_riemann_sum(n, x, ctx, N, *weights(r)))
 
 
 def riemann_sum_weighted(n: int, h: int, r: int, x: int, ctx: PadicContext, N: int) -> Fraction:
     """Stage-N r-fold sum with the extra per-coordinate weight q0^((c_k - 1) y_k),
-    c = weight_exponents(h, r), as an exact rational.  Computable for every
+    c = (h, ..., h-r+1), as an exact rational.  Computable for every
     integer h, including the e = 0 windows of a degenerate h; only the
     closed-form comparison is not."""
-    return Fraction(*_riemann_sum(n, x, ctx, N, weight_exponents(h, r)))
+    return Fraction(*_riemann_sum(n, x, ctx, N, *weights(r, h)))
 
 
 class ConvergenceReport(namedtuple("ConvergenceReport",
@@ -331,17 +331,16 @@ def convergence_report(family: str, params: dict, ctx: PadicContext) -> Converge
     n = params["n"]
     x = params.get("x", 0)
     if family == "single":
-        r, h, exps = 1, None, range(1, 2)
+        r, h = 1, None
         target = f"integral of [x + y]^{n} against the q-measure, x = {x}"
     elif family == "multi":
-        r, h, exps = params["r"], None, range(1, 2)
+        r, h = params["r"], None
         target = f"{r}-fold integral of [x + sum y]^{n}, x = {x}"
     else:
         r, h = params["r"], params["h"]
         WeightedBetaQuery(n, h, r, 1, x)
-        exps = weight_exponents(h, r)
         target = f"{r}-fold integral of [x + sum y]^{n} with weight exponent h = {h}, x = {x}"
-    mult = r if h is None else 1  # the unweighted windows are one power
+    exps, mult = weights(r, h)
     _check_stage(ctx, n, r, x, exps, ctx.Nmax)
     closed = _closed_value(n, r, x, ctx.q0, h)
     c, d = closed.numerator, closed.denominator

@@ -3,7 +3,7 @@ fuses, kept as test oracles: one for the primitive, one for the closed form."""
 
 import math
 
-from qsym.qbernoulli import _higher_scaffold, _weighted_scaffold, weight_exponents
+from qsym.qbernoulli import _higher_scaffold, _weighted_scaffold
 from qsym.ratfun import LaurentPoly, RatFun
 
 
@@ -23,7 +23,7 @@ def sequential_closed_form(n: int, r: int, w: int, power, h=None) -> RatFun:
         factor = lambda j: (j + 1) ** r
     else:
         den, cof = _weighted_scaffold(n, h, r, w)
-        factor = lambda j: math.prod(j + c for c in weight_exponents(h, r))
+        factor = lambda j: math.prod(j + c for c in range(h, h - r, -1))
     num = LaurentPoly.zero()
     for j in range(n + 1):
         scalar = math.comb(n, j) * factor(j)

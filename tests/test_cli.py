@@ -462,8 +462,8 @@ def test_volkenborn_nonprime_exits_2(capsys):
 
 
 def test_volkenborn_prime_over_budget_exits_3_before_the_primality_test(capsys):
-    # 2^61 - 1 is prime, and trial division up to its square root never ends;
-    # p > budget means every stage's p^(r N) exceeds the budget.
+    # 2^61 - 1 is prime.  p > budget means every stage's p^(r N) exceeds the
+    # budget, so the guard refuses it before Miller-Rabin runs.
     t0 = time.perf_counter()
     code, out, err = run(capsys, "volkenborn", "--n", "1", "--p", str(2**61 - 1))
     assert time.perf_counter() - t0 < 1.0
@@ -502,6 +502,23 @@ def test_volkenborn_q0_without_a_value_exits_2(capsys, q0):
         main(["volkenborn", "--n", "1", "--q0", q0])
     assert exc.value.code == 2
     assert f"not a fraction a/b with b != 0: '{q0}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["table", "--n", "3..1"], "argument --n: empty range '3..1'"),
+    (["table", "--arg", "0..x"], "argument --arg: not a range lo..hi of integers: '0..x'"),
+    (["table", "--w", "1,,2"], "argument --w: not a list a,b,... of integers: '1,,2'"),
+    (["verify", "--h", "1,x"], "argument --h: not a list a,b,... of integers: '1,x'"),
+    (["verify", "--h-offsets", "0.5"], "argument --h-offsets: not a list a,b,... of integers"),
+])
+def test_bad_list_or_range_flag_exits_2_with_its_message(capsys, argv, message):
+    # argparse prints an ArgumentTypeError's message; any other error from a
+    # flag parser would print "invalid _parse_range value" instead.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert message in err and "invalid" not in err
 
 
 def test_volkenborn_multi_n0_all_inf(capsys):

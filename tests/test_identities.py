@@ -2,7 +2,9 @@ import inspect
 import itertools
 import json
 import random
+import sys
 import types
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -23,9 +25,8 @@ from qsym.identities import (
     check_thm6,
     sweep,
 )
-from qsym.qbernoulli import (DegenerateWeightError, beta_higher, beta_weighted, t_sum, t_sum_h,
-                             weight_exponents)
-from qsym.qcore import q_bracket
+from qsym.qbernoulli import DegenerateWeightError, beta_higher, beta_weighted, t_sum, t_sum_h
+from qsym.qcore import bracket_poly, q_bracket
 from qsym.ratfun import LaurentPoly, RatFun, ResourceLimitError, ratfun_eq
 
 
@@ -136,7 +137,7 @@ SIDE_CASES = [(1, 1), (2, 1), (1, 2), (2, 2), (1, 3), (2, 3)]
 @pytest.mark.parametrize("n, r", SIDE_CASES)
 def test_thm5_side_matches_tuple_enumeration(n, r):
     for h in (r, r + 1, r + 3, -n - 1):
-        cs = weight_exponents(h, r)
+        cs = range(h, h - r, -1)
         for wa, wb in itertools.product(range(1, 5), repeat=2):
             for x in (0, 1):
                 got = idn._swap_side(n, r, h, wa, wb, x)
@@ -541,6 +542,28 @@ def test_jobs_match_the_benchmark_sweep(monkeypatch, scale, seed):
     monkeypatch.setenv("PERFBENCH_SCALE", scale)
     workloads = load_workloads()
     assert SweepConfig(**workloads.sweep_config(seed)).jobs() == workloads.sweep_jobs(seed)
+
+
+def test_a_cold_sweep_caches_each_bracket_once(cold_caches):
+    # lru_cache keys the arguments as passed, so bracket_poly(m, w) and
+    # bracket_poly(m, w, 1) would be two entries for one bracket.  The body runs
+    # once per cache miss, that is once per entry: record its (m, w, k).
+    body = bracket_poly.__wrapped__.__code__
+    stored = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is body:
+            stored.append(tuple(frame.f_locals[a] for a in ("m", "w", "k")))
+
+    cfg = SweepConfig(**load_workloads().sweep_config(0))
+    sys.setprofile(profile)
+    try:
+        reports = sweep(cfg)
+    finally:
+        sys.setprofile(None)
+    assert len(reports) == 432 and all(r.holds for r in reports)
+    assert len(stored) == bracket_poly.cache_info().currsize
+    assert [key for key, count in Counter(stored).items() if count > 1] == []
 
 
 def test_every_identity_has_grid_axes_naming_its_checker_parameters():

@@ -27,7 +27,8 @@ from qsym.qbernoulli import (
     closed_form,
     t_sum,
     t_sum_h,
-    weight_exponents,
+    weights,
+    window_product,
 )
 from qsym.qcore import bracket_poly, q_bracket
 import qsym.ratfun as ratfun_mod
@@ -260,8 +261,8 @@ def test_t_sum_guard_covers_every_polynomial_built(r, wlim, b, monkeypatch):
                     except ResourceLimitError:
                         lo = mid + 1
                 monkeypatch.setattr(ratfun_mod, "MAX_SPAN", lo)
-                exps = _check_t_args(n, i, r, wlim, b, h)
-                _t_sum_grouped(n, i, exps, wlim, b)
+                exps, mult = _check_t_args(n, i, r, wlim, b, h)
+                _t_sum_grouped(n, i, exps, mult, wlim, b)
 
 
 @pytest.mark.parametrize("r, wlim, b", [(1, 3, 2), (2, 2, 1), (2, 3, 3), (3, 2, 2)])
@@ -411,15 +412,40 @@ def test_closed_form_denominators_nest(r, w):
             assert nested == den(n), (h, i)
 
 
+def _expanded(exps, mult):
+    """c as a vector: each exponent of exps taken mult times."""
+    return [e for e in exps for _ in range(mult)]
+
+
 def test_weight_exponents():
-    assert tuple(weight_exponents(5, 3)) == (5, 4, 3)
-    assert tuple(weight_exponents(-2, 2)) == (-2, -3)
-    assert tuple(weight_exponents(1, 1)) == (1,)
-    assert len(weight_exponents(0, 10**18)) == 10**18  # nothing is built
-    # T-sum ratios base(i+1) and base(i+h-k), k = 0..r-1
-    assert _check_t_args(4, 1, 3, 2, 2) == (4, 4, 4)
-    assert _check_t_args(4, 1, 3, 2, 2, h=5) == (12, 10, 8)
-    assert _check_t_args(2, 0, 2, 2, 1, h=-4) == (-4, -5)
+    assert _expanded(*weights(3)) == [1, 1, 1]
+    assert _expanded(*weights(1)) == [1]
+    assert _expanded(*weights(3, 5)) == [5, 4, 3]
+    assert _expanded(*weights(2, -2)) == [-2, -3]
+    assert _expanded(*weights(1, 1)) == [1]
+    assert _expanded(*weights(4, 2)) == [2, 1, 0, -1]
+    # nothing of length r is built: one exponent taken r times, or a range
+    assert weights(10**18) == (range(1, 2), 10**18)
+    assert weights(10**18, 0) == (range(0, -10**18, -1), 1)
+    # T-sum ratios base(i+1), r times, and base(i+h-k), k = 0..r-1
+    assert _check_t_args(4, 1, 3, 2, 2) == ((4,), 3)
+    assert _check_t_args(4, 1, 3, 2, 2, h=5) == ((12, 10, 8), 1)
+    assert _check_t_args(2, 0, 2, 2, 1, h=-4) == ((-4, -5), 1)
+
+
+@pytest.mark.parametrize("limit", [1, 2, 3])
+def test_window_product_matches_explicit_windows(limit):
+    # prod_k sum_{t<limit} q^(e_k t) over the expanded vector, each window
+    # summed term by term, so a zero exponent gives the constant limit
+    for exps in ([0], [2], [-1], [1, 0, -2], [-3, -1], [3, 2, 1], [0, -1, -2]):
+        for mult in (1, 2, 3):
+            want = LaurentPoly.one()
+            for e in _expanded(exps, mult):
+                window = LaurentPoly.zero()
+                for t in range(limit):
+                    window = window + LaurentPoly({e * t: 1})
+                want = want * window
+            assert window_product(limit, exps, mult) == want, (exps, mult)
 
 
 def closed_form_by_terms(n, w, arg, factor):

@@ -8,7 +8,7 @@ import pytest
 
 from composition_kernel import composition_weights
 from fraction_stage_sum import fraction_stage_sum
-from qsym.qbernoulli import beta_higher, beta_number, beta_weighted, weight_exponents
+from qsym.qbernoulli import beta_higher, beta_number, beta_weighted
 import qsym.volkenborn as volkenborn_mod
 from qsym.ratfun import ResourceLimitError, eval_rational
 from qsym.volkenborn import (
@@ -59,7 +59,7 @@ def test_closed_form_matches_kernel_and_brute_force(p, q0):
         # e = 0 window m + c_k = 0), and above it.
         hs = (-n - 2, -n - 1, -n, r - 1, r)
         cases = [(tuple([1] * r), riemann_sum_multi(n, r, x, ctx, N))]
-        cases += [(tuple(weight_exponents(h, r)), riemann_sum_weighted(n, h, r, x, ctx, N))
+        cases += [(tuple(range(h, h - r, -1)), riemann_sum_weighted(n, h, r, x, ctx, N))
                   for h in hs]
         for exps, value in cases:
             assert value == riemann_kernel(n, x, ctx.q0, m, exps), (n, r, x, N, exps)
@@ -113,7 +113,7 @@ def test_report_valuations_match_the_fraction_path(p, q0):
     for family, n, r, h, x in cases:
         if family == "weighted":
             stage = lambda N: riemann_sum_weighted(n, h, r, x, ctx, N)
-            exps, mult = weight_exponents(h, r), 1
+            exps, mult = range(h, h - r, -1), 1
             closed = beta_weighted(n, h, r, 1, x).evaluate(ctx.q0)
             params = {"n": n, "h": h, "r": r, "x": x}
         else:
@@ -231,7 +231,7 @@ def test_stage_polynomial_gives_each_stage_and_the_closed_value(p, q0, nmax):
     for family, params in residue_cases():
         n, x = params["n"], params["x"]
         r, h = params.get("r", 1), params.get("h")
-        exps, mult = (range(1, 2), r) if h is None else (weight_exponents(h, r), 1)
+        exps, mult = (range(1, 2), r) if h is None else (range(h, h - r, -1), 1)
         coeffs, lo, scale, unit, mod = volkenborn_mod._stage_polynomial(n, x, q0, exps, mult,
                                                                         p, digits)
         assert lo <= 0 < lo + len(coeffs)
