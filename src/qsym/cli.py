@@ -90,9 +90,11 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--max-w", type=int, default=2)
     ver.add_argument("--max-x", type=int, default=1)
     ver.add_argument("--h-offsets", type=_int_list, default=(0, 1, 3),
-                     help="h = r + offset values for weighted identities")
+                     help="h = r + offset values for weighted identities; a list that "
+                          "starts below 0 needs the form --h-offsets=-1,2")
     ver.add_argument("--h", type=_int_list, default=None, dest="hs",
-                     help="absolute h values (overrides --h-offsets)")
+                     help="absolute h values (overrides --h-offsets); a list that starts "
+                          "below 0 needs the form --h=-7,5")
     ver.add_argument("--sample", type=int, default=None,
                      help="check only this many grid points, chosen by --seed")
     ver.add_argument("--seed", type=int, default=0)
@@ -102,10 +104,11 @@ def build_parser() -> argparse.ArgumentParser:
                      help="serialize both sides of every report and log timing to stderr")
 
     tab = sub.add_parser("table", help="CSV table of higher-order values")
-    tab.add_argument("--n", type=_parse_range, default=(0,))
-    tab.add_argument("--r", type=_parse_range, default=(1,))
-    tab.add_argument("--w", type=_parse_range, default=(1,))
-    tab.add_argument("--arg", type=_parse_range, default=(0,))
+    for flag, default in (("--n", 0), ("--r", 1), ("--w", 1), ("--arg", 0)):
+        # argparse reads "-2..2" after a space as an option, so it needs the = form
+        tab.add_argument(flag, type=_parse_range, default=(default,),
+                         help='"3", "1,2,5" or "0..6"; a range or list that starts below '
+                              f'0 needs the form {flag}=-2..2')
 
     vol = sub.add_parser("volkenborn", help="convergence of stage sums to the closed form")
     vol.add_argument("--family", choices=FAMILIES, default="single")

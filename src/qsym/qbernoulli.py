@@ -125,42 +125,6 @@ def _term_scalars(n: int, r: int, h: int | None = None) -> list:
             for j in range(n + 1)]
 
 
-def _closed_value(n: int, r: int, x: int, q0: Fraction, h: int | None = None) -> Fraction:
-    """The order-r (h None) or weighted (h, r) closed form in base q at argument
-    x, valued at q = q0 = a/b (q0 not 0, 1 or -1) with no polynomial built:
-
-        (1-q0)^-n sum_j scalar_j q0^(j x) prod_k (1-q0)/(1-q0^(j+c_k)).
-
-    With e = j + c_k and k = |e|, a factor is (b-a) b^(k-1) / (b^k - a^k) for
-    e > 0 and -(b-a) a^k / (b (b^k - a^k)) for e < 0.  Term j is num / den times
-    a^i b^l, its dens meet in one lcm, and the sum ends in one Fraction: O(n r)
-    integer operations.  The RatFun of beta_higher / beta_weighted is its
-    oracle.  It validates its query and reads c from weights, as the oracle
-    does, although a convergence report has done both already; the size of
-    a^i b^l is bounded only by the report's stage-size guard."""
-    BetaQuery(n, r, 1, x) if h is None else WeightedBetaQuery(n, h, r, 1, x)
-    exps, mult = weights(r, h)
-    a, b = q0.numerator, q0.denominator
-    terms = []  # (num, den, i, l): num / den * a^i b^l
-    for j, scalar in enumerate(_term_scalars(n, r, h)):
-        num, den, i, l = scalar, 1, j * x, n - j * x  # q0^(j x) b^n / (b-a)^n
-        for c in exps:
-            e = j + c
-            k = abs(e)
-            den *= (b**k - a**k) ** mult
-            if e > 0:
-                l += mult * (k - 1)
-            else:
-                num, i, l = (-1) ** mult * num, i + mult * k, l - mult
-        terms.append((num, den, i, l))
-    lcm = math.lcm(*(t[1] for t in terms))
-    low_i, low_l = min(t[2] for t in terms), min(t[3] for t in terms)
-    total = sum(num * (lcm // den) * a ** (i - low_i) * b ** (l - low_l)
-                for num, den, i, l in terms)
-    return Fraction(total * (b - a) ** max(r - n, 0) * a ** max(low_i, 0) * b ** max(low_l, 0),
-                    lcm * (b - a) ** max(n - r, 0) * a ** max(-low_i, 0) * b ** max(-low_l, 0))
-
-
 def _scaffold(ms: range, n: int, r: int, h: int | None):
     """Denominator (1-q)^n * prod_(m in ms) [m]^mult and per-term cofactors of the
     closed form in base q, (exps, mult) = weights(r, h): term j divides by the

@@ -39,11 +39,12 @@ r (n + max|c_k|).  a and b are p-adic units, as v_p(1 - q0) >= 1, so a nonzero
 residue has the valuation of the integer; a zero one means S_N agrees with the
 closed value to Nmax + 64 digits, and the report then builds the stage exactly,
 as an unreduced numerator and denominator, since for b != 1 the reduced
-Fraction's gcd would cost more than the stage itself.  The closed-form value at
-q0 is summed term by term in integers (qbernoulli._closed_value: O(n r)
+Fraction's gcd would cost more than the stage itself.  The closed value P(1) is
+the integer stage sum at M = 0, where A = B = 1 and K_k = k (_stage_sum: O(n r)
 products of powers of a, b and b - a, one lcm, one Fraction), with no rational
-function built and nothing but the definition of c (weights) shared with P or
-the stage kernel, so each valuation compares two independent computations.
+function built.  P shares nothing with it but the definition of c (weights), so
+each residue valuation compares two independent computations; only the exact
+fallback, where P's residue has vanished, reads S_N and P(1) from one kernel.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ import operator
 from collections import namedtuple
 from fractions import Fraction
 
-from .qbernoulli import WeightedBetaQuery, _closed_value, weights
+from .qbernoulli import WeightedBetaQuery, weights
 from .ratfun import QsymDomainError, ResourceLimitError
 
 FAMILIES = ("single", "multi", "weighted")
@@ -133,6 +134,8 @@ class PadicContext(namedtuple("PadicContext", "p q0 Nmax budget", defaults=(None
     __slots__ = ()
 
     def __new__(cls, p: int, q0: Fraction = None, Nmax: int = 4, budget: int = 10**6):
+        if budget < 1:  # a bad parameter, not a stage too large for it
+            raise QsymDomainError(f"budget must be >= 1, got {budget}")
         if p > budget:  # refuses every stage (r N >= 1)
             raise ResourceLimitError(f"p = {p} exceeds the budget {budget}")
         if not is_prime(p):
@@ -201,12 +204,19 @@ def _windows(a: int, b: int, big_a: int, big_b: int, size: int, lo: int, hi: int
 
 def _riemann_sum(n: int, x: int, ctx: PadicContext, N: int, exps: range, mult: int) -> tuple:
     """S_N of the module docstring, c being each exponent of exps taken mult
-    times (r = mult * len(exps)), in integers: O(n * len(exps)) operations and
-    no O(r) object.  Returns the unreduced pair (num, den), whose denominator
-    keeps B - A only for e = 0 windows."""
+    times (r = mult * len(exps)), once _check_stage admits stage N: the
+    unreduced pair (num, den) of _stage_sum at M = p^N."""
+    size = _check_stage(ctx, n, mult * len(exps), x, exps, N)
+    return _stage_sum(n, x, ctx.q0, size, exps, mult)
+
+
+def _stage_sum(n: int, x: int, q0: Fraction, size: int, exps: range, mult: int) -> tuple:
+    """The stage sum at M = size in integers, unguarded: O(n * len(exps))
+    operations and no O(r) object.  Returns the unreduced pair (num, den), whose
+    denominator keeps B - A only for e = 0 windows.  At M = 0, A = B = 1 and
+    K_k = k, so it is P(1), the closed value, for windows with no e = 0."""
     r = mult * len(exps)
-    size = _check_stage(ctx, n, r, x, exps, N)
-    a, b = ctx.q0.numerator, ctx.q0.denominator
+    a, b = q0.numerator, q0.denominator
     big_a, big_b = a**size, b**size
     window = _windows(a, b, big_a, big_b, size, min(exps), max(exps) + n)
     terms = []  # term m over (B - A)^(r - z) as (num, den, z, i, j): num / (den a^i b^j)
@@ -218,13 +228,14 @@ def _riemann_sum(n: int, x: int, ctx: PadicContext, N: int, exps: range, mult: i
             z, i, j = z + mult * wz, i + mult * wi, j + mult * wj
         terms.append((num, den, z, i, j))
     lcm = math.lcm(*(t[1] for t in terms))
-    top_z, top_i, top_j = (max(t[k] for t in terms) for k in (2, 3, 4))  # term 0 has i, j >= 0
+    top_z, top_i, top_j = (max(t[k] for t in terms) for k in (2, 3, 4))  # < 0 only at M = 0
     total = sum(num * (lcm // den) * (big_b - big_a) ** (top_z - z) * a ** (top_i - i)
                 * b ** (top_j - j) for num, den, z, i, j in terms)
     # (1-q0)^(r-n) / (1-Q)^r = (b-a)^(r-n) b^(M r - r + n) / (B - A)^r
     k = size * r - r + n - top_j
-    num = total * (b - a) ** max(r - n, 0) * b ** max(k, 0)
-    den = (big_b - big_a) ** top_z * lcm * (b - a) ** max(n - r, 0) * a**top_i * b ** max(-k, 0)
+    num = total * (b - a) ** max(r - n, 0) * a ** max(-top_i, 0) * b ** max(k, 0)
+    den = ((big_b - big_a) ** top_z * lcm * (b - a) ** max(n - r, 0) * a ** max(top_i, 0)
+           * b ** max(-k, 0))
     return num, den
 
 
@@ -342,7 +353,7 @@ def convergence_report(family: str, params: dict, ctx: PadicContext) -> Converge
         target = f"{r}-fold integral of [x + sum y]^{n} with weight exponent h = {h}, x = {x}"
     exps, mult = weights(r, h)
     _check_stage(ctx, n, r, x, exps, ctx.Nmax)
-    closed = _closed_value(n, r, x, ctx.q0, h)
+    closed = Fraction(*_stage_sum(n, x, ctx.q0, 0, exps, mult))  # P(1)
     c, d = closed.numerator, closed.denominator
     p, a, b = ctx.p, ctx.q0.numerator, ctx.q0.denominator
     digits = ctx.Nmax + _RESIDUE_DIGITS + _int_valuation(d, p)

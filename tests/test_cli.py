@@ -388,6 +388,14 @@ def test_table_rows_and_quoting(capsys):
     assert lines[2] == '1,1,1,0,"-1/(q + 1)"'
 
 
+def test_table_negative_range_start_in_the_equals_form(capsys):
+    # Written "--arg -2..2", argparse would read the range as an option.
+    code, out, _ = run(capsys, "table", "--arg=-2..2")
+    header, *rows = out.splitlines()
+    assert code == 0 and header == "n,r,w,arg,ratfun"
+    assert [row.split(",")[3] for row in rows] == ["-2", "-1", "0", "1", "2"]
+
+
 @pytest.mark.parametrize("argv", [("--w", "0"), ("--r", "0"), ("--n=-1",)])
 def test_table_bad_parameter_exits_2_before_the_header(capsys, argv):
     code, out, err = run(capsys, "table", *argv)
@@ -459,6 +467,14 @@ def test_volkenborn_large_argument_exits_3(capsys):
 def test_volkenborn_nonprime_exits_2(capsys):
     code, _, err = run(capsys, "volkenborn", "--p", "6", "--n", "1")
     assert code == 2 and "not prime" in err
+
+
+def test_volkenborn_budget_below_one_exits_2(capsys):
+    # A budget below 1 is a bad parameter, not a guard refusing a stage.
+    code, out, err = run(capsys, "volkenborn", "--family", "single", "--n", "2", "--p", "5",
+                         "--budget", "-5")
+    assert code == 2 and out == ""
+    assert err == "error: budget must be >= 1, got -5\n"
 
 
 def test_volkenborn_prime_over_budget_exits_3_before_the_primality_test(capsys):

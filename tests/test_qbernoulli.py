@@ -15,7 +15,6 @@ from qsym.qbernoulli import (
     DegenerateWeightError,
     WeightedBetaQuery,
     _check_t_args,
-    _closed_value,
     _higher_scaffold,
     _t_sum_grouped,
     _weighted_scaffold,
@@ -490,23 +489,6 @@ def test_closed_form_matches_the_sequential_loop(power):
         for h in (None, r, r + 2, -n - 1):
             got, want = closed_form(n, r, w, power, h), sequential_closed_form(n, r, w, power, h)
             assert got.den is want.den and got.num == want.num, (n, r, w, h)
-
-
-# Integer points on each side of 1, fractions on each side of 1 and a negative point.
-CLOSED_VALUE_POINTS = [Fraction(5), Fraction(6), Fraction(11, 6), Fraction(4, 3),
-                       Fraction(7, 2), Fraction(-4), Fraction(1, 3)]
-
-
-def test_closed_value_matches_the_ratfun_at_each_point():
-    # The integer value is an independent computation of the RatFun's value:
-    # windows j + c_k of both signs (h = -n-1, -n-3), x of both signs.
-    for n, r, x in itertools.product(range(7), (1, 2, 3), (-2, 0, 1, 3)):
-        forms = [(None, beta_higher(n, r, 1, x))]
-        forms += [(h, beta_weighted(n, h, r, 1, x)) for h in (r, r + 2, -n - 1, -n - 3)]
-        for (h, form), q0 in itertools.product(forms, CLOSED_VALUE_POINTS):
-            assert _closed_value(n, r, x, q0, h) == form.evaluate(q0), (n, r, x, h, q0)
-    with pytest.raises(DegenerateWeightError):
-        _closed_value(2, 2, 1, Fraction(6), 0)
 
 
 def closed_forms_for_canonical():

@@ -83,6 +83,7 @@ REFUSALS = [
     (PadicContext(5), {"q0": Fraction(1, 5)}, QsymDomainError,
      "q0 = 1/5 too far from 1: need v_5(1 - q0) >= 1"),
     (PadicContext(5), {"Nmax": 0}, QsymDomainError, "Nmax must be >= 1"),
+    (PadicContext(5), {"budget": 0}, QsymDomainError, "budget must be >= 1, got 0"),
 ]
 
 

@@ -46,11 +46,15 @@ def test_verify_identities_battery_validates():
 
 
 def test_verify_identities_battery_holds_end_to_end():
-    # The README's command: every battery row, then the verdict line.
+    # The README's command: every battery row, then the verdict line.  The wall
+    # times go to stderr, one line per battery, so stdout is pinned byte for byte.
     proc = run_script("verify_identities.py")
     assert proc.returncode == 0, proc.stderr
     header, *rows, verdict = proc.stdout.splitlines()
-    assert header.split() == ["battery", "checks", "failures", "seconds"]
+    assert header.split() == ["battery", "checks", "failures"]
     assert [row.split()[2] for row in rows] == ["0"] * 7
     assert sum(int(row.split()[1]) for row in rows) == 2827
     assert verdict == "all identities hold"
+    assert (hashlib.sha256(proc.stdout.encode()).hexdigest()
+            == "57822e74ab615bb3242e799fa1c4e21f669d9c73efacb1d912ad76012581cacf")
+    assert [line.split()[0] for line in proc.stderr.splitlines()] == [r.split()[0] for r in rows]

@@ -8,7 +8,7 @@ import pytest
 
 from composition_kernel import composition_weights
 from fraction_stage_sum import fraction_stage_sum
-from qsym.qbernoulli import beta_higher, beta_number, beta_weighted
+from qsym.qbernoulli import DegenerateWeightError, beta_higher, beta_number, beta_weighted
 import qsym.volkenborn as volkenborn_mod
 from qsym.ratfun import ResourceLimitError, eval_rational
 from qsym.volkenborn import (
@@ -166,7 +166,8 @@ def test_residue_valuations_match_the_exact_stage(monkeypatch, p, q0, nmax):
     for family, params in residue_cases():
         n, x = params["n"], params["x"]
         r, h = params.get("r", 1), params.get("h")
-        closed = volkenborn_mod._closed_value(n, r, x, ctx.q0, h)
+        exps, mult = (range(1, 2), r) if h is None else (range(h, h - r, -1), 1)
+        closed = Fraction(*volkenborn_mod._stage_sum(n, x, ctx.q0, 0, exps, mult))
         stages = [riemann_sum_weighted(n, h, r, x, ctx, N) if h is not None
                   else riemann_sum_multi(n, r, x, ctx, N) for N in range(1, nmax + 1)]
         want.append([(N, p_valuation(s - closed, p)) for N, s in enumerate(stages, 1)])
@@ -245,11 +246,32 @@ def test_stage_polynomial_gives_each_stage_and_the_closed_value(p, q0, nmax):
             total = sum(c * big_a**t * big_b ** (deg - t) for t, c in enumerate(coeffs))
             return p_valuation(big_b ** (deg + lo) * big_a**-lo * scale * unit * value - total, p)
 
-        assert agreement(1, 1, volkenborn_mod._closed_value(n, r, x, q0, h)) >= k, params
+        closed = Fraction(*volkenborn_mod._stage_sum(n, x, q0, 0, exps, mult))
+        assert agreement(1, 1, closed) >= k, params
         for N in (1, 2, 3):
             stage = Fraction(*volkenborn_mod._riemann_sum(n, x, ctx, N, exps, mult))
             big_a, big_b = q0.numerator ** p**N, q0.denominator ** p**N
             assert agreement(big_a, big_b, stage) >= k, (family, params, N)
+
+
+# Integer points on each side of 1, fractions on each side of 1 and a negative point.
+CLOSED_VALUE_POINTS = [Fraction(5), Fraction(6), Fraction(11, 6), Fraction(4, 3),
+                       Fraction(7, 2), Fraction(-4), Fraction(1, 3)]
+
+
+def test_closed_value_matches_the_ratfun_at_each_point():
+    # The stage sum at M = 0 is P(1), the closed value a report compares with:
+    # against the RatFun's value, for windows j + c_k of both signs
+    # (h = -n-1, -n-3) and x of both signs, which make a^(top i) a divisor.
+    for n, r, x in itertools.product(range(7), (1, 2, 3), (-2, 0, 1, 3)):
+        forms = [(None, beta_higher(n, r, 1, x))]
+        forms += [(h, beta_weighted(n, h, r, 1, x)) for h in (r, r + 2, -n - 1, -n - 3)]
+        for (h, form), q0 in itertools.product(forms, CLOSED_VALUE_POINTS):
+            exps, mult = (range(1, 2), r) if h is None else (range(h, h - r, -1), 1)
+            got = Fraction(*volkenborn_mod._stage_sum(n, x, q0, 0, exps, mult))
+            assert got == form.evaluate(q0), (n, r, x, h, q0)
+    with pytest.raises(DegenerateWeightError):
+        convergence_report("weighted", {"n": 2, "h": 0, "r": 2, "x": 1}, PadicContext(5))
 
 
 def test_stage_fraction_gets_a_small_denominator(monkeypatch):
@@ -446,7 +468,7 @@ def test_stage_size_guard_refuses_before_any_work(monkeypatch):
     def no_work(*args):
         raise AssertionError("a report past the stage-size guard did work")
 
-    for name in ("_closed_value", "_stage_polynomial", "riemann_sum_multi", "_riemann_sum"):
+    for name in ("_stage_sum", "_stage_polynomial", "riemann_sum_multi", "_riemann_sum"):
         monkeypatch.setattr(volkenborn_mod, name, no_work)
     # 9.6M bits at N = 7 for n = 40; the deepest stage is checked first.
     ctx = PadicContext(p=5, Nmax=7)
