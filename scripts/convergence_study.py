@@ -5,7 +5,8 @@ No convergence *rate* is asserted anywhere in the package (only that the
 valuations are nondecreasing), so this script records the observed per-N
 valuations as regression data.  Small experiments suggest the single-variable
 family satisfies v_p(S_N - closed form) = N exactly; the last column tracks
-whether that pattern held for each run.
+whether that pattern held for each run.  It exits 141, quietly, when the
+reader closes stdout early, as ``| head -1`` does.
 """
 
 import argparse
@@ -13,6 +14,7 @@ import math
 import sys
 from fractions import Fraction
 
+from qsym.cli import run_flushed
 from qsym.volkenborn import PadicContext, convergence_report, default_q0
 
 
@@ -53,4 +55,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run_flushed(main))

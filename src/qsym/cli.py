@@ -216,6 +216,23 @@ def run_volkenborn(args) -> int:
     return EXIT_OK if report.monotone else EXIT_FAIL
 
 
+def run_flushed(run) -> int:
+    """The exit code of run() once stdout is flushed, or EXIT_PIPE, quietly, when
+    the reader has closed stdout: one that stops early is not a failure.  The
+    qsym command and the scripts under scripts/ all exit through it."""
+    try:
+        code = run()
+        sys.stdout.flush()  # a closed pipe fails here, not in the interpreter's exit flush
+        return code
+    except BrokenPipeError:
+        # With stdout on os.devnull the interpreter's final flush of what is
+        # still buffered cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {
@@ -225,16 +242,7 @@ def main(argv=None) -> int:
         "volkenborn": run_volkenborn,
     }
     try:
-        code = handlers[args.command](args)
-        sys.stdout.flush()  # a closed pipe fails here, not in the interpreter's exit flush
-        return code
-    except BrokenPipeError:
-        # A reader that stops early is not a qsym bug.  With stdout on os.devnull the
-        # interpreter's final flush of what is still buffered cannot fail again.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        return EXIT_PIPE
+        return run_flushed(lambda: handlers[args.command](args))
     except ResourceLimitError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

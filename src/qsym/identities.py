@@ -118,15 +118,15 @@ def check_expansion(n: int, x: int) -> CheckReport:
 
 def check_limit_q1(n: int, r: int, x: int) -> CheckReport:
     """q -> 1 limit of the order-r polynomial equals the classical value."""
-    lhs = RatFun.from_const(beta_higher(n, r, 1, x).limit_at_one())
-    rhs = RatFun.from_const(classical_bernoulli_higher(n, r, x))
+    lhs = RatFun(beta_higher(n, r, 1, x).limit_at_one())
+    rhs = RatFun(classical_bernoulli_higher(n, r, x))
     return _report("limit-q1", {"n": n, "r": r, "x": x}, lhs, rhs)
 
 
 def check_multiplication(n: int, r: int, w1: int, x: int) -> CheckReport:
     """Multiplication formula: beta_n^(r) at w1*x as a [w1]-scaled sum over shifts."""
     lhs = beta_higher(n, r, 1, w1 * x)
-    rhs = _side("thm3", n, r, None, w1, 1, x, 0)
+    rhs = _swap_side(n, r, None, w1, 1, x)
     return _report("multiplication", {"n": n, "r": r, "w1": w1, "x": x}, lhs, rhs)
 
 
@@ -174,15 +174,6 @@ def _convolution_side(n: int, r: int, h, wa: int, wb: int, x: int, twist: int) -
                         bracket_poly(wb, 1, max(r - n, 0)) * b.den)
 
 
-def _side(identity: str, n: int, r: int, h, wa: int, wb: int, x: int, twist: int) -> RatFun:
-    """The (wa, wb) side of a base-swap identity; h is None for thm3 and thm4,
-    twist is nonzero only on thm4's lhs.  The closed forms and T-sums are
-    looked up as module globals on each call."""
-    if identity in ("thm3", "thm5"):
-        return _swap_side(n, r, h, wa, wb, x)
-    return _convolution_side(n, r, h, wa, wb, x, twist)
-
-
 # Serial sweeps run jobs in _GRID_AXES order, (w1, w2, x) innermost, so the mirror
 # check of a pair comes at most |w1s| |w2s| |xs| checks, each adding at most one
 # pair, after it: 9 on the benchmark grid, 8 on verify's default grid.  The 32
@@ -196,10 +187,15 @@ _PAIR_CACHE_SIZE = 32
 @lru_cache(maxsize=_PAIR_CACHE_SIZE)
 def _side_pair(identity: str, n: int, r: int, h, x: int, a: tuple, b: tuple) -> tuple:
     """(side a, side b, side a == side b) for side keys a <= b, each (wa, wb, twist)
-    as _side takes them; for a == b both are the one side and the verdict is True."""
+    naming the (wa, wb) side of a base-swap identity, h being None for thm3 and
+    thm4 and twist nonzero only on thm4's lhs; for a == b both are the one side
+    and the verdict is True.  The closed forms and T-sums are looked up as module
+    globals on each call."""
     def side(key):
         wa, wb, twist = key
-        return _side(identity, n, r, h, wa, wb, x, twist)
+        if identity in ("thm3", "thm5"):
+            return _swap_side(n, r, h, wa, wb, x)
+        return _convolution_side(n, r, h, wa, wb, x, twist)
 
     side_a = side(a)
     if a == b:

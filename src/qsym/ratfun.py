@@ -92,7 +92,7 @@ class QsymDomainError(ValueError):
     """Input outside the domain of a qsym function: a bad parameter, not a bug."""
 
 
-# Widest exponent span (max_exp - min_exp) a polynomial may have.
+# Widest exponent span (highest minus lowest exponent) a polynomial may have.
 MAX_SPAN = 100_000
 
 
@@ -128,20 +128,8 @@ class LaurentPoly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls) -> LaurentPoly:
-        return _ZERO
-
-    @classmethod
     def one(cls) -> LaurentPoly:
         return _ONE
-
-    @classmethod
-    def constant(cls, c) -> LaurentPoly:
-        return cls({0: Fraction(c)})
-
-    @classmethod
-    def monomial(cls, exp: int, coeff=1) -> LaurentPoly:
-        return cls({exp: Fraction(coeff)})
 
     # -- basic structure ---------------------------------------------------
 
@@ -160,19 +148,6 @@ class LaurentPoly:
     @property
     def is_zero(self) -> bool:
         return not self.n
-
-    @property
-    def min_exp(self) -> int:
-        if not self.n:
-            raise ValueError("the zero polynomial has no exponents")
-        return self.lo
-
-    @property
-    def max_exp(self) -> int:
-        return self.min_exp + self.n - 1
-
-    def leading_coeff(self):
-        return _coeff(self.coeffs[-1], self.den)
 
     def __bool__(self) -> bool:
         return bool(self.n)
@@ -352,14 +327,6 @@ class LaurentPoly:
             total, scale = total * a + c * scale, scale * b
         return Fraction(total * b, scale * self.den) * q0**self.lo
 
-    # -- integer content -----------------------------------------------------
-
-    def content_and_primitive(self) -> tuple[Fraction, LaurentPoly]:
-        """Write self = content * primitive with primitive an integer-coefficient
-        polynomial of content 1 and positive leading coefficient."""
-        g, prim = _primitive(self.coeffs)
-        return Fraction(g, self.den), _from_coeffs(self.lo, prim)
-
     # -- presentation --------------------------------------------------------
 
     def __str__(self) -> str:
@@ -383,10 +350,6 @@ class LaurentPoly:
     def to_pairs(self) -> list:
         """JSON form: [[exponent, "num/den"], ...] sorted by exponent."""
         return [[e, str(Fraction(c))] for e, c in sorted(self.terms.items())]
-
-    @classmethod
-    def from_pairs(cls, pairs) -> LaurentPoly:
-        return cls({int(e): Fraction(s) for e, s in pairs})
 
 
 def linear_combination(terms) -> LaurentPoly:
@@ -608,10 +571,6 @@ class RatFun:
         self.num = n
         self.den = d
 
-    @classmethod
-    def from_const(cls, c) -> RatFun:
-        return cls(LaurentPoly.constant(c))
-
     @property
     def is_zero(self) -> bool:
         return self.num.is_zero
@@ -746,10 +705,6 @@ class RatFun:
 
     def to_json_obj(self) -> dict:
         return {"num": self.num.to_pairs(), "den": self.den.to_pairs()}
-
-    @classmethod
-    def from_json_obj(cls, obj) -> RatFun:
-        return cls(LaurentPoly.from_pairs(obj["num"]), LaurentPoly.from_pairs(obj["den"]))
 
 
 def _as_poly(v) -> LaurentPoly | None:

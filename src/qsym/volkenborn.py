@@ -308,9 +308,8 @@ def riemann_sum_weighted(n: int, h: int, r: int, x: int, ctx: PadicContext, N: i
     return Fraction(*_riemann_sum(n, x, ctx, N, *weights(r, h)))
 
 
-class ConvergenceReport(namedtuple("ConvergenceReport",
-                                   "family params p q0 target points monotone")):
-    """Per-N valuations of (stage-N sum minus closed form) for one target."""
+class ConvergenceReport(namedtuple("ConvergenceReport", "family params p q0 points monotone")):
+    """Per-N valuations of (stage-N sum minus closed form) for one family and params."""
 
     __slots__ = ()
 
@@ -341,16 +340,10 @@ def convergence_report(family: str, params: dict, ctx: PadicContext) -> Converge
         raise QsymDomainError(f"family must be one of {FAMILIES}")
     n = params["n"]
     x = params.get("x", 0)
-    if family == "single":
-        r, h = 1, None
-        target = f"integral of [x + y]^{n} against the q-measure, x = {x}"
-    elif family == "multi":
-        r, h = params["r"], None
-        target = f"{r}-fold integral of [x + sum y]^{n}, x = {x}"
-    else:
-        r, h = params["r"], params["h"]
+    r = 1 if family == "single" else params["r"]
+    h = params["h"] if family == "weighted" else None
+    if family == "weighted":
         WeightedBetaQuery(n, h, r, 1, x)
-        target = f"{r}-fold integral of [x + sum y]^{n} with weight exponent h = {h}, x = {x}"
     exps, mult = weights(r, h)
     _check_stage(ctx, n, r, x, exps, ctx.Nmax)
     closed = Fraction(*_stage_sum(n, x, ctx.q0, 0, exps, mult))  # P(1)
@@ -375,4 +368,4 @@ def convergence_report(family: str, params: dict, ctx: PadicContext) -> Converge
             v = _int_valuation(diff, p) - _int_valuation(den * d, p) if diff else math.inf
         points.append((N, v))
     monotone = all(points[i + 1][1] >= points[i][1] for i in range(len(points) - 1))
-    return ConvergenceReport(family, dict(params), ctx.p, ctx.q0, target, points, monotone)
+    return ConvergenceReport(family, dict(params), ctx.p, ctx.q0, points, monotone)

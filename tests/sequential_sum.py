@@ -9,7 +9,7 @@ from qsym.ratfun import LaurentPoly, RatFun
 
 def sequential_sum(terms) -> LaurentPoly:
     """sum k * q**s * p over the triples (k, s, p), one add at a time."""
-    total = LaurentPoly.zero()
+    total = LaurentPoly()
     for k, s, p in terms:
         total = total + p.scale(k).shift(s)
     return total
@@ -24,7 +24,7 @@ def sequential_closed_form(n: int, r: int, w: int, power, h=None) -> RatFun:
     else:
         den, cof = _weighted_scaffold(n, h, r, w)
         factor = lambda j: math.prod(j + c for c in range(h, h - r, -1))
-    num = LaurentPoly.zero()
+    num = LaurentPoly()
     for j in range(n + 1):
         scalar = math.comb(n, j) * factor(j)
         num = num + cof[j].scale(-scalar if j % 2 else scalar) * power(j)

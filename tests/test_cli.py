@@ -464,6 +464,16 @@ def test_volkenborn_large_argument_exits_3(capsys):
     assert "MAX_STAGE_BITS" in err
 
 
+def test_volkenborn_isolated_root_report_exits_1(capsys):
+    # S_1 equals beta exactly but S_2 and S_3 do not: the valuations fall from
+    # inf to 2, so the report is not monotone and the command exits 1.
+    code, out, err = run(capsys, "volkenborn", "--family", "single", "--n", "2", "--p", "3",
+                         "--q0", "-2", "--N", "3")
+    assert code == 1 and err == ""
+    obj = json.loads(out)
+    assert obj["points"] == [[1, "inf"], [2, 2], [3, 3]] and obj["monotone"] is False
+
+
 def test_volkenborn_nonprime_exits_2(capsys):
     code, _, err = run(capsys, "volkenborn", "--p", "6", "--n", "1")
     assert code == 2 and "not prime" in err

@@ -451,9 +451,8 @@ def test_convolution_side_is_the_swapped_base_swap_side(h_of):
     grid = itertools.product(range(6), (1, 2, 3), (1, 2, 3), (1, 2, 4), (-1, 0, 2))
     for n, r, wa, wb, x in grid:
         h = h_of(n, r)
-        conv, swap = ("thm4", "thm3") if h is None else ("thm6", "thm5")
-        assert (idn._side(conv, n, r, h, wa, wb, x, 0)
-                == idn._side(swap, n, r, h, wb, wa, x, 0)), (n, r, h, wa, wb, x)
+        assert (idn._convolution_side(n, r, h, wa, wb, x, 0)
+                == idn._swap_side(n, r, h, wb, wa, x)), (n, r, h, wa, wb, x)
 
 
 DEGENERATE = SweepConfig(identities=("thm3", "thm5"), ns=(0, 1, 2), rs=(1, 2), hs=(-2,))

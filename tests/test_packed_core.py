@@ -305,12 +305,14 @@ def test_inflate_substitutes_q_to_the_w(a, w):
 
 
 def test_one_and_zero_are_shared_constants():
-    assert LaurentPoly.one() is LaurentPoly.one() and LaurentPoly.zero() is LaurentPoly.zero()
+    zero = ratfun_mod._ZERO
+    assert LaurentPoly.one() is LaurentPoly.one() is ratfun_mod._ONE
+    assert LaurentPoly({0: 1}) * zero is zero and LaurentPoly({0: 3}) - 3 is zero
     # Pool workers send values back pickled; that must not touch the constants.
-    for p in (LaurentPoly.zero(), LaurentPoly.one(), LaurentPoly({-2: Fraction(7, 3), 5: 2**70})):
+    for p in (zero, LaurentPoly.one(), LaurentPoly({-2: Fraction(7, 3), 5: 2**70})):
         assert fields(pickle.loads(pickle.dumps(p))) == fields(p)
     assert fields(LaurentPoly.one()) == (0, [1], 1)
-    assert fields(LaurentPoly.zero()) == (0, [], 1)
+    assert fields(zero) == fields(LaurentPoly()) == (0, [], 1)
 
 
 # -- the fused linear combination -------------------------------------------------
@@ -345,7 +347,7 @@ def test_linear_combination_matches_the_sequential_loop(terms):
     [(Fraction(2, 3), 0, LaurentPoly({0: 1}))],  # a one-digit term with a Fraction scalar
     [(5, 1, LaurentPoly({0: 2, 4: -7})), (-5, 1, LaurentPoly({0: 2, 4: -7}))],  # cancels
     [(1, 0, LaurentPoly({0: 1, 1: 1})), (-1, 1, LaurentPoly({-1: 1, 0: 1}))],  # cancels shifted
-    [(0, 3, LaurentPoly({0: 1})), (7, 0, LaurentPoly.zero())],  # nothing to add
+    [(0, 3, LaurentPoly({0: 1})), (7, 0, LaurentPoly())],  # nothing to add
 ])
 def test_linear_combination_edge_cases(terms):
     assert fields(ratfun_mod.linear_combination(terms)) == fields(sequential_sum(terms))

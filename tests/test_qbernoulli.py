@@ -440,7 +440,7 @@ def test_window_product_matches_explicit_windows(limit):
         for mult in (1, 2, 3):
             want = LaurentPoly.one()
             for e in _expanded(exps, mult):
-                window = LaurentPoly.zero()
+                window = LaurentPoly()
                 for t in range(limit):
                     window = window + LaurentPoly({e * t: 1})
                 want = want * window

@@ -32,7 +32,7 @@ def qq_pair(f: RatFun):
 
 def sp_poly(p: LaurentPoly):
     """The polynomial part of p (its monomial factor removed) as a sympy Poly."""
-    return sympy.Poly(sympy.expand(sp(p) * q ** (-p.min_exp)), q)
+    return sympy.Poly(sympy.expand(sp(p) * q ** (-p.lo)), q)
 
 
 coeffs = st.fractions(min_value=-40, max_value=40, max_denominator=12)
@@ -87,7 +87,7 @@ def test_ratfun_eq_and_canonical_match_sympy(f, g, c, same):
     den = den.clear_denoms(convert=True)[1].primitive()[1]
     if den.LC() < 0:
         den = -den
-    assert red.den.min_exp == 0
+    assert red.den.lo == 0
     assert red.den.terms == {m: int(c) for (m,), c in zip(den.monoms(), den.coeffs())}
 
 

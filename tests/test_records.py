@@ -50,10 +50,10 @@ CONSTRUCTIONS = [
      {"p": 5, "q0": Fraction(11), "Nmax": 3, "budget": 625}),
     (PadicContext, (5, "11/6"), {"p": 5, "q0": Fraction(11, 6)},
      {"p": 5, "q0": Fraction(11, 6), "Nmax": 4, "budget": 10**6}),
-    (ConvergenceReport, ("single", {"n": 2}, 5, Fraction(6), "t", [(1, 1), (2, 2)], True),
-     {"family": "single", "params": {"n": 2}, "p": 5, "q0": Fraction(6), "target": "t",
+    (ConvergenceReport, ("single", {"n": 2}, 5, Fraction(6), [(1, 1), (2, 2)], True),
+     {"family": "single", "params": {"n": 2}, "p": 5, "q0": Fraction(6),
       "points": [(1, 1), (2, 2)], "monotone": True},
-     {"family": "single", "params": {"n": 2}, "p": 5, "q0": Fraction(6), "target": "t",
+     {"family": "single", "params": {"n": 2}, "p": 5, "q0": Fraction(6),
       "points": [(1, 1), (2, 2)], "monotone": True}),
 ]
 

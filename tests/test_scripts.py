@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 SRC = SCRIPTS.parent / "src"
 
@@ -58,3 +60,26 @@ def test_verify_identities_battery_holds_end_to_end():
     assert (hashlib.sha256(proc.stdout.encode()).hexdigest()
             == "57822e74ab615bb3242e799fa1c4e21f669d9c73efacb1d912ad76012581cacf")
     assert [line.split()[0] for line in proc.stderr.splitlines()] == [r.split()[0] for r in rows]
+
+
+@pytest.mark.parametrize("argv", [["verify_identities.py"],
+                                  ["convergence_study.py", "--primes", "3", "--max-n", "1"]],
+                         ids=["verify_identities", "convergence_study"])
+@pytest.mark.parametrize("buffered", [False, True])
+def test_closed_stdout_pipe_exits_141_quietly(argv, buffered):
+    # As for qsym itself: the reader closes the pipe before the script writes,
+    # as `| head -1` may, and that is neither an identity failure (exit 1) nor
+    # a traceback.  Buffered, the battery runs to the end and its timings are
+    # all that reaches stderr.
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = path
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen([sys.executable, str(SCRIPTS / argv[0]), *argv[1:]],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 141
+    assert all(line.endswith(" s") for line in err.splitlines()), err
+    assert buffered or err == ""

@@ -79,3 +79,25 @@ def test_every_private_module_name_is_referenced():
             for name, node in _private_definitions(tree)
             if total[name] == _references(node)[name]]
     assert not dead, f"private module-level names referenced nowhere in src/qsym: {dead}"
+
+
+def _public_methods(tree: ast.Module):
+    """(name, node) for each public, non-dunder method or property of a
+    module-level class."""
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            yield from ((node.name, node) for node in cls.body
+                        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not node.name.startswith("_"))
+
+
+def test_every_public_method_is_referenced():
+    # Only the package and the scripts count, each reference outside the
+    # method's own body: a method that only the tests call is API that no
+    # program path needs.
+    trees = {path: _tree(path) for path in MODULES}
+    total = sum((_references(tree) for tree in trees.values()), Counter())
+    dead = [f"{path.name}:{name}" for path in PACKAGE
+            for name, node in _public_methods(trees[path])
+            if total[name] == _references(node)[name]]
+    assert not dead, f"public methods referenced nowhere in src/qsym or scripts/: {dead}"

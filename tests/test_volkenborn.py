@@ -224,6 +224,30 @@ def test_only_an_undecided_residue_builds_the_exact_stage(monkeypatch):
     assert calls == [1, 2, 3, 4]
 
 
+@pytest.mark.parametrize("family, params", [
+    ("single", {"n": 2}), ("multi", {"n": 2, "r": 2, "x": -2}),
+    ("weighted", {"n": 2, "h": 1, "r": 1})])
+def test_an_isolated_root_gives_one_exact_stage_and_a_non_monotone_report(monkeypatch, family,
+                                                                         params):
+    # At p = 3, q0 = -2, single n = 2 has R(Q) proportional to (Q - 1)(Q + 8):
+    # R is not identically 0, yet Q_1 = (-2)^3 = -8 is a root, so S_1 equals
+    # beta exactly and no later stage does.  The other two reports behave alike.
+    # Only stage 1 is built exactly, and the report is not monotone.
+    ctx = PadicContext(p=3, q0=Fraction(-2), Nmax=3)
+    calls = spy_exact_stages(monkeypatch)
+    rep = convergence_report(family, params, ctx)
+    assert rep.points == [(1, math.inf), (2, 2), (3, 3)] and rep.monotone is False
+    assert calls == [1]
+    r, x = params.get("r", 1), params.get("x", 0)
+    if family == "weighted":
+        beta = beta_weighted(2, params["h"], r, 1, x)
+        stages = [riemann_sum_weighted(2, params["h"], r, x, ctx, N) for N in (1, 2, 3)]
+    else:
+        beta = beta_higher(2, r, 1, x)
+        stages = [riemann_sum_multi(2, r, x, ctx, N) for N in (1, 2, 3)]
+    assert [s == eval_rational(beta, ctx.q0) for s in stages] == [True, False, False]
+
+
 @pytest.mark.parametrize("p, q0, nmax", RESIDUE_CONTEXTS)
 def test_stage_polynomial_gives_each_stage_and_the_closed_value(p, q0, nmax):
     # scale unit P(Q) = sum_t coeffs[t] Q^(lo + t) mod p^K, K = digits + v_p(scale),
