@@ -149,7 +149,8 @@ def _swap_side(n: int, r: int, h, wa: int, wb: int, x: int) -> RatFun:
     def power(j):
         return window_product(wa, [wb * (c + j) for c in exps], mult).shift(j * wa * wb * x)
 
-    return q_bracket(wa, 1) ** (n - r) * closed_form(n, r, wa, power, h)
+    return closed_form(n, r, wa, power, h) * RatFun(bracket_poly(wa, 1, max(n - r, 0)),
+                                                    bracket_poly(wa, 1, max(r - n, 0)))
 
 
 def _convolution_side(n: int, r: int, h, wa: int, wb: int, x: int, twist: int) -> RatFun:

@@ -146,19 +146,13 @@ def _scaffold(ms: range, n: int, r: int, h: int | None):
     return _ONE_MINUS_Q ** n * pre[-1], tuple(cof)
 
 
-def _inflate(scaffold, w: int):
-    """The base-q^w scaffold from the base-q one: every bracket [m] in base q^w
-    is [m] in base q with q -> q^w, so each polynomial is inflated once."""
-    den, cof = scaffold
-    return den.inflate(w), tuple(c.inflate(w) for c in cof)
-
-
 @lru_cache(maxsize=None)
 def _higher_scaffold(n: int, r: int, w: int):
     """Scaffold of beta_higher(n, r, w, .): factors [m]^r for m = 1..n+1, window width 1."""
     ms = denominator_brackets(n, r, w)  # the span guard runs at base q^w
-    if w > 1:
-        return _inflate(_higher_scaffold(n, r, 1), w)
+    if w > 1:  # [m] in base q^w is [m] in base q with q -> q^w
+        den, cof = _higher_scaffold(n, r, 1)
+        return den.inflate(w), tuple(c.inflate(w) for c in cof)
     return _scaffold(ms, n, r, None)
 
 
@@ -168,7 +162,8 @@ def _weighted_scaffold(n: int, h: int, r: int, w: int):
     window width r (term j divides by [j + c_k] for every k)."""
     ms = denominator_brackets(n, r, w, h)  # the span guard runs at base q^w
     if w > 1:
-        return _inflate(_weighted_scaffold(n, h, r, 1), w)
+        den, cof = _weighted_scaffold(n, h, r, 1)
+        return den.inflate(w), tuple(c.inflate(w) for c in cof)
     return _scaffold(ms, n, r, h)
 
 

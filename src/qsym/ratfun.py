@@ -1,22 +1,36 @@
 """Exact arithmetic for Laurent polynomials and rational functions in one variable q.
 
-A LaurentPoly ``q**lo * (c_0 + c_1 q + ... + c_(n-1) q^(n-1)) / den`` is packed
-in one int, ``P = sum c_i X**i`` with X = 2**(8*size): the balanced base-X
-value of its integer coefficients.  Its fields are lo, P, den, the digit count
-n (0 for zero), the digit width size in bytes and a bit bound bits.  The digit
+A LaurentPoly ``q**lo * (c_0 + c_1 q^g + ... + c_(n-1) q^(g(n-1))) / den``, a
+polynomial in q^g, is packed in one int, ``P = sum c_i X**i`` with X =
+2**(8*size): the balanced base-X value of its integer coefficients at stride g,
+so a polynomial in q^g has 1/g of the digits of its dense list.  Its fields are
+lo, P, den, the digit count n (0 for zero), the digit width size in bytes, a
+bit bound bits and the stride g: g >= 1 when n >= 2, and 0 for a monomial or
+zero, which thus constrains no stride (0 is the unit of gcd).  The digit
 invariant: c_0 and c_(n-1) are nonzero and every |c_i| < 2**bits <= half a
 digit, 2**(8*size - 1), so the digits of P are unique and -P has the digits
--c_i; den >= 1 and gcd(den, *c) = 1.  The width is not canonical, so ``==``
-compares lo, n and den, then P re-read at the wider of the two widths.
+-c_i; den >= 1 and gcd(den, *c) = 1.  Neither the width nor the stride is
+canonical, so ``==`` compares lo, den and the span (n-1)*g, then P re-read at
+the wider of the two widths and the gcd of the two strides.
+
+Strides come from the structure, never from a scan of the digits: the
+``{exponent: coefficient}`` constructor packs at the gcd of the exponent
+offsets, so a bracket [m] in base q^w has stride w; ``inflate(w)`` multiplies
+g and moves no digit; a product of two equal strides keeps it.  Sums,
+mixed-stride products, ``linear_combination`` and ``==`` work at the gcd of the
+strides and, for sums, of the offsets between the operands' lowest exponents;
+``exact_div`` at the gcd of the two strides, which is exact because D(q^g)
+divides A(q^g) exactly when D(y) divides A(y).  A stride change moves digit i
+to position i*k, fused into the column copy of a width change.
 
 Each ring operation is O(1) big-integer operations, with no Python loop over
 coefficients: an add is a shift and an add, a scale one multiply, a shift
 changes lo only, a product one multiply.  Balanced digits put the top digit
 index at |P|.bit_length() // (8*size) and let P & -P count the low zero
-digits.  A width changes by strided byte-column copies of the ``to_bytes``
-image of P biased by half a digit of the narrower width.  A factor k adds
-bitlen(k - 1) bits to a bound: one per add, bitlen(min(n_a, n_b) - 1) plus
-both bounds per product.  The narrowing rule: a product, and an add whose
+digits.  A width or stride changes by strided byte-column copies of the
+``to_bytes`` image of P biased by half a digit of the narrower width.  A
+factor k adds bitlen(k - 1) bits to a bound: one per add, bitlen(min(n_a,
+n_b) - 1) plus both bounds per product.  The narrowing rule: a product, and an add whose
 bound outgrows its width, first takes tight bounds from the digits -- the top
 nonzero byte column of the two's-complement digit image, each negative digit
 negated in its field, holds the bit length of the widest coefficient -- and is
@@ -31,7 +45,8 @@ the widest operand width, narrowed from tight operand bounds when it outgrows
 that width.  The span guard runs before any operand is re-widthed.
 ``common_width`` stores operands that are summed again and again at one width
 with tight bounds, wide enough for a given multiplier sum, so that their
-linear combinations re-width and narrow nothing.
+linear combinations re-width and narrow nothing, and at one stride respread
+nothing when every shift keeps it.
 
 ``exact_div`` divides by the primitive part D of d -- its content divides
 gcd(P, c_0) and is read from the digits only when that gcd is not 1 -- with
@@ -45,7 +60,8 @@ the narrowest width its bound allows.  A failed bound is retried at least
 twice as wide, up to the width that holds any integer quotient by Mignotte's
 bound, |q_i| <= 2**deg(q) * ||A||_2, where it proves that d does not divide.
 Coefficient lists appear only at the boundary: the ``{exponent: coefficient}``
-constructor, ``coeffs``, ``terms``, ``evaluate``, the gcd's primitive inputs,
+constructor, ``coeffs`` (the dense list, spread to stride 1), ``terms``,
+``evaluate`` (Horner's rule on the digits at q0**g), the gcd's primitive inputs,
 candidates and pseudo-remainders, a divisor's content, ``_make``'s reduction of
 a denominator that shares a factor with P, ``__str__`` and JSON.
 
@@ -70,6 +86,8 @@ then the Euclidean algorithm with primitive pseudo-remainders decides and
 ``canonical()`` first deflates a pair that lives in q^g (g the gcd of the
 term offsets of both sides) to q and inflates the reduced pair back, since
 the gcd commutes with q -> q^g; a closed form in base q^w is such a pair.
+Every output -- ``coeffs``, ``terms``, ``evaluate``, ``canonical()``,
+``__str__`` and JSON -- reads the dense expansion, so no stride shows.
 
 All values are immutable after construction and safe to share across threads.
 """
@@ -106,10 +124,11 @@ class LaurentPoly:
     """Laurent polynomial in q over the rationals: q**lo * P(2**(8*size)) / den, P
     packing the n integer coefficients as balanced digits (see the module docstring)."""
 
-    __slots__ = ("lo", "P", "n", "size", "bits", "den")
+    __slots__ = ("lo", "P", "n", "size", "bits", "den", "g")
 
     def __init__(self, terms=None):
-        """Build from a map ``{exponent: int or Fraction}``; zero entries are dropped."""
+        """Build from a map ``{exponent: int or Fraction}``; zero entries are dropped.
+        The stride is the gcd of the exponent offsets."""
         terms = terms or {}
         for c in terms.values():
             if not isinstance(c, (int, Fraction)):
@@ -118,10 +137,11 @@ class LaurentPoly:
         lo, hi = min(terms, default=0), max(terms, default=-1)
         check_span(hi - lo)
         den = math.lcm(*[c.denominator for c in terms.values()])
-        coeffs = [0] * (hi - lo + 1)
+        g = math.gcd(*[e - lo for e in terms]) or 1
+        coeffs = [0] * ((hi - lo) // g + 1)
         for e, c in terms.items():
-            coeffs[e - lo] = c.numerator * (den // c.denominator)
-        packed = _from_coeffs(lo, coeffs, den)
+            coeffs[(e - lo) // g] = c.numerator * (den // c.denominator)
+        packed = _from_coeffs(lo, coeffs, den, g)
         for field in self.__slots__:
             setattr(self, field, getattr(packed, field))
 
@@ -135,15 +155,21 @@ class LaurentPoly:
 
     @property
     def coeffs(self) -> list:
-        """A fresh list of the integer coefficients c_0 .. c_(n-1), read from P."""
-        return _unpack_int(self.P, self.n, self.size)
+        """A fresh dense list of the integer coefficients of q**lo .. q**(lo + (n-1)*g),
+        read from P and spread to stride 1."""
+        digits = _unpack_int(self.P, self.n, self.size)
+        if self.g < 2:
+            return digits
+        dense = [0] * ((self.n - 1) * self.g + 1)
+        dense[::self.g] = digits
+        return dense
 
     @property
     def terms(self) -> dict:
         """A fresh map {exponent: coefficient} of the nonzero terms, int where integral."""
-        lo, den = self.lo, self.den
-        return {lo + i: c if den == 1 else _coeff(c, den)
-                for i, c in enumerate(self.coeffs) if c}
+        lo, den, g = self.lo, self.den, self.g
+        return {lo + g * i: c if den == 1 else _coeff(c, den)
+                for i, c in enumerate(_unpack_int(self.P, self.n, self.size)) if c}
 
     @property
     def is_zero(self) -> bool:
@@ -156,10 +182,15 @@ class LaurentPoly:
         other = _as_poly(other)
         if other is None:
             return NotImplemented
-        if self.lo != other.lo or self.n != other.n or self.den != other.den:
+        a, b = self, other
+        if a.lo != b.lo or a.den != b.den or (a.n - 1) * a.g != (b.n - 1) * b.g:
             return False
-        size = max(self.size, other.size)
-        return _rewidth(self.P, self.n, self.size, size) == _rewidth(other.P, other.n, other.size, size)
+        size = max(a.size, b.size)
+        ka = kb = 1
+        if a.g != b.g:  # both have two digits or more, as their spans agree
+            g = math.gcd(a.g, b.g)
+            ka, kb = a.g // g, b.g // g
+        return _rewidth(a.P, a.n, a.size, size, ka) == _rewidth(b.P, b.n, b.size, size, kb)
 
     __hash__ = None
 
@@ -178,7 +209,7 @@ class LaurentPoly:
             return other
         a, b = (self, other) if self.lo <= other.lo else (other, self)
         shift = b.lo - a.lo
-        check_span(max(a.n, shift + b.n) - 1)
+        check_span(max((a.n - 1) * a.g, shift + (b.n - 1) * b.g))
         ka = kb = 1
         if a.den != b.den:
             den = math.lcm(a.den, b.den)
@@ -188,14 +219,15 @@ class LaurentPoly:
         if bits >= 8 * size:
             bits = max(_tight(a), _tight(b)) + grow
             size = bits // 8 + 1
-        P = (_rewidth(a.P, a.n, a.size, size) * ka
-             + (_rewidth(b.P, b.n, b.size, size) * kb << 8 * size * shift))
-        return _make(a.lo, P, size, bits, a.den * ka)
+        g = math.gcd(a.g, b.g, shift) or 1
+        P = (_rewidth(a.P, a.n, a.size, size, a.g // g or 1) * ka
+             + (_rewidth(b.P, b.n, b.size, size, b.g // g or 1) * kb << 8 * size * (shift // g)))
+        return _make(a.lo, P, size, bits, a.den * ka, g)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _new(self.lo, -self.P, self.n, self.size, self.bits, self.den)
+        return _new(self.lo, -self.P, self.n, self.size, self.bits, self.den, self.g)
 
     def __sub__(self, other):
         other = _as_poly(other)
@@ -215,27 +247,26 @@ class LaurentPoly:
     def _times(self, k: int, den: int = 1, shift: int = 0) -> LaurentPoly:
         """self * k * q**shift / den for integers k and den >= 1."""
         if k == den == 1:
-            return _new(self.lo + shift, self.P, self.n, self.size, self.bits, self.den)
+            return _new(self.lo + shift, self.P, self.n, self.size, self.bits, self.den, self.g)
         bits = self.bits + (abs(k) - 1).bit_length()
         size = max(self.size, bits // 8 + 1)
         P = _rewidth(self.P, self.n, self.size, size) * k
-        return _make(self.lo + shift, P, size, bits, self.den * den)
+        return _make(self.lo + shift, P, size, bits, self.den * den, self.g)
 
     def shift(self, k: int) -> LaurentPoly:
         """Multiply by the monomial q**k."""
         if k == 0 or not self.n:
             return self
-        return _new(self.lo + k, self.P, self.n, self.size, self.bits, self.den)
+        return _new(self.lo + k, self.P, self.n, self.size, self.bits, self.den, self.g)
 
     def inflate(self, w: int) -> LaurentPoly:
-        """The substitution q -> q**w (w >= 1): P re-read at w times its digit width."""
+        """The substitution q -> q**w (w >= 1): w times the stride, no digit moved."""
         if w < 1:
             raise QsymDomainError(f"inflate wants w >= 1, got {w}")
         if w == 1 or not self.n:
             return self
-        check_span((self.n - 1) * w)
-        P = _rewidth(self.P, self.n, self.size, self.size * w)
-        return _new(self.lo * w, P, (self.n - 1) * w + 1, self.size, self.bits, self.den)
+        check_span((self.n - 1) * self.g * w)
+        return _new(self.lo * w, self.P, self.n, self.size, self.bits, self.den, self.g * w)
 
     def __mul__(self, other):
         if not isinstance(other, LaurentPoly):  # first: a test against Fraction runs ABCMeta's
@@ -244,19 +275,23 @@ class LaurentPoly:
             return NotImplemented
         if not self.n or not other.n:
             return _ZERO
-        check_span(self.n + other.n - 2)
-        if other.n == 1:  # a monomial: one scale and a shift
-            return self._times(other.P, other.den, other.lo)
-        if self.n == 1:
-            return other._times(self.P, self.den, self.lo)
         a, b = self, other
+        if b.n == 1:  # a monomial: one scale and a shift, the span unchanged
+            return a._times(b.P, b.den, b.lo)
+        if a.n == 1:
+            return b._times(a.P, a.den, a.lo)
+        check_span((a.n - 1) * a.g + (b.n - 1) * b.g)
+        g, ka, kb = a.g, 1, 1
+        if b.g != g:  # both at the gcd of the strides
+            g = math.gcd(g, b.g)
+            ka, kb = a.g // g, b.g // g
         ba = _tight(a)
         bb = ba if b is a else _tight(b)
         bits = ba + bb + (min(a.n, b.n) - 1).bit_length()
         size = bits // 8 + 1  # the narrowest width the product's bound allows
-        pa = _rewidth(a.P, a.n, a.size, size)
-        pb = pa if b is a else _rewidth(b.P, b.n, b.size, size)
-        return _make(a.lo + b.lo, pa * pb, size, bits, a.den * b.den)
+        pa = _rewidth(a.P, a.n, a.size, size, ka)
+        pb = pa if b is a else _rewidth(b.P, b.n, b.size, size, kb)
+        return _make(a.lo + b.lo, pa * pb, size, bits, a.den * b.den, g)
 
     __rmul__ = __mul__
 
@@ -282,21 +317,25 @@ class LaurentPoly:
             raise ZeroDivisionError("division by the zero polynomial")
         if not self.n:
             return self
-        if self.n < d.n:
+        if (self.n - 1) * self.g < (d.n - 1) * d.g:
             return None
+        # Both at the gcd g of the strides: D(q^g) divides A(q^g) iff D(y) divides A(y).
+        g = math.gcd(self.g, d.g) or 1
+        ka, kd = self.g // g or 1, d.g // g or 1
+        na, nd = (self.n - 1) * ka + 1, (d.n - 1) * kd + 1
         size, bd = max(self.size, d.size), _tight(d)
-        # The content g of d divides P and its lowest digit c_0.
-        D, g, half = d.P, 1, 1 << (8 * d.size - 1)
+        # The content c of d divides P and its lowest digit c_0.
+        D, c, half = d.P, 1, 1 << (8 * d.size - 1)
         if math.gcd(D, ((D + half) & (2 * half - 1)) - half) != 1:
-            g = math.gcd(*_unpack_int(D, d.n, d.size))
-            D //= g
+            c = math.gcd(*_unpack_int(D, d.n, d.size))
+            D //= c
         # Mignotte: a quotient over the integers has |q_i| < 2**deg(q) * ||self||_2,
         # so its digits pass the bound below at width cap.
-        cap = (self.n - d.n + self.bits + (self.n.bit_length() + 1) // 2 + bd
-               + (min(self.n - d.n + 1, d.n) - 1).bit_length()) // 8 + 1
+        cap = (na - nd + self.bits + (self.n.bit_length() + 1) // 2 + bd
+               + (min(na - nd + 1, d.n) - 1).bit_length()) // 8 + 1
         while True:
-            q, r = divmod(_rewidth(self.P, self.n, self.size, size),
-                          _rewidth(D, d.n, d.size, size))
+            q, r = divmod(_rewidth(self.P, self.n, self.size, size, ka),
+                          _rewidth(D, d.n, d.size, size, kd))
             if r:
                 return None
             nq = q.bit_length() // (8 * size) + 1
@@ -306,8 +345,8 @@ class LaurentPoly:
             need = bits + bd + (min(nq, d.n) - 1).bit_length()
             if need < 8 * size:
                 narrow = bits // 8 + 1
-                quot = _make(self.lo - d.lo, _rewidth(q, nq, size, narrow), narrow, bits)
-                return quot._times(d.den, self.den * g)
+                quot = _make(self.lo - d.lo, _rewidth(q, nq, size, narrow), narrow, bits, 1, g)
+                return quot._times(d.den, self.den * c)
             if size >= cap:
                 return None
             size = min(cap, max(2 * size, need // 8 + 1))
@@ -315,15 +354,16 @@ class LaurentPoly:
     # -- evaluation ----------------------------------------------------------
 
     def evaluate(self, q0) -> Fraction:
-        """Exact value at q = q0 = a/b, by Horner's rule over the integers:
-        sum c_i q0^i = sum c_i a^i b^(n-1-i) / b^(n-1).  Negative exponents
-        make q0 = 0 a pole."""
+        """Exact value at q = q0, by Horner's rule over the integers on the
+        digits at y = q0**g = a/b: sum c_i y^i = sum c_i a^i b^(n-1-i) / b^(n-1).
+        Negative exponents make q0 = 0 a pole."""
         q0 = Fraction(q0)
         if self.lo < 0 and q0 == 0:
             raise PoleError(f"pole at q = {q0}: negative exponent q^{self.lo}")
-        a, b = q0.numerator, q0.denominator
+        y = q0**self.g
+        a, b = y.numerator, y.denominator
         total, scale = 0, 1
-        for c in reversed(self.coeffs):
+        for c in reversed(_unpack_int(self.P, self.n, self.size)):
             total, scale = total * a + c * scale, scale * b
         return Fraction(total * b, scale * self.den) * q0**self.lo
 
@@ -356,21 +396,34 @@ def linear_combination(terms) -> LaurentPoly:
     """sum k * q**s * p over the triples (k, s, p) of a scalar k (int or
     Fraction), an integer shift s and a LaurentPoly p, in one pass at one width
     (see the module docstring)."""
-    terms = [(k, s, p) for k, s, p in terms if k and p.n]
-    if not terms:
+    kept, lo, top, g, den, bits, size = [], math.inf, -math.inf, 0, 1, 0, 1
+    for k, s, p in terms:  # one pass for the bounds: no comprehension frames
+        if k and p.n:
+            e = p.lo + s  # the exponent of p's lowest digit in the sum
+            kept.append((k, e, p))
+            if e < lo:
+                lo = e
+            if e + (p.n - 1) * p.g > top:
+                top = e + (p.n - 1) * p.g
+            g, den = math.gcd(g, p.g), math.lcm(den, k.denominator * p.den)
+            if p.bits > bits:
+                bits = p.bits
+            if p.size > size:
+                size = p.size
+    if not kept:
         return _ZERO
-    lo = min(p.lo + s for _, s, p in terms)
-    check_span(max(p.lo + s + p.n for _, s, p in terms) - 1 - lo)
-    den = math.lcm(*[k.denominator * p.den for k, _, p in terms])
-    ks = [k.numerator * (den // (k.denominator * p.den)) for k, _, p in terms]
+    check_span(top - lo)
+    g = math.gcd(g, *[e - lo for _, e, _ in kept]) or 1
+    ks = [k.numerator * (den // (k.denominator * p.den)) for k, _, p in kept]
     grow = (sum(map(abs, ks)) - 1).bit_length()
-    bits, size = max(p.bits for _, _, p in terms) + grow, max(p.size for _, _, p in terms)
+    bits += grow
     if bits >= 8 * size:
-        bits = max(_tight(p) for _, _, p in terms) + grow
+        bits = max([_tight(p) for _, _, p in kept]) + grow
         size = bits // 8 + 1
-    P = sum(_rewidth(p.P, p.n, p.size, size) * k << 8 * size * (p.lo + s - lo)
-            for k, (_, s, p) in zip(ks, terms))
-    return _make(lo, P, size, bits, den)
+    P = 0
+    for k, (_, e, p) in zip(ks, kept):
+        P += _rewidth(p.P, p.n, p.size, size, p.g // g or 1) * k << 8 * size * ((e - lo) // g)
+    return _make(lo, P, size, bits, den, g)
 
 
 def common_width(polys, grow: int = 0) -> list:
@@ -379,7 +432,7 @@ def common_width(polys, grow: int = 0) -> list:
     2**grow in absolute value is formed at that width, re-widthing none."""
     bits = [_tight(p) for p in polys]
     size = (max(bits, default=0) + grow) // 8 + 1
-    return [_new(p.lo, _rewidth(p.P, p.n, p.size, size), p.n, size, b, p.den)
+    return [_new(p.lo, _rewidth(p.P, p.n, p.size, size), p.n, size, b, p.den, p.g)
             for p, b in zip(polys, bits)]
 
 
@@ -388,41 +441,40 @@ def _coeff(c: int, den: int):
     return c // den if c % den == 0 else Fraction(c, den)
 
 
-def _new(lo: int, P: int, n: int, size: int, bits: int, den: int = 1) -> LaurentPoly:
+def _new(lo: int, P: int, n: int, size: int, bits: int, den: int, g: int) -> LaurentPoly:
     """A LaurentPoly from fields that already satisfy the invariants."""
     p = object.__new__(LaurentPoly)
-    p.lo, p.P, p.n, p.size, p.bits, p.den = lo, P, n, size, bits, den
+    p.lo, p.P, p.n, p.size, p.bits, p.den, p.g = lo, P, n, size, bits, den, g
     return p
 
 
-def _from_coeffs(lo: int, coeffs: list, den: int = 1) -> LaurentPoly:
-    """The LaurentPoly q**lo * sum(coeffs[i] * q**i) / den, at its narrowest width."""
+def _from_coeffs(lo: int, coeffs: list, den: int = 1, g: int = 1) -> LaurentPoly:
+    """The LaurentPoly q**lo * sum(coeffs[i] * q**(g*i)) / den, at its narrowest width."""
     bits = max(map(abs, coeffs), default=0).bit_length()
-    return _make(lo, _pack_int(coeffs, bits // 8 + 1), bits // 8 + 1, bits, den)
+    return _make(lo, _pack_int(coeffs, bits // 8 + 1), bits // 8 + 1, bits, den, g)
 
 
-def _make(lo: int, P: int, size: int, bits: int, den: int = 1) -> LaurentPoly:
-    """q**lo * P(X) / den, X = 2**(8*size), for P with digits below 2**bits,
-    in normal form: low zero digits moved into lo, den reduced by the gcd of
-    the digits."""
+def _make(lo: int, P: int, size: int, bits: int, den: int, g: int) -> LaurentPoly:
+    """q**lo * P(X) / den, X = 2**(8*size) standing for q**g, for P with digits
+    below 2**bits, in normal form: low zero digits moved into lo, den reduced
+    by the gcd of the digits, stride 0 for one digit."""
     if not P:
         return _ZERO
     width = 8 * size
     low = ((P & -P).bit_length() - 1) // width
     if low:
         P >>= width * low
-        lo += low
+        lo += low * g
     n = P.bit_length() // width + 1
     if den != 1 and math.gcd(den, P) != 1:  # a common factor of den and the digits divides P
-        g = math.gcd(den, *_unpack_int(P, n, size))
-        P, den = P // g, den // g
-    return _new(lo, P, n, size, bits, den)
+        c = math.gcd(den, *_unpack_int(P, n, size))
+        P, den = P // c, den // c
+    return _new(lo, P, n, size, bits, den, g if n > 1 else 0)
 
 
-def _digit_bias(n: int, size: int, m: int = 0) -> int:
-    """Half a digit of m bytes (m = size by default) in each of n digits of
-    `size` bytes: sum 2**(8*m - 1) * 2**(8*size*i)."""
-    return int.from_bytes((1 << (8 * (m or size) - 1)).to_bytes(size, "little") * n, "little")
+def _digit_bias(n: int, size: int) -> int:
+    """Half a digit in each of n digits of `size` bytes: sum 2**(8*size - 1) * 2**(8*size*i)."""
+    return int.from_bytes((1 << (8 * size - 1)).to_bytes(size, "little") * n, "little")
 
 
 def _pack_int(coeffs: list, size: int) -> int:
@@ -441,18 +493,23 @@ def _unpack_int(x: int, n: int, size: int) -> list:
     return [int.from_bytes(raw[i:i + size], "little") - half for i in range(0, n * size, size)]
 
 
-def _rewidth(P: int, n: int, s1: int, s2: int) -> int:
-    """The n digits of P at width s1 bytes, packed at width s2; every digit must
-    be below half a digit of min(s1, s2) bytes.  Biased by that half digit, each
-    digit's bytes above min(s1, s2) are zero, so the low columns are copied."""
-    if s1 == s2:
+def _rewidth(P: int, n: int, s1: int, s2: int, k: int = 1) -> int:
+    """The n digits of P at width s1 bytes, packed at width s2 with digit i at
+    position i*k (k - 1 zero digits between two, the stride divided by k); every
+    digit must be below half a digit of min(s1, s2) bytes.  Biased by that half
+    digit, each digit's bytes above min(s1, s2) are zero, so the low columns are
+    copied into the biased zero digits of the output."""
+    if s1 == s2 and k == 1:
         return P
     m = min(s1, s2)
-    raw = (P + _digit_bias(n, s1, m)).to_bytes(n * s1, "little")
-    out = bytearray(n * s2)
+    half = 1 << (8 * m - 1)
+    bias = int.from_bytes(half.to_bytes(s1, "little") * n, "little")
+    raw = (P + bias).to_bytes(n * s1, "little")
+    zeros = half.to_bytes(s2, "little") * ((n - 1) * k + 1)
+    out = bytearray(zeros)
     for j in range(m):
-        out[j::s2] = raw[j::s1]
-    return int.from_bytes(out, "little") - _digit_bias(n, s2, m)
+        out[j::s2 * k] = raw[j::s1]
+    return int.from_bytes(out, "little") - int.from_bytes(zeros, "little")
 
 
 def _tight_bits(P: int, n: int, size: int) -> int:
@@ -552,8 +609,8 @@ def _pseudo_rem(A: list, B: list) -> list:
     return R
 
 
-_ZERO = _new(0, 0, 0, 1, 0)
-_ONE = _new(0, 1, 1, 1, 1)
+_ZERO = _new(0, 0, 0, 1, 0, 1, 0)
+_ONE = _new(0, 1, 1, 1, 1, 1, 0)
 
 
 class RatFun:
@@ -570,10 +627,6 @@ class RatFun:
             raise ZeroDivisionError("rational function with zero denominator")
         self.num = n
         self.den = d
-
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
 
     # -- field operations --------------------------------------------------
 

@@ -131,6 +131,8 @@ def test_compute_tsum(capsys):
      "2333d669d762a2125e433fc3a56523fa6bb213688645fe7edf9f725fa4727b2b"),
     ("verify --identity thm4 --identity thm6 --max-n 4 --max-r 3 --max-w 3 --max-x 2 --h=-6,4 "
      "--verbose", "579d8b61543180a7e0fac198587aa2b04529e95a32be8dab24a08155aab17fa8"),
+    ("verify --identity thm3 --identity thm6 --max-n 3 --max-r 2 --max-w 4 --verbose",
+     "cb892d1bae01a52ceec43d8345f29246c39d133d68c98e8bfd5e2a5d2c97a499"),
     ("volkenborn --family weighted --n 1 --h 2 --r 1 --p 3 --N 3 --x 0",
      "218c3f28b12ccb80d7be4b582e10ae1fde39f5c5b94c60eb8eb02ca82d2bccdb"),
     ("volkenborn --family single --n 6 --p 5 --N 5",
@@ -160,9 +162,10 @@ def test_compute_tsum(capsys):
     ("compute beta --n 1 --arg 1 --format pretty",
      "43b58797fea7fe24d9654bb2c12a17eb707d08ec159074bb36fb89a36b1664cd"),
 ], ids=["beta8", "table", "verbose-thm3-6", "verbose-weighted-h", "verbose-thm4-6-neg-h",
-        "volk-weighted-r1", "volk-single-n6", "volk-multi", "volk-weighted-neg-h", "volk-frac-q0",
-        "volk-p2", "volk-p2-neg-x", "volk-single-N7", "volk-frac-q0-N4", "beta12", "beta-h-arg1",
-        "tsum-base2", "tsum-h-base2", "beta1-arg1-pretty"])
+        "verbose-thm3-6-w4", "volk-weighted-r1", "volk-single-n6", "volk-multi",
+        "volk-weighted-neg-h", "volk-frac-q0", "volk-p2", "volk-p2-neg-x", "volk-single-N7",
+        "volk-frac-q0-N4", "beta12", "beta-h-arg1", "tsum-base2", "tsum-h-base2",
+        "beta1-arg1-pretty"])
 def test_reduced_output_is_byte_identical(capsys, argv, sha256):
     # Digests of beta8 and table were taken when the PRS gcd alone reduced the
     # output, those of the verbose sweeps while each family still had its own
@@ -172,6 +175,8 @@ def test_reduced_output_is_byte_identical(capsys, argv, sha256):
     # benchmark's commands were taken before exact_div lost its digit-list path,
     # the two deepest volkenborn ones while each stage kept (1-Q)^r uncancelled,
     # and the thm4/thm6 one while each convolution side divided every T-sum.
+    # The w = 4 sweep, which covers the stride-2 pair (2, 4) and the stride-4
+    # diagonal, was taken while every polynomial still packed its zero digits.
     code, out, _ = run(capsys, *argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == sha256

@@ -18,6 +18,7 @@ import hypothesis.strategies as st
 
 import qsym.ratfun as ratfun_mod
 from qsym.qbernoulli import t_sum, t_sum_h
+from qsym.qcore import bracket_poly
 from qsym.ratfun import (LaurentPoly, QsymDomainError, ResourceLimitError, _new, _pack_int,
                          _rewidth, _tight, _tight_bits, _unpack_int)
 from sequential_sum import sequential_sum
@@ -102,10 +103,19 @@ def ref_divides(a: tuple, d: tuple) -> bool:
 
 
 def fields(p: LaurentPoly) -> tuple:
-    """p's normal form, read through the boundary, after checking the packed invariants."""
+    """p's normal form, read through the boundary, after checking the packed
+    invariants: P packs the digits coeffs[::g] of the dense list, every
+    off-stride coefficient is 0, and a monomial or zero has stride 0."""
     coeffs = p.coeffs
-    assert p.n == len(coeffs)
-    assert p.P == sum(c << (8 * p.size * i) for i, c in enumerate(coeffs))
+    if p.n > 1:
+        assert p.g >= 1 and len(coeffs) == (p.n - 1) * p.g + 1
+        assert not any(c for i, c in enumerate(coeffs) if i % p.g)
+        digits = coeffs[::p.g]
+    else:
+        assert p.g == 0
+        digits = coeffs
+    assert p.n == len(digits)
+    assert p.P == sum(c << (8 * p.size * i) for i, c in enumerate(digits))
     assert p.bits <= 8 * p.size - 1
     assert all(abs(c) < 2**p.bits for c in coeffs)
     assert p.den >= 1 and math.gcd(p.den, *coeffs) == 1
@@ -119,7 +129,17 @@ def fields(p: LaurentPoly) -> tuple:
 def widened(p: LaurentPoly, extra: int) -> LaurentPoly:
     """The value p stored at a digit width `extra` bytes wider."""
     size = p.size + extra
-    return _new(p.lo, _rewidth(p.P, p.n, p.size, size), p.n, size, p.bits, p.den)
+    return _new(p.lo, _rewidth(p.P, p.n, p.size, size), p.n, size, p.bits, p.den, p.g)
+
+
+def restrided(p: LaurentPoly, g: int) -> LaurentPoly:
+    """The value p stored at stride g, a divisor of p's stride, with zero
+    digits between its coefficients (a monomial keeps stride 0)."""
+    if p.n < 2:
+        return p
+    k = p.g // g
+    return _new(p.lo, _rewidth(p.P, p.n, p.size, p.size, k), (p.n - 1) * k + 1, p.size,
+                p.bits, p.den, g)
 
 
 # -- strategies: coefficients on both sides of byte boundaries --------------------
@@ -299,7 +319,13 @@ def test_inflate_substitutes_q_to_the_w(a, w):
     lo, cs, den = fields(a)
     spread = [0] * (len(cs) * w)
     spread[::w] = cs
-    assert fields(a.inflate(w)) == normal_form(lo * w, spread, den)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = spy_rewidths(mp)
+        b = a.inflate(w)
+    assert fields(b) == normal_form(lo * w, spread, den)
+    # Only the stride changes: no digit moves.
+    assert not calls and (b.P, b.n, b.size, b.bits) == (a.P, a.n, a.size, a.bits)
+    assert b.g == a.g * w
     with pytest.raises(QsymDomainError):
         a.inflate(1 - w)
 
@@ -369,11 +395,27 @@ def test_linear_combination_span_guard_runs_before_packing(monkeypatch):
     assert fields(ratfun_mod.linear_combination(edge)) == fields(sequential_sum(edge))
 
 
+def spy_rewidths(monkeypatch) -> list:
+    """Patch ratfun._rewidth to log each call's (s1, s2, k): a re-width when
+    s1 != s2, a respread when k != 1; returns that log."""
+    calls, real = [], ratfun_mod._rewidth
+
+    def spy(P, n, s1, s2, k=1):
+        calls.append((s1, s2, k))
+        return real(P, n, s1, s2, k)
+
+    monkeypatch.setattr(ratfun_mod, "_rewidth", spy)
+    return calls
+
+
 @settings(derandomize=True, max_examples=200)
-@given(st.lists(polys(), min_size=1, max_size=5), st.integers(0, 40), st.data())
-def test_common_width_holds_any_sum_within_its_grow(ps, grow, data):
+@given(st.lists(polys(), min_size=1, max_size=5), st.integers(0, 40), st.integers(1, 3), st.data())
+def test_common_width_holds_any_sum_within_its_grow(ps, grow, g, data):
+    # Operands at one stride g, each shifted onto a multiple of g, so that the
+    # combination is at stride g too: it moves no digit, by width or stride.
     ps = [p for p in ps if p] or [LaurentPoly({0: 1})]
-    ps = [LaurentPoly({e: c.numerator for e, c in p.terms.items()}) for p in ps]  # den 1
+    ps = [restrided(LaurentPoly({g * e: c.numerator for e, c in p.terms.items()}), g)
+          for p in ps]  # den 1
     same = ratfun_mod.common_width(ps, grow)
     assert [fields(p) for p in same] == [fields(p) for p in ps]
     assert len({p.size for p in same}) == 1
@@ -381,18 +423,103 @@ def test_common_width_holds_any_sum_within_its_grow(ps, grow, data):
     # Multipliers whose absolute values add up to at most 2**grow.
     ks = [data.draw(st.integers(-2**grow, 2**grow)) for _ in ps]
     ks = [(1 if k > 0 else -1) * (abs(k) // len(ks)) for k in ks]
-    terms = [(k, i, p) for i, (k, p) in enumerate(zip(ks, same))]
-    widths = []
-    real = ratfun_mod._rewidth
-
-    def spy(P, n, s1, s2):
-        widths.append((s1, s2))
-        return real(P, n, s1, s2)
-
-    ratfun_mod._rewidth = spy
-    try:
+    terms = [(k, g * i, p) for i, (k, p) in enumerate(zip(ks, same))]
+    with pytest.MonkeyPatch.context() as mp:
+        calls = spy_rewidths(mp)
         total = ratfun_mod.linear_combination(terms)
-    finally:
-        ratfun_mod._rewidth = real
-    assert all(s1 == s2 for s1, s2 in widths)
+    assert all(s1 == s2 and k == 1 for s1, s2, k in calls)
     assert fields(total) == fields(sequential_sum(terms))
+
+
+# -- strides: polynomials in q^g --------------------------------------------------
+
+
+@st.composite
+def strided_polys(draw):
+    """A polynomial in q^g, g = 1..4, at any offset: sometimes a monomial or
+    zero, sometimes stored at a finer stride (zero digits between its
+    coefficients, as a product of mixed strides leaves it), sometimes wider."""
+    g, lo = draw(st.integers(1, 4)), draw(st.integers(-5, 5))
+    p = LaurentPoly({lo + g * e: c for e, c in
+                     draw(st.dictionaries(st.integers(0, 6), coeffs, max_size=6)).items()})
+    if p.n > 1:
+        p = restrided(p, draw(st.sampled_from([d for d in range(1, p.g + 1) if p.g % d == 0])))
+    extra = draw(st.integers(0, 2))
+    return widened(p, extra) if extra and p else p
+
+
+def ref_pow(a: tuple, k: int) -> tuple:
+    out = (0, [1], 1)
+    for _ in range(k):
+        out = ref_mul(out, a)
+    return out
+
+
+@settings(derandomize=True, max_examples=300)
+@given(strided_polys(), strided_polys(), st.integers(-3, 3), st.integers(0, 3))
+def test_strided_ring_operations_match_list_core(a, b, shift, k):
+    # The shift of b may break the common stride of a and b.
+    b = b.shift(shift)
+    fa, fb = fields(a), fields(b)
+    assert fields(a + b) == ref_add(fa, fb)
+    assert fields(a - b) == ref_add(fa, fields(-b))
+    assert fields(a * b) == ref_mul(fa, fb)
+    assert fields(a ** k) == ref_pow(fa, k)
+    assert (a == b) == (fa == fb) == (b == a)
+    assert (a + b) - b == a
+    lo, cs, den = fa
+    for q0 in (Fraction(2), Fraction(-3, 2)):  # Horner at q0**g, against the dense sum
+        assert a.evaluate(q0) == sum(Fraction(c, den) * q0 ** (lo + i) for i, c in enumerate(cs))
+    if a.n > 1:  # the same value at every stride that divides a's
+        for d in range(1, a.g + 1):
+            if a.g % d == 0:
+                assert restrided(a, d) == a and a == restrided(a, d)
+
+
+@settings(derandomize=True, max_examples=200)
+@given(strided_polys(), strided_polys(), strided_polys())
+def test_strided_exact_div_matches_list_core(a, d, noise):
+    if not d:
+        d = LaurentPoly({0: 1, 2: -1})
+    prod = a * d
+    assert fields(prod.exact_div(d)) == fields(a)
+    for num in (a, prod + noise):
+        quot = num.exact_div(d)
+        assert (quot is not None) == ref_divides(fields(num), fields(d))
+        if quot is not None:
+            assert fields(quot * d) == fields(num)
+
+
+def ref_combination(terms) -> tuple:
+    """sum k * q**s * p by the list core, one scale and add at a time."""
+    total = (0, [], 1)
+    for k, s, p in terms:
+        lo, cs, den = ref_scale(fields(p), Fraction(k))
+        total = ref_add(total, (lo + s if cs else 0, cs, den))
+    return total
+
+
+@settings(derandomize=True, max_examples=300)
+@given(st.lists(st.tuples(scalars, st.integers(-6, 6), strided_polys()), max_size=5),
+       st.integers(1, 4), st.booleans())
+def test_strided_linear_combination_matches_list_core(terms, g, on_stride):
+    # on_stride: every shift a multiple of g, so that the offsets keep a stride.
+    if on_stride:
+        terms = [(k, g * s, p.inflate(g)) for k, s, p in terms]
+    assert fields(ratfun_mod.linear_combination(terms)) == ref_combination(terms)
+
+
+def test_strides_come_from_the_structure():
+    p = LaurentPoly({0: 1, 4: -2, 8: 1})  # the constructor packs at the gcd of the offsets
+    assert (p.g, p.n) == (4, 3)
+    assert bracket_poly(5, 3).g == 3 and bracket_poly(5, 3, 2).g == 3
+    assert (p * p).g == 4 and (p * p).n == 5  # equal strides stay compact
+    assert p.inflate(3).g == 12 and p.inflate(3).P == p.P  # no digit moves
+    assert (p + p.shift(2)).g == 2 and (p * bracket_poly(3, 6)).g == 2  # the gcd
+    mono = LaurentPoly({9: 5})
+    assert mono.g == 0  # a monomial constrains no stride
+    assert (p + mono.shift(-1)).g == 4 and (p * mono).g == 4
+    assert ratfun_mod.linear_combination([(2, 4, p), (3, -1, mono), (-1, 8, p)]).g == 4
+    quot = LaurentPoly({0: 1, 12: -1}).exact_div(LaurentPoly({0: 1, 4: -1}))
+    assert fields(quot) == fields(LaurentPoly({0: 1, 4: 1, 8: 1})) and quot.g == 4
+    assert p == restrided(p, 2) == restrided(p, 1) and p != restrided(p, 2).shift(2)

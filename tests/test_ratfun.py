@@ -34,7 +34,7 @@ ONE_MINUS_Q2 = P({0: 1, 2: -1})
 
 def test_additive_inverse():
     f = RatFun(ONE_PLUS_Q)
-    assert (f + (-f)).is_zero
+    assert (f + (-f)).num.is_zero
 
 
 def test_multiplicative_inverse():
