@@ -60,10 +60,10 @@ the narrowest width its bound allows.  A failed bound is retried at least
 twice as wide, up to the width that holds any integer quotient by Mignotte's
 bound, |q_i| <= 2**deg(q) * ||A||_2, where it proves that d does not divide.
 Coefficient lists appear only at the boundary: the ``{exponent: coefficient}``
-constructor, ``coeffs`` (the dense list, spread to stride 1), ``terms``,
-``evaluate`` (Horner's rule on the digits at q0**g), the gcd's primitive inputs,
-candidates and pseudo-remainders, a divisor's content, ``_make``'s reduction of
-a denominator that shares a factor with P, ``__str__`` and JSON.
+constructor, ``terms``, ``evaluate`` (Horner's rule on the digits at q0**g),
+the gcd's candidates and its pseudo-remainder fallback, a content read from
+the digits, ``_make``'s reduction of a denominator that shares a factor with
+P, ``__str__`` and JSON.
 
 A RatFun is a quotient ``num / den`` of Laurent polynomials, den nonzero.
 Equality is cross-multiplication (``a/b == c/d  iff  a*d == c*b``), so gcd
@@ -74,20 +74,20 @@ and while the denominator vanishes at q0 the numerator must vanish too (else q0
 is a pole) and both are divided exactly by b*q - a.  The q -> 1 limit is the
 value at 1.
 
-``canonical()`` uses the heuristic gcd of Char, Geddes and Gonnet (J. Symb.
-Comput. 7, 1989) on the primitive integer parts, packed once and re-widthed to
-x = 2**(8*size) with half a digit above 2*max|coefficient| + 29: the integer
-gcd of the two values is read back from its symmetric base-x digits, and its
-primitive part is accepted only when ``exact_div`` divides both sides by it,
-which proves it is the gcd and yields the reduced numerator and denominator as
-packed quotients.  A failed candidate is retried at a few wider digit sizes,
-then the Euclidean algorithm with primitive pseudo-remainders decides and
-``exact_div`` forms the quotients by its gcd.
-``canonical()`` first deflates a pair that lives in q^g (g the gcd of the
-term offsets of both sides) to q and inflates the reduced pair back, since
-the gcd commutes with q -> q^g; a closed form in base q^w is such a pair.
-Every output -- ``coeffs``, ``terms``, ``evaluate``, ``canonical()``,
-``__str__`` and JSON -- reads the dense expansion, so no stride shows.
+``canonical()`` reduces both sides in q^g, g the gcd of their structural
+strides, with no scan: every offset is a multiple of g and the gcd commutes
+with q -> q^g, so it reduces the packed primitive parts, respread to stride g,
+and inflates the reduced pair back.  It uses the heuristic gcd of Char, Geddes
+and Gonnet (J. Symb. Comput. 7, 1989) at x = 2**(8*size) with half a digit
+above 2**(b + 1) + 29 >= 2*max|coefficient| + 29, b the larger tight bound:
+the integer gcd of the two values is read back from its symmetric base-x
+digits, and its primitive part is accepted only when ``exact_div`` divides both
+sides by it, which proves it is the gcd and yields the reduced numerator and
+denominator as packed quotients.  A failed candidate is retried at a few wider
+digit sizes, then the Euclidean algorithm with primitive pseudo-remainders
+decides and ``exact_div`` forms the quotients by its gcd.
+Every output -- ``terms``, ``evaluate``, ``canonical()``, ``__str__`` and JSON
+-- reads the dense expansion, so no stride shows.
 
 All values are immutable after construction and safe to share across threads.
 """
@@ -152,17 +152,6 @@ class LaurentPoly:
         return _ONE
 
     # -- basic structure ---------------------------------------------------
-
-    @property
-    def coeffs(self) -> list:
-        """A fresh dense list of the integer coefficients of q**lo .. q**(lo + (n-1)*g),
-        read from P and spread to stride 1."""
-        digits = _unpack_int(self.P, self.n, self.size)
-        if self.g < 2:
-            return digits
-        dense = [0] * ((self.n - 1) * self.g + 1)
-        dense[::self.g] = digits
-        return dense
 
     @property
     def terms(self) -> dict:
@@ -324,11 +313,8 @@ class LaurentPoly:
         ka, kd = self.g // g or 1, d.g // g or 1
         na, nd = (self.n - 1) * ka + 1, (d.n - 1) * kd + 1
         size, bd = max(self.size, d.size), _tight(d)
-        # The content c of d divides P and its lowest digit c_0.
-        D, c, half = d.P, 1, 1 << (8 * d.size - 1)
-        if math.gcd(D, ((D + half) & (2 * half - 1)) - half) != 1:
-            c = math.gcd(*_unpack_int(D, d.n, d.size))
-            D //= c
+        c = _content(d)
+        D = d.P if c == 1 else d.P // c
         # Mignotte: a quotient over the integers has |q_i| < 2**deg(q) * ||self||_2,
         # so its digits pass the bound below at width cap.
         cap = (na - nd + self.bits + (self.n.bit_length() + 1) // 2 + bd
@@ -532,14 +518,23 @@ def _tight(p: LaurentPoly) -> int:
     return p.bits if p.size == 1 else min(p.bits, _tight_bits(p.P, p.n, p.size))
 
 
-def _primitive(coeffs: list) -> tuple:
-    """(g, coeffs / g) for an integer list with nonzero ends, g the gcd of the
-    entries signed like the last, so the quotient is primitive with a positive
-    leading coefficient; (0, []) for the empty list."""
-    g = math.gcd(*coeffs)
-    if coeffs and coeffs[-1] < 0:
-        g = -g
-    return g, coeffs if g == 1 else [c // g for c in coeffs]
+def _content(p: LaurentPoly) -> int:
+    """The gcd of p's digits, read from them only when gcd(P, c_0) is not 1:
+    the content divides P and its lowest digit c_0."""
+    half = 1 << (8 * p.size - 1)
+    if math.gcd(p.P, ((p.P + half) & (2 * half - 1)) - half) == 1:
+        return 1
+    return math.gcd(*_unpack_int(p.P, p.n, p.size))
+
+
+def _primitive(p: LaurentPoly, g: int) -> tuple:
+    """(c, A) for a nonzero p whose stride is a multiple of g: c the gcd of p's
+    digits signed like the top digit, and A the polynomial p's digits / c in
+    q^g, with lo 0 and den 1, so primitive with a positive leading coefficient,
+    at p's width."""
+    c = _content(p) if p.P > 0 else -_content(p)
+    P = _rewidth(p.P, p.n, p.size, p.size, p.g // g or 1) // c
+    return c, _make(0, P, p.size, p.bits, 1, 1)
 
 
 # Evaluation points the heuristic gcd tries, each with wider digits, before it
@@ -547,26 +542,24 @@ def _primitive(coeffs: list) -> tuple:
 _HEU_ATTEMPTS = 4
 
 
-def _gcd_cofactors(A: list, B: list) -> tuple:
-    """(G, A/G, B/G) as LaurentPolys for primitive integer lists A and B with
-    positive leading coefficients and nonzero constant terms, G their gcd
-    (primitive, positive leading coefficient).  Every trial division is
-    exact_div, which treats q**k as a unit.  It decides polynomial divisibility
-    here because every G has a nonzero constant term: a candidate's is h mod x,
-    h divides A(x), and x does not, as 0 < |A[0]| < x."""
-    a, b = _from_coeffs(0, A), _from_coeffs(0, B)
-    bound = 2 * max(max(map(abs, A)), max(map(abs, B))) + 29
+def _gcd_cofactors(a: LaurentPoly, b: LaurentPoly) -> tuple:
+    """(G, a/G, b/G) for primitive polynomials a and b as _primitive returns
+    them, and G their gcd (primitive, positive leading coefficient).  Every
+    trial division is exact_div, which treats q**k as a unit.  It decides
+    polynomial divisibility here because every G has a nonzero constant term: a
+    candidate's is h mod x, h divides a(x), and x does not, as 0 < |a_0| < x."""
+    bound = 2 ** (max(_tight(a), _tight(b)) + 1) + 29  # at least 2*max|coefficient| + 29
     size = bound.bit_length() // 8 + 1  # half a digit, 2**(8*size - 1), exceeds bound
     for _ in range(_HEU_ATTEMPTS):
         h = math.gcd(_rewidth(a.P, a.n, a.size, size), _rewidth(b.P, b.n, b.size, size))
-        G = _from_coeffs(0, _primitive(_symmetric_digits(h, size))[1])
+        G = _primitive(_from_coeffs(0, _symmetric_digits(h, size)), 1)[1]
         qa = a.exact_div(G)
         if qa is not None:
             qb = b.exact_div(G)
             if qb is not None:
                 return G, qa, qb
         size += size // 2 + 1
-    G = _from_coeffs(0, _prs_gcd(A, B))
+    G = _from_coeffs(0, _prs_gcd(_unpack_int(a.P, a.n, a.size), _unpack_int(b.P, b.n, b.size)))
     return G, a.exact_div(G), b.exact_div(G)
 
 
@@ -587,7 +580,9 @@ def _prs_gcd(A: list, B: list) -> list:
     if len(A) < len(B):
         A, B = B, A
     while B:
-        A, B = B, _primitive(_pseudo_rem(A, B))[1]
+        R = _pseudo_rem(A, B)
+        c = -math.gcd(*R) if R and R[-1] < 0 else math.gcd(*R)
+        A, B = B, [x // c for x in R]
     return A
 
 
@@ -706,12 +701,12 @@ class RatFun:
         factor with the numerator; monomial factors live in the numerator."""
         if self.num.is_zero:
             return RatFun(_ZERO, _ONE)
-        n_content, n_prim = _primitive(self.num.coeffs)
-        d_content, d_prim = _primitive(self.den.coeffs)
-        # Both polynomials in q^g, g the gcd of the offsets of their terms: the
-        # gcd commutes with q -> q^g, so reduce the deflated pair and inflate.
-        g = math.gcd(*(t for cs in (n_prim, d_prim) for t, c in enumerate(cs) if c)) or 1
-        _, n_red, d_red = _gcd_cofactors(n_prim[::g], d_prim[::g])
+        # Both sides are polynomials in q^g, g the gcd of their strides: the gcd
+        # commutes with q -> q^g, so reduce the pair in q^g and inflate it back.
+        g = math.gcd(self.num.g, self.den.g) or 1
+        n_content, n_prim = _primitive(self.num, g)
+        d_content, d_prim = _primitive(self.den, g)
+        _, n_red, d_red = _gcd_cofactors(n_prim, d_prim)
         content = Fraction(n_content * self.den.den, d_content * self.num.den)
         return RatFun(n_red.inflate(g).shift(self.num.lo - self.den.lo).scale(content),
                       d_red.inflate(g))

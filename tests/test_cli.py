@@ -153,6 +153,8 @@ def test_compute_tsum(capsys):
      "6e9f3ef4788248815a775a1a07ef1eef29b587e4780f91923bb5e83b14ebf481"),
     ("compute beta --n 12 --r 4 --w 6",
      "08d734b811e739217afe1dba0258b1fdc4cd89c83eabbffbd41475e15870877c"),
+    ("compute beta --n 20 --r 4 --w 6",
+     "591188fb09fa3317530827c55beccaab0a87793700993cdb722ca404a81b7f3a"),
     ("compute beta-h --n 6 --h 4 --r 2 --w 2 --arg 1",
      "b5a8828c20846d70e8088dc3113c82e7f9a87f5430066e1e7827cfefa136607f"),
     ("compute tsum --n 6 --i 2 --r 3 --wlim 4 --base 2",
@@ -164,7 +166,7 @@ def test_compute_tsum(capsys):
 ], ids=["beta8", "table", "verbose-thm3-6", "verbose-weighted-h", "verbose-thm4-6-neg-h",
         "verbose-thm3-6-w4", "volk-weighted-r1", "volk-single-n6", "volk-multi",
         "volk-weighted-neg-h", "volk-frac-q0", "volk-p2", "volk-p2-neg-x", "volk-single-N7",
-        "volk-frac-q0-N4", "beta12", "beta-h-arg1", "tsum-base2", "tsum-h-base2",
+        "volk-frac-q0-N4", "beta12", "beta20", "beta-h-arg1", "tsum-base2", "tsum-h-base2",
         "beta1-arg1-pretty"])
 def test_reduced_output_is_byte_identical(capsys, argv, sha256):
     # Digests of beta8 and table were taken when the PRS gcd alone reduced the
@@ -176,7 +178,9 @@ def test_reduced_output_is_byte_identical(capsys, argv, sha256):
     # the two deepest volkenborn ones while each stage kept (1-Q)^r uncancelled,
     # and the thm4/thm6 one while each convolution side divided every T-sum.
     # The w = 4 sweep, which covers the stride-2 pair (2, 4) and the stride-4
-    # diagonal, was taken while every polynomial still packed its zero digits.
+    # diagonal, was taken while every polynomial still packed its zero digits,
+    # and the n = 20 one, whose wide coefficients set the heuristic gcd's first
+    # evaluation point, while canonical() still deflated by a scan of the offsets.
     code, out, _ = run(capsys, *argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == sha256

@@ -104,9 +104,15 @@ def ref_divides(a: tuple, d: tuple) -> bool:
 
 def fields(p: LaurentPoly) -> tuple:
     """p's normal form, read through the boundary, after checking the packed
-    invariants: P packs the digits coeffs[::g] of the dense list, every
-    off-stride coefficient is 0, and a monomial or zero has stride 0."""
-    coeffs = p.coeffs
+    invariants: P packs the digits coeffs[::g] of the dense list (built from
+    terms times den), every off-stride coefficient is 0, and a monomial or zero
+    has stride 0."""
+    terms = {e: c * p.den for e, c in p.terms.items()}
+    assert all(Fraction(c).denominator == 1 for c in terms.values())
+    assert min(terms, default=p.lo) == p.lo
+    coeffs = [0] * (max(terms) - p.lo + 1) if terms else []
+    for e, c in terms.items():
+        coeffs[e - p.lo] = int(c)
     if p.n > 1:
         assert p.g >= 1 and len(coeffs) == (p.n - 1) * p.g + 1
         assert not any(c for i, c in enumerate(coeffs) if i % p.g)

@@ -174,9 +174,21 @@ def test_canonical_pushes_monomials_into_numerator():
 def test_canonical_denominator_is_primitive_positive():
     f = RatFun(P({0: Fraction(1, 2)}), P({1: -2, 0: -2}))
     c = f.canonical()
-    assert c.den.coeffs[-1] > 0
+    assert c.den.terms[max(c.den.terms)] > 0
     assert all(isinstance(v, int) for v in c.den.terms.values())
     assert c == f
+
+
+@pytest.mark.parametrize("den", [P({0: 1}), P({3: 5}), P({0: 1, 1: 1}), P({0: 1, 2: 1}),
+                                 P({-1: 2, 3: -2}), P({0: 1, 2: 1}) * P({0: 1, 6: -1})],
+                         ids=["one", "monomial", "stride-1", "factor", "stride-4", "stride-2"])
+def test_canonical_of_a_stride_below_the_offset_gcd(den):
+    # 1 + q + q^2 - q is built at stride 1 and lives in q^2: canonical() reduces
+    # it at its structural stride and gives the form of the stride-2 value.
+    summed, built = P({0: 1, 1: 1, 2: 1}) - P({1: 1}), P({0: 1, 2: 1})
+    assert (summed.g, built.g) == (1, 2) and summed == built
+    got, want = RatFun(summed, den).canonical(), RatFun(built, den).canonical()
+    assert str(got) == str(want) and got.to_json_obj() == want.to_json_obj()
 
 
 def test_str_parenthesises_sums_only():
@@ -347,15 +359,22 @@ def test_big_integer_product_uses_kronecker_path(a, b):
 # -- heuristic gcd ---------------------------------------------------------------
 
 
-def _prim(p: LaurentPoly) -> list:
-    return ratfun_mod._primitive(p.coeffs)[1]
+def _prim(p: LaurentPoly) -> LaurentPoly:
+    """The primitive part of p in q, packed, as _gcd_cofactors takes it."""
+    return ratfun_mod._primitive(p, 1)[1]
 
 
-def _checked_cofactors(A: list, B: list) -> tuple:
-    """_gcd_cofactors(A, B) = (G, A/G, B/G), packed, once G * (A/G) = A and
-    G * (B/G) = B are checked."""
-    g, qa, qb = got = ratfun_mod._gcd_cofactors(A, B)
-    assert g * qa == P(dict(enumerate(A))) and g * qb == P(dict(enumerate(B)))
+def _dense(p: LaurentPoly) -> list:
+    """The integer coefficient list of q**lo .. the top term of p (den 1)."""
+    terms = p.terms
+    return [terms.get(e, 0) for e in range(p.lo, max(terms) + 1)]
+
+
+def _checked_cofactors(a: LaurentPoly, b: LaurentPoly) -> tuple:
+    """_gcd_cofactors(a, b) = (G, a/G, b/G), packed, once G * (a/G) = a and
+    G * (b/G) = b are checked."""
+    g, qa, qb = got = ratfun_mod._gcd_cofactors(a, b)
+    assert g * qa == a and g * qb == b
     return got
 
 
@@ -365,14 +384,15 @@ def _reduce_by(f: RatFun, g: list) -> RatFun:
     a, b = f.num.lo, f.den.lo
     g = LaurentPoly(dict(enumerate(g)))
     n_poly, d_poly = f.num.shift(-a).exact_div(g), f.den.shift(-b).exact_div(g)
-    content, d_prim = ratfun_mod._primitive(d_poly.coeffs)
+    content, d_prim = ratfun_mod._primitive(d_poly, 1)
     return RatFun(n_poly.scale(Fraction(d_poly.den, content)).shift(a - b),
-                  ratfun_mod._from_coeffs(d_poly.lo, d_prim))
+                  d_prim.shift(d_poly.lo))
 
 
 def _assert_matches_prs(f: RatFun) -> None:
-    g = ratfun_mod._prs_gcd(_prim(f.num), _prim(f.den))
-    assert _checked_cofactors(_prim(f.num), _prim(f.den))[0].coeffs == g
+    a, b = _prim(f.num), _prim(f.den)
+    g = ratfun_mod._prs_gcd(_dense(a), _dense(b))
+    assert _checked_cofactors(a, b)[0] == P(dict(enumerate(g)))
     c, ref = f.canonical(), _reduce_by(f, g)
     assert c.num == ref.num and c.den == ref.den
 
@@ -416,7 +436,8 @@ def test_symmetric_digits_read_back_every_value(size):
 
 def test_heuristic_gcd_retries_then_falls_back(monkeypatch):
     # A = q^3 - 2q^2 + 23q - 22 and B = q + 50 are coprime, but the first
-    # evaluation point is x = 2**16 (half a digit above 2*50 + 29), and
+    # evaluation point is x = 2**16 (half a digit above 2**(6 + 1) + 29, the
+    # widest coefficient 50 having 6 bits), and
     # A(-50) = -2 * (x + 50), so B(x) divides A(x): the gcd of the packed
     # values reads back as q + 50, which fails trial division.
     A, B = [-22, 23, -2, 1], [50, 1]
@@ -438,7 +459,8 @@ def test_heuristic_gcd_retries_then_falls_back(monkeypatch):
 
     def cofactor_lists(A, B):
         points.clear()
-        return [p.coeffs for p in _checked_cofactors(A, B)]
+        return [_dense(p) for p in _checked_cofactors(_prim(P(dict(enumerate(A)))),
+                                                      _prim(P(dict(enumerate(B)))))]
 
     # (q + 1)(q + 2) and (q + 1)(q + 3): the first point proves the gcd q + 1.
     assert cofactor_lists([2, 3, 1], [3, 4, 1]) == [[1, 1], [2, 1], [3, 1]] and points == [1]
