@@ -20,39 +20,32 @@ B^r / (B - A)^r; only a zero window of a degenerate h keeps one.  The K_k are
 products alone, powers of a and b stay exponents, the small b^k - a^k meet in one
 lcm, and O(n r) products of numbers of about (n + max|c_k|) p^N log2 height(q0)
 bits end in one Fraction, over a few dozen bits for b = 1 and no zero window.
-Convergence to the matching closed form is certified by the p-adic valuations
-of S_N minus the closed-form value being nondecreasing in N.  A report has no
-zero window (WeightedBetaQuery refuses a degenerate h), so with [e]_Q =
-(1-Q^e) / (1-Q), which is 1 + ... + Q^(e-1) for e > 0 and -(Q^e + ... + Q^-1)
-for e < 0, every window is (1-Q) [e]_Q / (1-q0^e), the (1-Q)^r cancels, and
 
-    S_N = P(Q) = (1-q0)^(r-n) sum_m C(n,m) (-1)^m q0^(m x) prod_k [m+c_k]_Q / (1-q0^(m+c_k))
+One kernel gives every number of this module.  Its part that does not depend on
+M, the table (_stage_table), holds the lcm, each term's integer coefficient, its
+window indices k and zero-window count, and its exponents of a and b, affine in
+M - 1; _stage_sum evaluates the table at one M, exactly or with every power and
+K_k reduced mod p^K.  At M = 0, A = B = 1 and K_k = k, so with no zero window
+the kernel sums the closed value c/d, the limit of S_N as Q -> 1, with no
+rational function built.
 
-for one Laurent polynomial P that does not depend on N; the closed value is P(1).
-A report builds P once (_stage_polynomial): each bracket product is a sliding sum
-of small integers, the small b^k - a^k meet in one exact lcm, the scale, and the
-powers of a and b are taken mod p^K, K = Nmax + 64 + v_p(scale) + v_p(d), d the
-closed value's denominator.  It subtracts the closed value and reads every stage
-N from that one polynomial R as B^deg R(A/B) mod p^K by homogeneous Horner:
-O(deg P) operations on numbers of K digits in base p, deg P being about
-r (n + max|c_k|).  a and b are p-adic units, as v_p(1 - q0) >= 1, so a nonzero
-residue has the valuation of the integer; a zero one means S_N agrees with the
-closed value to Nmax + 64 digits, and the report then builds the stage exactly,
-as an unreduced numerator and denominator, since for b != 1 the reduced
-Fraction's gcd would cost more than the stage itself.  The closed value P(1) is
-the integer stage sum at M = 0, where A = B = 1 and K_k = k (_stage_sum: O(n r)
-products of powers of a, b and b - a, one lcm, one Fraction), with no rational
-function built.  P shares nothing with it but the definition of c (weights), so
-each residue valuation compares two independent computations; only the exact
-fallback, where P's residue has vanished, reads S_N and P(1) from one kernel.
+Convergence to the closed form is certified by the p-adic valuations of S_N
+minus c/d being nondecreasing in N.  A report builds the table once, reads c/d
+at M = 0 and, at each M = p^N, the residue of num d - c den mod p^K, num / den
+being the stage's unreduced pair, K = Nmax + 64 + v_p(scale) + v_p(d) and scale
+= lcm (b - a)^max(n-r, 0): O(n r + max|c_k|) operations on numbers of K digits
+in base p.  a and b are p-adic units, as v_p(1 - q0) >= 1, and a report has no
+zero window (WeightedBetaQuery refuses a degenerate h), so every stage's den has
+the valuation of scale and a nonzero residue has the valuation of the integer.
+A zero one means S_N agrees with c/d to Nmax + 64 digits, and the report then
+builds the stage exactly, as an unreduced numerator and denominator, since for
+b != 1 the reduced Fraction's gcd would cost more than the stage itself.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
-import operator
 from collections import namedtuple
 from fractions import Fraction
 
@@ -66,11 +59,12 @@ FAMILIES = ("single", "multi", "weighted")
 # and 2.6M for n = 10, whose exact stages take 0.02, 0.10 and 0.50 s on a shared
 # 2-core machine (CPython 3.11): the products that build the windows K_k, not a gcd,
 # cost superlinearly in this size, and no budget on index tuples bounds it.  A
-# report reads its stages from one stage polynomial mod p^K, in 0.13 ms for n = 2
-# and 0.18 ms for n = 5 at Nmax = 7, and builds a stage exactly only as the
-# fallback, which this guard bounds.  An argument x adds the powers q0^(m x): the
-# weighted report n = 2, h = 2, r = 1, N = 1, x = -300000 needs 1.8M bits and takes
-# 1.4 s, nearly all of it the closed value's gcd (its exact stage takes 0.26 s).
+# report reads each stage from the kernel's table mod p^K, the whole report taking
+# 0.09 ms for n = 2 and 0.13 ms for n = 5 at Nmax = 7, and builds a stage exactly
+# only as the fallback, which this guard bounds.  An argument x adds the powers
+# q0^(m x): the weighted report n = 2, h = 2, r = 1, N = 1, x = -300000 needs 1.8M
+# bits and takes 0.11 s, nearly all of it the exact closed value (its exact stage
+# takes 0.11 s too, and the reduced Fraction of that stage 1.1 s).
 MAX_STAGE_BITS = 2_000_000
 
 # p-adic digits of S_N minus the closed value, past Nmax, that a report reads: its
@@ -191,15 +185,64 @@ def _check_stage(ctx: PadicContext, n: int, r: int, x: int, exps: range, N: int)
     return size
 
 
-def _windows(a: int, b: int, big_a: int, big_b: int, size: int, lo: int, hi: int) -> dict:
-    """G(e) = (B - A)^(1-z) M^z K / (d a^i b^j) for lo <= e <= hi as (K, d, z, i, j):
-    K_k and d = b^k - a^k with k = |e| (K_0 = 0, K_(k+1) = A K_k + B^k), or z = 1 at e = 0."""
-    ks, big_bk = [0], 1
-    for _ in range(max(-lo, hi)):
-        ks.append(big_a * ks[-1] + big_bk)
-        big_bk *= big_b
-    return {e: (ks[abs(e)], b ** abs(e) - a ** abs(e), 0, max(-e, 0) * (size - 1),
-                max(e, 0) * (size - 1)) if e else (size, 1, 1, 0, 0) for e in range(lo, hi + 1)}
+_StageTable = namedtuple("_StageTable", "a b mult kmax lift scale terms")
+
+
+def _stage_table(n: int, x: int, q0: Fraction, exps: range, mult: int) -> _StageTable:
+    """The part of the stage sum that does not depend on M, c being each exponent
+    of exps taken mult times (r = mult * len(exps)).  Term m of the module
+    docstring's sum, times (1-q0)^(r-n) / (1-Q)^r, is
+
+        coef lift prod_(k in ks) K_k^mult / (scale (B - A)^z a^i b^j)
+
+    with i = i0 + (M-1) di and j = j0 + (M-1) dj; ks holds the |m + c_k|, 0 for
+    a zero window (whose factor is M), and z counts those.  lift = (b -
+    a)^max(r-n, 0), scale = lcm (b - a)^max(n-r, 0), lcm being that of the terms'
+    products of window denominators b^k - a^k, and each term's coef is an integer."""
+    a, b = q0.numerator, q0.denominator
+    r = mult * len(exps)
+    dens = {e: b ** abs(e) - a ** abs(e) if e else 1
+            for e in range(min(exps), max(exps) + n + 1)}
+    rows = []  # (den, coef, ks, z, i0, di, j0, dj), den the term's product of b^k - a^k
+    for m in range(n + 1):
+        es = [m + c for c in exps]
+        rows.append((math.prod(dens[e] for e in es) ** mult, (-1) ** m * math.comb(n, m),
+                     [abs(e) for e in es], mult * es.count(0), -m * x,
+                     mult * sum(max(-e, 0) for e in es), m * x - n,
+                     mult * sum(max(e, 0) for e in es) - r))
+    lcm = math.lcm(*(row[0] for row in rows))
+    return _StageTable(a, b, mult, max(-min(exps), max(exps) + n), (b - a) ** max(r - n, 0),
+                       lcm * (b - a) ** max(n - r, 0),
+                       [(coef * (lcm // den), *rest) for den, coef, *rest in rows])
+
+
+def _stage_sum(table: _StageTable, size: int, mod: int = None) -> tuple:
+    """The stage sum at M = size from its table, unguarded: the unreduced pair
+    (num, den), whose denominator keeps B - A only for zero windows.  With mod
+    set, both are only congruent to that pair mod it, every power and K_k being
+    taken mod it (pow(v, 1, None) is v).  At M = 0, A = B = 1 and K_k = k, so it
+    is the closed value for windows with no e = 0."""
+    a, b, mult, kmax, lift, scale, terms = table
+    big_a, big_b = pow(a, size, mod), pow(b, size, mod)
+    ks, big_bk = [0], 1  # K_0 = 0, K_(k+1) = A K_k + B^k
+    for _ in range(kmax):
+        ks.append(pow(big_a * ks[-1] + big_bk, 1, mod))
+        big_bk = pow(big_bk * big_b, 1, mod)
+    ks[0] = size  # a zero window is G(0) = M
+    shift = size - 1
+    top_z = max(t[2] for t in terms)
+    top_i = max(t[3] + shift * t[4] for t in terms)  # < 0 only at M = 0
+    top_j = max(t[5] + shift * t[6] for t in terms)
+    total, gap = 0, big_b - big_a
+    for coef, window, z, i0, di, j0, dj in terms:
+        product = 1
+        for k in window:
+            product *= ks[k]
+        total += (coef * pow(product, mult, mod) * pow(gap, top_z - z, mod)
+                  * pow(a, top_i - i0 - shift * di, mod) * pow(b, top_j - j0 - shift * dj, mod))
+    num = total * lift * pow(a, max(-top_i, 0), mod) * pow(b, max(-top_j, 0), mod)
+    den = pow(gap, top_z, mod) * scale * pow(a, max(top_i, 0), mod) * pow(b, max(top_j, 0), mod)
+    return pow(num, 1, mod), pow(den, 1, mod)
 
 
 def _riemann_sum(n: int, x: int, ctx: PadicContext, N: int, exps: range, mult: int) -> tuple:
@@ -207,91 +250,7 @@ def _riemann_sum(n: int, x: int, ctx: PadicContext, N: int, exps: range, mult: i
     times (r = mult * len(exps)), once _check_stage admits stage N: the
     unreduced pair (num, den) of _stage_sum at M = p^N."""
     size = _check_stage(ctx, n, mult * len(exps), x, exps, N)
-    return _stage_sum(n, x, ctx.q0, size, exps, mult)
-
-
-def _stage_sum(n: int, x: int, q0: Fraction, size: int, exps: range, mult: int) -> tuple:
-    """The stage sum at M = size in integers, unguarded: O(n * len(exps))
-    operations and no O(r) object.  Returns the unreduced pair (num, den), whose
-    denominator keeps B - A only for e = 0 windows.  At M = 0, A = B = 1 and
-    K_k = k, so it is P(1), the closed value, for windows with no e = 0."""
-    r = mult * len(exps)
-    a, b = q0.numerator, q0.denominator
-    big_a, big_b = a**size, b**size
-    window = _windows(a, b, big_a, big_b, size, min(exps), max(exps) + n)
-    terms = []  # term m over (B - A)^(r - z) as (num, den, z, i, j): num / (den a^i b^j)
-    for m in range(n + 1):
-        num, den, z, i, j = (-1) ** m * math.comb(n, m), 1, 0, -m * x, m * x  # q0^(m x)
-        for c in exps:
-            wk, wd, wz, wi, wj = window[m + c]
-            num, den = num * wk**mult, den * wd**mult
-            z, i, j = z + mult * wz, i + mult * wi, j + mult * wj
-        terms.append((num, den, z, i, j))
-    lcm = math.lcm(*(t[1] for t in terms))
-    top_z, top_i, top_j = (max(t[k] for t in terms) for k in (2, 3, 4))  # < 0 only at M = 0
-    total = sum(num * (lcm // den) * (big_b - big_a) ** (top_z - z) * a ** (top_i - i)
-                * b ** (top_j - j) for num, den, z, i, j in terms)
-    # (1-q0)^(r-n) / (1-Q)^r = (b-a)^(r-n) b^(M r - r + n) / (B - A)^r
-    k = size * r - r + n - top_j
-    num = total * (b - a) ** max(r - n, 0) * a ** max(-top_i, 0) * b ** max(k, 0)
-    den = ((big_b - big_a) ** top_z * lcm * (b - a) ** max(n - r, 0) * a ** max(top_i, 0)
-           * b ** max(-k, 0))
-    return num, den
-
-
-def _window_denominators(a: int, b: int, lo: int, hi: int) -> dict:
-    """d = b^k - a^k, k = |e|, for each window lo <= e <= hi of the stage
-    polynomial: 1 / (1 - q0^e) is b^k / d for e > 0 and -a^k / d for e < 0."""
-    return {e: b ** abs(e) - a ** abs(e) for e in range(lo, hi + 1) if e}
-
-
-def _times_bracket(w: list, k: int) -> list:
-    """The coefficient list w times [k]_Q = (1 - Q^k) / (1 - Q), k >= 1: w (1 - Q^k),
-    then a running sum, whose last entry is 0."""
-    return list(itertools.accumulate(map(operator.sub, w + [0] * k, [0] * k + w)))[:-1]
-
-
-def _stage_polynomial(n: int, x: int, q0: Fraction, exps: range, mult: int, p: int,
-                      digits: int) -> tuple:
-    """P of the module docstring, with S_N = P(Q) at every stage N, for windows
-    e = m + c with no e = 0, c being each exponent of exps taken mult times.
-
-    Returns (coeffs, lo, scale, unit, mod) with scale * unit * P(Q) congruent to
-    sum_t coeffs[t] Q^(lo + t) mod `mod`, lo <= 0 <= lo + len(coeffs) - 1.  scale,
-    the lcm of the window denominators times a power of b - a, is exact and holds
-    every factor of p that P divides by; unit = a^i b^j (i, j >= 0) is a p-adic
-    unit; mod = p^(digits + v_p(scale)).  The bracket products are sliding sums
-    of small integers; the powers of a and b, and so coeffs and unit, are taken
-    mod `mod`."""
-    a, b = q0.numerator, q0.denominator
-    r = mult * len(exps)
-    dens = _window_denominators(a, b, min(exps), max(exps) + n)
-    terms = []  # term m: (-1)^m C(n,m) a^i b^j / den times Q^s w(Q)
-    for m in range(n + 1):
-        # q0^(m x) = a^(m x) b^(-m x), and (1-q0)^(r-n) = (b-a)^(r-n) b^(n-r)
-        den, i, j, s, w = 1, m * x, n - r - m * x, 0, [1]
-        for c in exps:
-            e = m + c
-            den *= dens[e] ** mult
-            if e > 0:
-                j += mult * e
-            else:
-                i, s = i - mult * e, s + mult * e
-            for _ in range(mult):
-                w = _times_bracket(w, abs(e))
-        terms.append(((-1) ** m * math.comb(n, m), den, i, j, s, w))
-    lcm = math.lcm(*(t[1] for t in terms))
-    scale = lcm * (b - a) ** max(n - r, 0)
-    mod = p ** (digits + _int_valuation(scale, p))
-    low_i, low_j = (min(0, *(t[k] for t in terms)) for k in (2, 3))
-    lo = min(0, *(t[4] for t in terms))
-    coeffs = [0] * (max(1, *(t[4] + len(t[5]) for t in terms)) - lo)
-    for sign, den, i, j, s, w in terms:
-        scalar = (sign * (lcm // den) * (b - a) ** max(r - n, 0)
-                  * pow(a, i - low_i, mod) * pow(b, j - low_j, mod) % mod)
-        span = slice(s - lo, s - lo + len(w))
-        coeffs[span] = map(operator.add, coeffs[span], map(scalar.__mul__, w))
-    return coeffs, lo, scale, pow(a, -low_i, mod) * pow(b, -low_j, mod), mod
+    return _stage_sum(_stage_table(n, x, ctx.q0, exps, mult), size)
 
 
 def riemann_sum_multi(n: int, r: int, x: int, ctx: PadicContext, N: int) -> Fraction:
@@ -330,12 +289,14 @@ class ConvergenceReport(namedtuple("ConvergenceReport", "family params p q0 poin
 def convergence_report(family: str, params: dict, ctx: PadicContext) -> ConvergenceReport:
     """Compare stage sums against the matching closed form at q0 for N = 1..Nmax.
 
-    With c / d the closed value and P = _stage_polynomial(...), the integer
-    polynomial R(Q) = scale unit d Q^(-lo) (P(Q) - c / d) is built once, mod p^K,
-    K = Nmax + _RESIDUE_DIGITS + v_p(scale) + v_p(d).  Every stage N reads
-    B^deg R(A / B) mod p^K by homogeneous Horner; A, B and unit are p-adic units,
-    so a nonzero residue has valuation v_p(scale d) + v_p(S_N - c / d), and a zero
-    one, v_p(S_N - c / d) >= Nmax + _RESIDUE_DIGITS, falls back to the exact stage."""
+    One table (_stage_table) gives the closed value c / d at M = 0, with no gcd:
+    only the powers of p common to c and d are divided out, so v_p(d) is that of
+    the reduced denominator.  At each M = p^N it gives the residue of num d - c den
+    mod p^K, K = Nmax + _RESIDUE_DIGITS + v_p(scale) + v_p(d), num / den being the
+    stage's unreduced pair.  den is scale times p-adic units, as d is before the
+    division, so a nonzero residue has valuation v_p(scale d) + v_p(S_N - c / d),
+    and a zero one, v_p(S_N - c / d) >= Nmax + _RESIDUE_DIGITS, falls back to the
+    exact stage."""
     if family not in FAMILIES:
         raise QsymDomainError(f"family must be one of {FAMILIES}")
     n = params["n"]
@@ -346,22 +307,20 @@ def convergence_report(family: str, params: dict, ctx: PadicContext) -> Converge
         WeightedBetaQuery(n, h, r, 1, x)
     exps, mult = weights(r, h)
     _check_stage(ctx, n, r, x, exps, ctx.Nmax)
-    closed = Fraction(*_stage_sum(n, x, ctx.q0, 0, exps, mult))  # P(1)
-    c, d = closed.numerator, closed.denominator
-    p, a, b = ctx.p, ctx.q0.numerator, ctx.q0.denominator
-    digits = ctx.Nmax + _RESIDUE_DIGITS + _int_valuation(d, p)
-    coeffs, lo, scale, unit, mod = _stage_polynomial(n, x, ctx.q0, exps, mult, p, digits)
-    rs = [t * d % mod for t in coeffs]
-    rs[-lo] = (rs[-lo] - c % mod * scale * unit) % mod
-    v_scale = _int_valuation(scale * d, p)
+    table = _stage_table(n, x, ctx.q0, exps, mult)
+    c, d = _stage_sum(table, 0)
+    p = ctx.p
+    v_den = _int_valuation(table.scale, p)
+    shared = min(_int_valuation(c, p), v_den) if c else v_den  # the p in gcd(c, d)
+    c, d = c // p**shared, d // p**shared
+    v_scale = 2 * v_den - shared  # v_p(scale d)
+    mod = p ** (ctx.Nmax + _RESIDUE_DIGITS + v_scale)
     points = []
     for N in range(1, ctx.Nmax + 1):
-        big_a, big_b = pow(a, p**N, mod), pow(b, p**N, mod)
-        acc, b_power = 0, 1
-        for t in reversed(rs):
-            acc, b_power = (acc * big_a + t * b_power) % mod, b_power * big_b % mod
-        if acc:
-            v = _int_valuation(acc, p) - v_scale
+        num, den = _stage_sum(table, p**N, mod)
+        residue = (num * d - c * den) % mod
+        if residue:
+            v = _int_valuation(residue, p) - v_scale
         else:
             num, den = _riemann_sum(n, x, ctx, N, exps, mult)
             diff = num * d - c * den

@@ -151,6 +151,10 @@ def test_compute_tsum(capsys):
      "ff40e7c04c15f0d4a06d386af4cea8849ac09cbc5aff002f5be94e1b6277d3c7"),
     ("volkenborn --family weighted --n 2 --h 3 --r 2 --p 5 --q0 7/2 --N 4",
      "6e9f3ef4788248815a775a1a07ef1eef29b587e4780f91923bb5e83b14ebf481"),
+    ("volkenborn --family weighted --n 200 --h 19 --r 19 --p 2 --N 1",
+     "3526be84ca76990c78549bf4dd68cf7bc7d6cb4f15677e79842cfb5f9ee74fec"),
+    ("volkenborn --family weighted --n 5 --h 500 --r 19 --p 2 --N 1",
+     "f1898640a8e90a6cc1193cf85275dfc4834cc52465d1dfbb75c1fa647b81d82b"),
     ("compute beta --n 12 --r 4 --w 6",
      "08d734b811e739217afe1dba0258b1fdc4cd89c83eabbffbd41475e15870877c"),
     ("compute beta --n 20 --r 4 --w 6",
@@ -166,8 +170,8 @@ def test_compute_tsum(capsys):
 ], ids=["beta8", "table", "verbose-thm3-6", "verbose-weighted-h", "verbose-thm4-6-neg-h",
         "verbose-thm3-6-w4", "volk-weighted-r1", "volk-single-n6", "volk-multi",
         "volk-weighted-neg-h", "volk-frac-q0", "volk-p2", "volk-p2-neg-x", "volk-single-N7",
-        "volk-frac-q0-N4", "beta12", "beta20", "beta-h-arg1", "tsum-base2", "tsum-h-base2",
-        "beta1-arg1-pretty"])
+        "volk-frac-q0-N4", "volk-large-r-n200", "volk-large-r-h500", "beta12", "beta20",
+        "beta-h-arg1", "tsum-base2", "tsum-h-base2", "beta1-arg1-pretty"])
 def test_reduced_output_is_byte_identical(capsys, argv, sha256):
     # Digests of beta8 and table were taken when the PRS gcd alone reduced the
     # output, those of the verbose sweeps while each family still had its own
@@ -181,6 +185,8 @@ def test_reduced_output_is_byte_identical(capsys, argv, sha256):
     # diagonal, was taken while every polynomial still packed its zero digits,
     # and the n = 20 one, whose wide coefficients set the heuristic gcd's first
     # evaluation point, while canonical() still deflated by a scan of the offsets.
+    # The two large-r volkenborn ones were taken while each report still read
+    # its stages from a dense stage polynomial of degree about r (n + max|c_k|).
     code, out, _ = run(capsys, *argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
@@ -518,13 +524,13 @@ def test_volkenborn_large_prime_under_a_raised_budget_exits_3_fast(capsys, p, ma
 
 
 def test_volkenborn_inexact_window_is_a_bug_exit_4(capsys, monkeypatch):
-    # No window takes a quotient, so the fault is forced in the stage polynomial's
-    # window denominators: every d = 0 makes their lcm, and so the scale, 0, whose
+    # No window takes a quotient, so the fault is forced in the kernel's table:
+    # window denominators b^k - a^k = 0 make their lcm, and so the scale, 0, whose
     # valuation raises ZeroDivisionError, an ArithmeticError, which can only be a
     # qsym bug.
-    dens = volkenborn_mod._window_denominators
-    monkeypatch.setattr(volkenborn_mod, "_window_denominators",
-                        lambda *args: dict.fromkeys(dens(*args), 0))
+    table = volkenborn_mod._stage_table
+    monkeypatch.setattr(volkenborn_mod, "_stage_table",
+                        lambda *args: table(*args)._replace(scale=0))
     code, out, err = run(capsys, "volkenborn", "--n", "1", "--p", "5", "--N", "2")
     assert code == 4 and out == ""
     assert "Traceback" in err and "ZeroDivisionError" in err

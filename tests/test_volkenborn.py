@@ -101,35 +101,6 @@ def test_deep_integer_stage_sum_matches_the_fraction_form(p, q0):
             (exps, mult, N)
 
 
-@pytest.mark.parametrize("p, q0", INTEGER_ORACLE_CONTEXTS)
-def test_report_valuations_match_the_fraction_path(p, q0):
-    # convergence_report reads each valuation from the unreduced stage; the
-    # reduced Fraction minus the closed value must give the same points.
-    ctx = PadicContext(p=p, q0=q0, Nmax=3, budget=10**40)
-    cases = [("multi", n, r, None, x)
-             for n, r, x in itertools.product((0, 1, 3), (1, 2), (-1, 0, 2))]
-    cases += [("weighted", n, r, h, x) for n, r, x in itertools.product((0, 2), (1, 2), (-1, 1))
-              for h in (-n - 1, r, r + 2)]
-    for family, n, r, h, x in cases:
-        if family == "weighted":
-            stage = lambda N: riemann_sum_weighted(n, h, r, x, ctx, N)
-            exps, mult = range(h, h - r, -1), 1
-            closed = beta_weighted(n, h, r, 1, x).evaluate(ctx.q0)
-            params = {"n": n, "h": h, "r": r, "x": x}
-        else:
-            stage = lambda N: riemann_sum_multi(n, r, x, ctx, N)
-            exps, mult = range(1, 2), r
-            closed = beta_higher(n, r, 1, x).evaluate(ctx.q0)
-            params = {"n": n, "r": r, "x": x}
-        want = []
-        for N in (1, 2, 3):
-            value = stage(N)
-            pair = volkenborn_mod._riemann_sum(n, x, ctx, N, exps, mult)
-            assert Fraction(*pair) == value, (family, params, N)
-            want.append((N, p_valuation(value - closed, p)))
-        assert convergence_report(family, params, ctx).points == want, (family, params)
-
-
 # q0 = a/b with b != 1 at each p: below 1, above 1 and negative.
 RESIDUE_CONTEXTS = [(2, Fraction(1, 5), 3), (3, Fraction(4, 7), 3), (5, Fraction(-4, 11), 2),
                     (7, Fraction(1, 8), 2)]
@@ -143,6 +114,31 @@ def residue_cases():
             yield "multi", {"n": n, "r": r, "x": x}
             for h in (r, r + 3, -n - 1):
                 yield "weighted", {"n": n, "h": h, "r": r, "x": x}
+
+
+@pytest.mark.parametrize("p, q0", INTEGER_ORACLE_CONTEXTS
+                         + [(p, q0) for p, q0, _ in RESIDUE_CONTEXTS])
+def test_report_valuations_match_the_fraction_path(p, q0):
+    # convergence_report reads each valuation from the kernel mod p^K; the
+    # Fraction form of the stage minus the closed form's RatFun value at q0,
+    # neither of which shares code with the kernel, must give the same points.
+    ctx = PadicContext(p=p, q0=q0, Nmax=3, budget=10**40)
+    cases = [("multi", n, r, None, x)
+             for n, r, x in itertools.product((0, 1, 3), (1, 2), (-1, 0, 2))]
+    cases += [("weighted", n, r, h, x) for n, r, x in itertools.product((0, 2), (1, 2), (-1, 1))
+              for h in (-n - 1, r, r + 2)]
+    for family, n, r, h, x in cases:
+        if family == "weighted":
+            exps, mult = range(h, h - r, -1), 1
+            closed = beta_weighted(n, h, r, 1, x).evaluate(ctx.q0)
+            params = {"n": n, "h": h, "r": r, "x": x}
+        else:
+            exps, mult = range(1, 2), r
+            closed = beta_higher(n, r, 1, x).evaluate(ctx.q0)
+            params = {"n": n, "r": r, "x": x}
+        want = [(N, p_valuation(fraction_stage_sum(n, x, ctx.q0, p**N, exps, mult) - closed, p))
+                for N in (1, 2, 3)]
+        assert convergence_report(family, params, ctx).points == want, (family, params)
 
 
 def spy_exact_stages(monkeypatch) -> list:
@@ -167,7 +163,8 @@ def test_residue_valuations_match_the_exact_stage(monkeypatch, p, q0, nmax):
         n, x = params["n"], params["x"]
         r, h = params.get("r", 1), params.get("h")
         exps, mult = (range(1, 2), r) if h is None else (range(h, h - r, -1), 1)
-        closed = Fraction(*volkenborn_mod._stage_sum(n, x, ctx.q0, 0, exps, mult))
+        table = volkenborn_mod._stage_table(n, x, ctx.q0, exps, mult)
+        closed = Fraction(*volkenborn_mod._stage_sum(table, 0))
         stages = [riemann_sum_weighted(n, h, r, x, ctx, N) if h is not None
                   else riemann_sum_multi(n, r, x, ctx, N) for N in range(1, nmax + 1)]
         want.append([(N, p_valuation(s - closed, p)) for N, s in enumerate(stages, 1)])
@@ -248,34 +245,21 @@ def test_an_isolated_root_gives_one_exact_stage_and_a_non_monotone_report(monkey
     assert [s == eval_rational(beta, ctx.q0) for s in stages] == [True, False, False]
 
 
-@pytest.mark.parametrize("p, q0, nmax", RESIDUE_CONTEXTS)
-def test_stage_polynomial_gives_each_stage_and_the_closed_value(p, q0, nmax):
-    # scale unit P(Q) = sum_t coeffs[t] Q^(lo + t) mod p^K, K = digits + v_p(scale),
-    # against the exact stage at Q = q0^(p^N) and the closed value at Q = 1.
-    ctx, digits = PadicContext(p=p, q0=q0, Nmax=3, budget=10**40), 40
+@pytest.mark.parametrize("p, q0", [(p, q0) for p, q0, _ in RESIDUE_CONTEXTS])
+def test_residue_evaluation_agrees_with_the_exact_kernel(p, q0):
+    # The table evaluated mod p^K, every power and K_k reduced, against the
+    # exact evaluation, to K digits: at M = 0, the closed value, and at each
+    # M = p^N of a report.
+    k = 40
     for family, params in residue_cases():
         n, x = params["n"], params["x"]
         r, h = params.get("r", 1), params.get("h")
         exps, mult = (range(1, 2), r) if h is None else (range(h, h - r, -1), 1)
-        coeffs, lo, scale, unit, mod = volkenborn_mod._stage_polynomial(n, x, q0, exps, mult,
-                                                                        p, digits)
-        assert lo <= 0 < lo + len(coeffs)
-        k = digits + p_valuation(scale, p)
-        assert mod == p**k
-
-        def agreement(big_a, big_b, value):
-            # p-adic digits to which B^deg Q^-lo scale unit value, Q = A / B,
-            # agrees with sum_t coeffs[t] A^t B^(deg - t)
-            deg = len(coeffs) - 1
-            total = sum(c * big_a**t * big_b ** (deg - t) for t, c in enumerate(coeffs))
-            return p_valuation(big_b ** (deg + lo) * big_a**-lo * scale * unit * value - total, p)
-
-        closed = Fraction(*volkenborn_mod._stage_sum(n, x, q0, 0, exps, mult))
-        assert agreement(1, 1, closed) >= k, params
-        for N in (1, 2, 3):
-            stage = Fraction(*volkenborn_mod._riemann_sum(n, x, ctx, N, exps, mult))
-            big_a, big_b = q0.numerator ** p**N, q0.denominator ** p**N
-            assert agreement(big_a, big_b, stage) >= k, (family, params, N)
+        table = volkenborn_mod._stage_table(n, x, q0, exps, mult)
+        for size in (0, p, p**2, p**3):
+            num, den = volkenborn_mod._stage_sum(table, size)
+            assert (volkenborn_mod._stage_sum(table, size, p**k)
+                    == (num % p**k, den % p**k)), (family, params, size)
 
 
 # Integer points on each side of 1, fractions on each side of 1 and a negative point.
@@ -292,7 +276,8 @@ def test_closed_value_matches_the_ratfun_at_each_point():
         forms += [(h, beta_weighted(n, h, r, 1, x)) for h in (r, r + 2, -n - 1, -n - 3)]
         for (h, form), q0 in itertools.product(forms, CLOSED_VALUE_POINTS):
             exps, mult = (range(1, 2), r) if h is None else (range(h, h - r, -1), 1)
-            got = Fraction(*volkenborn_mod._stage_sum(n, x, q0, 0, exps, mult))
+            table = volkenborn_mod._stage_table(n, x, q0, exps, mult)
+            got = Fraction(*volkenborn_mod._stage_sum(table, 0))
             assert got == form.evaluate(q0), (n, r, x, h, q0)
     with pytest.raises(DegenerateWeightError):
         convergence_report("weighted", {"n": 2, "h": 0, "r": 2, "x": 1}, PadicContext(5))
@@ -492,7 +477,7 @@ def test_stage_size_guard_refuses_before_any_work(monkeypatch):
     def no_work(*args):
         raise AssertionError("a report past the stage-size guard did work")
 
-    for name in ("_stage_sum", "_stage_polynomial", "riemann_sum_multi", "_riemann_sum"):
+    for name in ("_stage_table", "_stage_sum", "riemann_sum_multi", "_riemann_sum"):
         monkeypatch.setattr(volkenborn_mod, name, no_work)
     # 9.6M bits at N = 7 for n = 40; the deepest stage is checked first.
     ctx = PadicContext(p=5, Nmax=7)
@@ -502,6 +487,20 @@ def test_stage_size_guard_refuses_before_any_work(monkeypatch):
     # The powers q0^(m x) count too: 6^(2 * 10^9) would be 650 MB at N = 1.
     with pytest.raises(ResourceLimitError, match="N = 1 builds numbers of about 6000000045 bits"):
         convergence_report("single", {"n": 2, "x": 10**9}, PadicContext(p=5, Nmax=1))
+
+
+def test_large_r_report_peaks_under_a_megabyte():
+    # The table holds O(n r) numbers of the size of the window denominators, so
+    # the peak does not follow the degree, about r (n + h), of S_N in Q.
+    ctx = PadicContext(p=2, Nmax=1)
+    tracemalloc.start()
+    try:
+        rep = convergence_report("weighted", {"n": 5, "h": 500, "r": 19}, ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.points == [(1, -1)]
+    assert peak < 2**20
 
 
 def test_shift_equation_at_finite_stage():
