@@ -31,15 +31,16 @@ rational function built.
 
 Convergence to the closed form is certified by the p-adic valuations of S_N
 minus c/d being nondecreasing in N.  A report builds the table once, reads c/d
-at M = 0 and, at each M = p^N, the residue of num d - c den mod p^K, num / den
-being the stage's unreduced pair, K = Nmax + 64 + v_p(scale) + v_p(d) and scale
-= lcm (b - a)^max(n-r, 0): O(n r + max|c_k|) operations on numbers of K digits
-in base p.  a and b are p-adic units, as v_p(1 - q0) >= 1, and a report has no
-zero window (WeightedBetaQuery refuses a degenerate h), so every stage's den has
-the valuation of scale and a nonzero residue has the valuation of the integer.
-A zero one means S_N agrees with c/d to Nmax + 64 digits, and the report then
-builds the stage exactly, as an unreduced numerator and denominator, since for
-b != 1 the reduced Fraction's gcd would cost more than the stage itself.
+at M = 0 and, at each M = p^N, forms E = num d - c den, num / den being the
+stage's unreduced pair: mod p^K first, K = Nmax + 64 + v_p(scale) + v_p(d) and
+scale = lcm (b - a)^max(n-r, 0), in O(n r + max|c_k|) operations on numbers of
+K digits in base p, and exactly, from the same table, only where that residue
+is 0, that is where S_N agrees with c/d to Nmax + 64 digits.  a and b are p-adic
+units, as v_p(1 - q0) >= 1, and a report has no zero window (WeightedBetaQuery
+refuses a degenerate h), so every stage's den has the valuation of scale and one
+rule gives every point: v_p(S_N - c/d) = v_p(E) - v_p(scale d), or inf where
+E = 0.  The exact E stays unreduced, since for b != 1 the reduced Fraction's gcd
+would cost more than the stage itself.
 """
 
 from __future__ import annotations
@@ -150,10 +151,18 @@ class PadicContext(namedtuple("PadicContext", "p q0 Nmax budget", defaults=(None
         return cls(*iterable)
 
 
-def _check_budget(ctx: PadicContext, r: int, N: int) -> int:
-    """Refuse a stage sum that stands for more than ctx.budget index tuples,
-    p^(r N), which bounds its meaning and no longer its cost; return p^N.
-    p^(r N) > budget exactly when r N > k, the largest k with p^k <= budget."""
+def _check_stage(ctx: PadicContext, n: int, r: int, x: int, exps: range, N: int) -> int:
+    """Refuse stage N before it is built, and return p^N.  ctx.budget bounds the
+    p^(r N) index tuples it stands for, its meaning and no longer its cost: p^(r N)
+    > budget exactly when r N > k, the largest k with p^k <= budget.
+    MAX_STAGE_BITS bounds its cost: its numbers take about r (n + max|c_k|) p^N
+    + n |x| times the bit length of q0's larger term, the n |x| being the powers
+    q0^(m x) that the stage and the closed value both build.  Both bounds grow
+    with N, so a report checks its deepest stage first."""
+    if not 1 <= N <= ctx.Nmax:
+        raise QsymDomainError(f"N must be in 1..{ctx.Nmax}")
+    if n < 0 or r < 1:
+        raise QsymDomainError("need n >= 0 and r >= 1")
     k, power = 0, ctx.p
     while power <= ctx.budget:
         k, power = k + 1, power * ctx.p
@@ -161,20 +170,7 @@ def _check_budget(ctx: PadicContext, r: int, N: int) -> int:
         raise ResourceLimitError(
             f"summation grid p^(r*N) = {ctx.p}^({r * N}) exceeds the budget {ctx.budget}"
         )
-    return ctx.p**N
-
-
-def _check_stage(ctx: PadicContext, n: int, r: int, x: int, exps: range, N: int) -> int:
-    """Refuse stage N before it is built, by ctx.budget and then by MAX_STAGE_BITS,
-    and return p^N.  Its numbers take about r (n + max|c_k|) p^N + n |x| times
-    the bit length of q0's larger term, the n |x| being the powers q0^(m x) that
-    the stage and the closed value both build; both bounds grow with N, so a
-    report checks its deepest stage first."""
-    if not 1 <= N <= ctx.Nmax:
-        raise QsymDomainError(f"N must be in 1..{ctx.Nmax}")
-    if n < 0 or r < 1:
-        raise QsymDomainError("need n >= 0 and r >= 1")
-    size = _check_budget(ctx, r, N)
+    size = ctx.p**N
     height = max(abs(ctx.q0.numerator), ctx.q0.denominator).bit_length()
     bits = (r * (n + max(abs(exps[0]), abs(exps[-1]))) * size + n * abs(x)) * height
     if bits > MAX_STAGE_BITS:
@@ -291,12 +287,12 @@ def convergence_report(family: str, params: dict, ctx: PadicContext) -> Converge
 
     One table (_stage_table) gives the closed value c / d at M = 0, with no gcd:
     only the powers of p common to c and d are divided out, so v_p(d) is that of
-    the reduced denominator.  At each M = p^N it gives the residue of num d - c den
-    mod p^K, K = Nmax + _RESIDUE_DIGITS + v_p(scale) + v_p(d), num / den being the
-    stage's unreduced pair.  den is scale times p-adic units, as d is before the
-    division, so a nonzero residue has valuation v_p(scale d) + v_p(S_N - c / d),
-    and a zero one, v_p(S_N - c / d) >= Nmax + _RESIDUE_DIGITS, falls back to the
-    exact stage."""
+    the reduced denominator.  At each M = p^N it gives E = num d - c den, num /
+    den being the stage's unreduced pair, mod p^K, K = Nmax + _RESIDUE_DIGITS +
+    v_p(scale) + v_p(d), and exactly only where that residue is 0, that is where
+    v_p(S_N - c / d) >= Nmax + _RESIDUE_DIGITS.  den is scale times p-adic units,
+    as d is before the division, so every point is v_p(E) - v_p(scale d), or inf
+    where E = 0.  The one _check_stage at Nmax bounds every stage built."""
     if family not in FAMILIES:
         raise QsymDomainError(f"family must be one of {FAMILIES}")
     n = params["n"]
@@ -318,13 +314,10 @@ def convergence_report(family: str, params: dict, ctx: PadicContext) -> Converge
     points = []
     for N in range(1, ctx.Nmax + 1):
         num, den = _stage_sum(table, p**N, mod)
-        residue = (num * d - c * den) % mod
-        if residue:
-            v = _int_valuation(residue, p) - v_scale
-        else:
-            num, den = _riemann_sum(n, x, ctx, N, exps, mult)
+        diff = (num * d - c * den) % mod
+        if not diff:
+            num, den = _stage_sum(table, p**N)
             diff = num * d - c * den
-            v = _int_valuation(diff, p) - _int_valuation(den * d, p) if diff else math.inf
-        points.append((N, v))
+        points.append((N, _int_valuation(diff, p) - v_scale if diff else math.inf))
     monotone = all(points[i + 1][1] >= points[i][1] for i in range(len(points) - 1))
     return ConvergenceReport(family, dict(params), ctx.p, ctx.q0, points, monotone)

@@ -79,6 +79,20 @@ def test_compute_degenerate_weight_exits_2(capsys):
     assert "degenerate" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("compute", "beta-h", "--n", "1", "--r", "1"), "beta-h needs --h"),
+    (("compute", "tsum-h", "--n", "2", "--i", "0"), "tsum-h needs --h"),
+    (("volkenborn", "--family", "weighted", "--n", "1"), "weighted family needs --h"),
+    (("compute", "tsum", "--n", "2", "--i", "3"), "need 0 <= i <= n, got i=3, n=2"),
+    (("compute", "tsum", "--n", "2", "--r", "0"), "order r must be >= 1, got 0"),
+    (("compute", "tsum", "--n", "2", "--wlim", "0"), "summation limit must be >= 1, got 0"),
+    (("compute", "tsum", "--n", "2", "--base", "0"), "base exponent must be >= 1, got 0"),
+])
+def test_missing_or_bad_parameter_exits_2_with_its_message(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("exc, code, marker", [
     (RuntimeError("a bug"), 4, "Traceback"),
     (ratfun_mod.QsymDomainError("bad input"), 2, "error: bad input"),

@@ -27,7 +27,7 @@ from qsym.identities import (
 )
 from qsym.qbernoulli import DegenerateWeightError, beta_higher, beta_weighted, t_sum, t_sum_h
 from qsym.qcore import bracket_poly, q_bracket
-from qsym.ratfun import LaurentPoly, RatFun, ResourceLimitError, ratfun_eq
+from qsym.ratfun import LaurentPoly, QsymDomainError, RatFun, ResourceLimitError, ratfun_eq
 
 
 def test_recurrence_base_cases():
@@ -239,6 +239,12 @@ def test_sweep_guard_violations():
         sweep(SweepConfig(identities=("thm5",), hs=(9,)))
     with pytest.raises(ValueError):
         sweep(SweepConfig(identities=("nope",)))
+    with pytest.raises(QsymDomainError, match="empty range for n"):
+        sweep(SweepConfig(ns=()))
+    with pytest.raises(ResourceLimitError, match=r"r range \(5,\) outside guard 1\.\.4"):
+        sweep(SweepConfig(rs=(5,)))
+    with pytest.raises(ResourceLimitError, match=r"x range \(5,\) outside guard \|x\| <= 4"):
+        sweep(SweepConfig(xs=(5,)))
 
 
 def test_sweep_sampling_is_deterministic():

@@ -31,7 +31,8 @@ from qsym.qbernoulli import (
 )
 from qsym.qcore import bracket_poly, q_bracket
 import qsym.ratfun as ratfun_mod
-from qsym.ratfun import LaurentPoly, RatFun, ResourceLimitError, limit_at_one
+from qsym.ratfun import (LaurentPoly, QsymDomainError, RatFun, ResourceLimitError,
+                          limit_at_one)
 
 Q = RatFun(LaurentPoly({1: 1}))
 
@@ -131,6 +132,8 @@ def test_bernoulli_numbers_table():
         Fraction(1, 42),
     ]
     assert [classical_bernoulli(m) for m in range(7)] == expected
+    with pytest.raises(QsymDomainError):
+        classical_bernoulli(-1)
 
 
 def test_classical_higher_examples():
@@ -140,6 +143,8 @@ def test_classical_higher_examples():
     # B_1 of order r is -r/2
     for r in range(1, 6):
         assert classical_bernoulli_higher(1, r, 0) == Fraction(-r, 2)
+    with pytest.raises(QsymDomainError):
+        classical_bernoulli_higher(-1, 1, 0)
 
 
 def test_classical_higher_argument_shift():

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from qsym.qcore import bracket_poly, q_bracket, q_binomial, q_factorial
-from qsym.ratfun import LaurentPoly, RatFun, limit_at_one
+from qsym.ratfun import LaurentPoly, QsymDomainError, RatFun, limit_at_one
 
 
 def test_bracket_examples():
@@ -33,6 +33,8 @@ def test_binomial_examples():
     assert q_binomial(7, 0) == RatFun(1)
     assert q_binomial(2, 1) == q_bracket(2)
     assert q_binomial(1, 2) == RatFun(0)
+    with pytest.raises(QsymDomainError):
+        q_binomial(3, -1)
 
 
 def test_factorial_and_binomial_in_base_q_w():

@@ -35,11 +35,20 @@ ONE_MINUS_Q2 = P({0: 1, 2: -1})
 def test_additive_inverse():
     f = RatFun(ONE_PLUS_Q)
     assert (f + (-f)).num.is_zero
+    q = P({1: 1})
+    assert 2 - q == P({0: 2, 1: -1}) and repr(2 - q) == "LaurentPoly(-q + 2)"
+    assert 1 - RatFun(q, ONE_PLUS_Q) == RatFun(1, ONE_PLUS_Q)
+    assert str(1 - RatFun(q, ONE_PLUS_Q)) == "1/(q + 1)"
 
 
 def test_multiplicative_inverse():
     f = RatFun(LaurentPoly.one(), ONE_MINUS_Q)
     assert f * RatFun(ONE_MINUS_Q) == RatFun(1)
+    q = P({1: 1})
+    assert 1 / RatFun(q, ONE_PLUS_Q) == RatFun(ONE_PLUS_Q, q)
+    assert str(1 / RatFun(q, ONE_PLUS_Q)) == "(q + 1)/q"
+    with pytest.raises(ZeroDivisionError):
+        2 / RatFun(0)
 
 
 def test_add_zero_canonicalizes_to_reduced_form():
@@ -134,11 +143,19 @@ def test_evaluate_matches_canonical_oracle_without_a_gcd(q0, monkeypatch):
 def test_negative_power_of_zero_raises():
     with pytest.raises(ZeroDivisionError):
         RatFun(0) ** -1
+    with pytest.raises(ValueError):  # a polynomial has no inverse powers
+        P({1: 1}) ** -1
 
 
 def test_zero_denominator_rejected():
     with pytest.raises(ZeroDivisionError):
         RatFun(LaurentPoly.one(), LaurentPoly())
+    with pytest.raises(ZeroDivisionError):
+        ONE_PLUS_Q.exact_div(LaurentPoly())
+    with pytest.raises(TypeError):
+        LaurentPoly({0: 1.5})
+    with pytest.raises(TypeError):
+        RatFun("x")
 
 
 def test_span_guard(monkeypatch):

@@ -10,7 +10,7 @@ from composition_kernel import composition_weights
 from fraction_stage_sum import fraction_stage_sum
 from qsym.qbernoulli import DegenerateWeightError, beta_higher, beta_number, beta_weighted
 import qsym.volkenborn as volkenborn_mod
-from qsym.ratfun import ResourceLimitError, eval_rational
+from qsym.ratfun import QsymDomainError, ResourceLimitError, eval_rational
 from qsym.volkenborn import (
     PSI_13,
     PadicContext,
@@ -141,15 +141,17 @@ def test_report_valuations_match_the_fraction_path(p, q0):
         assert convergence_report(family, params, ctx).points == want, (family, params)
 
 
-def spy_exact_stages(monkeypatch) -> list:
-    """Patch _riemann_sum, the exact stage, to log the N of each call."""
-    calls, kernel = [], volkenborn_mod._riemann_sum
+def spy_exact_stages(monkeypatch, p) -> list:
+    """Patch _stage_sum to log N for each exact evaluation at M = p^N, the exact
+    stage (mod None, M > 0)."""
+    calls, kernel = [], volkenborn_mod._stage_sum
 
-    def spy(*args):
-        calls.append(args[3])
-        return kernel(*args)
+    def spy(table, size, mod=None):
+        if mod is None and size > 0:
+            calls.append(round(math.log(size, p)))
+        return kernel(table, size, mod)
 
-    monkeypatch.setattr(volkenborn_mod, "_riemann_sum", spy)
+    monkeypatch.setattr(volkenborn_mod, "_stage_sum", spy)
     return calls
 
 
@@ -168,7 +170,7 @@ def test_residue_valuations_match_the_exact_stage(monkeypatch, p, q0, nmax):
         stages = [riemann_sum_weighted(n, h, r, x, ctx, N) if h is not None
                   else riemann_sum_multi(n, r, x, ctx, N) for N in range(1, nmax + 1)]
         want.append([(N, p_valuation(s - closed, p)) for N, s in enumerate(stages, 1)])
-    calls = spy_exact_stages(monkeypatch)
+    calls = spy_exact_stages(monkeypatch, p)
     assert [convergence_report(family, params, ctx).points
             for family, params in residue_cases()] == want
     assert len(calls) == sum(v == math.inf for points in want for _, v in points) > 0
@@ -182,7 +184,7 @@ def test_vanishing_residues_fall_back_to_the_exact_stage(monkeypatch, p, q0, nma
     # the closed value to Nmax digits, so those points, and only they, come from
     # the exact stage; some of them are finite.
     monkeypatch.setattr(volkenborn_mod, "_RESIDUE_DIGITS", 0)
-    calls = spy_exact_stages(monkeypatch)
+    calls = spy_exact_stages(monkeypatch, p)
     got = [convergence_report(family, params, ctx).points for family, params in residue_cases()]
     assert got == want
     assert calls == [N for points in want for N, v in points if v >= nmax]
@@ -204,14 +206,14 @@ DEEP_SCALE_REPORTS = [
 @pytest.mark.parametrize("family, params, p, nmax, points, monotone", DEEP_SCALE_REPORTS)
 def test_deep_scale_reports_read_every_stage_from_residues(monkeypatch, family, params, p,
                                                            nmax, points, monotone):
-    calls = spy_exact_stages(monkeypatch)
+    calls = spy_exact_stages(monkeypatch, p)
     rep = convergence_report(family, params, PadicContext(p=p, Nmax=nmax))
     assert (rep.points, rep.monotone) == (points, monotone)
     assert calls == []
 
 
 def test_only_an_undecided_residue_builds_the_exact_stage(monkeypatch):
-    calls = spy_exact_stages(monkeypatch)
+    calls = spy_exact_stages(monkeypatch, 5)
     ctx = PadicContext(p=5, q0=Fraction(11, 6), Nmax=4)
     rep = convergence_report("single", {"n": 6}, ctx)
     assert math.inf not in dict(rep.points).values()
@@ -219,6 +221,22 @@ def test_only_an_undecided_residue_builds_the_exact_stage(monkeypatch):
     rep = convergence_report("multi", {"n": 0, "r": 2}, ctx)  # S_N = 1 = beta exactly
     assert set(dict(rep.points).values()) == {math.inf}
     assert calls == [1, 2, 3, 4]
+
+
+def test_a_report_builds_its_table_once(monkeypatch):
+    # Every stage of multi n = 0 equals the closed value, so each falls back to
+    # the exact stage, which evaluates the report's own table.
+    tables, build = [], volkenborn_mod._stage_table
+
+    def spy(*args):
+        tables.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(volkenborn_mod, "_stage_table", spy)
+    rep = convergence_report("multi", {"n": 0, "r": 2}, PadicContext(p=5, q0=Fraction(11, 6),
+                                                                      Nmax=4))
+    assert set(dict(rep.points).values()) == {math.inf}
+    assert len(tables) == 1
 
 
 @pytest.mark.parametrize("family, params", [
@@ -231,7 +249,7 @@ def test_an_isolated_root_gives_one_exact_stage_and_a_non_monotone_report(monkey
     # beta exactly and no later stage does.  The other two reports behave alike.
     # Only stage 1 is built exactly, and the report is not monotone.
     ctx = PadicContext(p=3, q0=Fraction(-2), Nmax=3)
-    calls = spy_exact_stages(monkeypatch)
+    calls = spy_exact_stages(monkeypatch, 3)
     rep = convergence_report(family, params, ctx)
     assert rep.points == [(1, math.inf), (2, 2), (3, 3)] and rep.monotone is False
     assert calls == [1]
@@ -418,6 +436,16 @@ def test_spec_valuation_spot_r2():
     ctx = PadicContext(p=3, q0=Fraction(4), Nmax=1)
     closed = eval_rational(beta_higher(1, 2, 1, 0), Fraction(4))
     assert p_valuation(riemann_sum_multi(1, 2, 0, ctx, 1) - closed, 3) >= 1
+
+
+def test_bad_stage_degree_or_family_is_a_domain_error():
+    ctx = PadicContext(p=5, Nmax=2)
+    with pytest.raises(QsymDomainError, match=r"N must be in 1\.\.2"):
+        riemann_sum_multi(1, 1, 0, ctx, 3)
+    with pytest.raises(QsymDomainError, match="need n >= 0 and r >= 1"):
+        riemann_sum_multi(-1, 1, 0, ctx, 1)
+    with pytest.raises(QsymDomainError, match="family must be one of"):
+        convergence_report("double", {"n": 1}, ctx)
 
 
 def test_budget_guard():
