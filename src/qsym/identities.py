@@ -283,8 +283,9 @@ class SweepConfig(namedtuple(
     """Parameter ranges and identity selection for one verification sweep.
 
     hs = None picks, for each r, the offsets h = r + off for off in h_offsets,
-    which keeps the weighted checks away from degenerate h.  jobs() walks the
-    axes of _GRID_AXES, which fixes the order of the checks.
+    which keeps the weighted checks away from degenerate h.  Its fields are
+    checked on construction, and again by _replace; jobs() walks the axes of
+    _GRID_AXES, which fixes the order of the checks.
     """
 
     __slots__ = ()
@@ -294,13 +295,14 @@ class SweepConfig(namedtuple(
             return self.hs
         return tuple(r + off for off in self.h_offsets)
 
-    def validate(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         g = self.guards
         unknown = [i for i in self.identities if i not in IDENTITIES]
         if unknown:
             raise QsymDomainError(f"unknown identities: {unknown}")
-        for name, vals in (("n", self.ns), ("r", self.rs), ("w1", self.w1s),
-                           ("w2", self.w2s), ("x", self.xs)):
+        for name, vals in (("n", self.ns), ("r", self.rs), ("w1", self.w1s), ("w2", self.w2s),
+                           ("x", self.xs), ("h", self.h_offsets if self.hs is None else self.hs)):
             if not vals:
                 raise QsymDomainError(f"empty range for {name}")
         if self.sample is not None and self.sample < 0:
@@ -318,6 +320,11 @@ class SweepConfig(namedtuple(
             for h in self.hs_for(r):
                 if abs(h) > g.max_abs_h:
                     raise ResourceLimitError(f"h = {h} outside guard |h| <= {g.max_abs_h}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace checks again
+        return cls(*iterable)
 
     def _points(self, axes: str) -> list:
         """The grid points over axes, each a params dict, the first axis slowest."""
@@ -329,7 +336,6 @@ class SweepConfig(namedtuple(
 
     def jobs(self) -> list:
         """Deterministic (identity, params) list covering the grid, in _GRID_AXES order."""
-        self.validate()
         out = [(ident, params) for ident, axes in _GRID_AXES.items() if ident in self.identities
                for params in self._points(axes)]
         if self.sample is not None and self.sample < len(out):

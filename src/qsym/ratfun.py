@@ -61,9 +61,9 @@ twice as wide, up to the width that holds any integer quotient by Mignotte's
 bound, |q_i| <= 2**deg(q) * ||A||_2, where it proves that d does not divide.
 Coefficient lists appear only at the boundary: the ``{exponent: coefficient}``
 constructor, ``terms``, ``evaluate`` (Horner's rule on the digits at q0**g),
-the gcd's candidates and its pseudo-remainder fallback, a content read from
-the digits, ``_make``'s reduction of a denominator that shares a factor with
-P, ``__str__`` and JSON.
+the gcd's pseudo-remainder fallback, a content read from the digits,
+``_make``'s reduction of a denominator that shares a factor with P,
+``__str__`` and JSON.
 
 A RatFun is a quotient ``num / den`` of Laurent polynomials, den nonzero.
 Equality is cross-multiplication (``a/b == c/d  iff  a*d == c*b``), so gcd
@@ -80,12 +80,12 @@ with q -> q^g, so it reduces the packed primitive parts, respread to stride g,
 and inflates the reduced pair back.  It uses the heuristic gcd of Char, Geddes
 and Gonnet (J. Symb. Comput. 7, 1989) at x = 2**(8*size) with half a digit
 above 2**(b + 1) + 29 >= 2*max|coefficient| + 29, b the larger tight bound:
-the integer gcd of the two values is read back from its symmetric base-x
-digits, and its primitive part is accepted only when ``exact_div`` divides both
-sides by it, which proves it is the gcd and yields the reduced numerator and
-denominator as packed quotients.  A failed candidate is retried at a few wider
-digit sizes, then the Euclidean algorithm with primitive pseudo-remainders
-decides and ``exact_div`` forms the quotients by its gcd.
+the integer gcd h of the two values is the candidate packed at x, and its
+primitive part is accepted only when ``exact_div`` divides both sides by it,
+which proves it is the gcd and yields the reduced numerator and denominator as
+packed quotients.  A failed candidate, or an h with a digit -x/2, is retried
+at a few wider digit sizes, then the Euclidean algorithm with primitive
+pseudo-remainders decides and ``exact_div`` forms the quotients by its gcd.
 Every output -- ``terms``, ``evaluate``, ``canonical()``, ``__str__`` and JSON
 -- reads the dense expansion, so no stride shows.
 
@@ -544,34 +544,27 @@ _HEU_ATTEMPTS = 4
 
 def _gcd_cofactors(a: LaurentPoly, b: LaurentPoly) -> tuple:
     """(G, a/G, b/G) for primitive polynomials a and b as _primitive returns
-    them, and G their gcd (primitive, positive leading coefficient).  Every
-    trial division is exact_div, which treats q**k as a unit.  It decides
-    polynomial divisibility here because every G has a nonzero constant term: a
-    candidate's is h mod x, h divides a(x), and x does not, as 0 < |a_0| < x."""
+    them, and G their gcd (primitive, positive leading coefficient).  Each
+    candidate is h = gcd(a(x), b(x)) packed at x's width as it stands, skipped
+    if a digit is -x/2.  Every trial division is exact_div, which treats q**k as
+    a unit.  It decides polynomial divisibility here because every G has a
+    nonzero constant term: a candidate's is h mod x, h divides a(x), and x does
+    not, as 0 < |a_0| < x."""
     bound = 2 ** (max(_tight(a), _tight(b)) + 1) + 29  # at least 2*max|coefficient| + 29
     size = bound.bit_length() // 8 + 1  # half a digit, 2**(8*size - 1), exceeds bound
     for _ in range(_HEU_ATTEMPTS):
         h = math.gcd(_rewidth(a.P, a.n, a.size, size), _rewidth(b.P, b.n, b.size, size))
-        G = _primitive(_from_coeffs(0, _symmetric_digits(h, size)), 1)[1]
-        qa = a.exact_div(G)
-        if qa is not None:
-            qb = b.exact_div(G)
-            if qb is not None:
-                return G, qa, qb
+        bits = _tight_bits(h, h.bit_length() // (8 * size) + 2, size)
+        if bits < 8 * size:  # else a digit is -x/2, which no packing holds
+            G = _primitive(_make(0, h, size, bits, 1, 1), 1)[1]
+            qa = a.exact_div(G)
+            if qa is not None:
+                qb = b.exact_div(G)
+                if qb is not None:
+                    return G, qa, qb
         size += size // 2 + 1
     G = _from_coeffs(0, _prs_gcd(_unpack_int(a.P, a.n, a.size), _unpack_int(b.P, b.n, b.size)))
     return G, a.exact_div(G), b.exact_div(G)
-
-
-def _symmetric_digits(h: int, size: int) -> list:
-    """The digits d_i of h >= 0 in base 2**(8*size) with |d_i| <= half a digit,
-    the last nonzero.  h has h.bit_length() // (8*size) + 1 unsigned digits; one
-    more absorbs the carry of the half-digit bias, so to_bytes in _unpack_int
-    cannot overflow."""
-    digits = _unpack_int(h, h.bit_length() // (8 * size) + 2, size)
-    while digits and not digits[-1]:
-        digits.pop()
-    return digits
 
 
 def _prs_gcd(A: list, B: list) -> list:

@@ -295,10 +295,10 @@ def convergence_report(family: str, params: dict, ctx: PadicContext) -> Converge
     where E = 0.  The one _check_stage at Nmax bounds every stage built."""
     if family not in FAMILIES:
         raise QsymDomainError(f"family must be one of {FAMILIES}")
-    n = params["n"]
-    x = params.get("x", 0)
-    r = 1 if family == "single" else params["r"]
-    h = params["h"] if family == "weighted" else None
+    need = {"single": {"n"}, "multi": {"n", "r"}, "weighted": {"n", "h", "r"}}[family]
+    if not need <= params.keys() <= need | {"x"}:
+        raise QsymDomainError(f"{family} takes {sorted(need)}, x optional; got {sorted(params)}")
+    n, x, r, h = params["n"], params.get("x", 0), params.get("r", 1), params.get("h")
     if family == "weighted":
         WeightedBetaQuery(n, h, r, 1, x)
     exps, mult = weights(r, h)

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -433,22 +434,53 @@ def test_heuristic_gcd_matches_prs_on_planted_factor(a, b, c):
 @pytest.mark.parametrize("n", range(7))
 @pytest.mark.parametrize("arg", (0, 1))
 def test_heuristic_gcd_matches_prs_on_beta_higher(n, arg):
-    from qsym.qbernoulli import beta_higher
+    from qsym.qbernoulli import beta_higher, beta_weighted
 
     for r in (1, 2, 3):
         for w in (1, 2, 3):
             _assert_matches_prs(beta_higher(n, r, w, arg))
+    if n <= 5:  # and the weighted forms, whose brackets [m] run over m = j + h - k
+        for r in (1, 2):
+            for h in (r, r + 2, -n - 1):
+                for w in (1, 2):
+                    _assert_matches_prs(beta_weighted(n, h, r, w, arg))
 
 
-@pytest.mark.parametrize("size", (1, 2, 3))
-def test_symmetric_digits_read_back_every_value(size):
-    x = 2 ** (8 * size)
-    half = x // 2
-    edges = [0, 1, half - 1, half, x - 1, x, half * x - 1, half * x, x * x - 1, half * x * x - 1]
-    for h in edges + [_rng.getrandbits(_rng.randint(1, 300)) for _ in range(200)]:
-        digits = ratfun_mod._symmetric_digits(h, size)
-        assert sum(d * x**i for i, d in enumerate(digits)) == h
-        assert all(-half <= d < half for d in digits)
+def spy_heuristic_points(monkeypatch) -> list:
+    """Patch _tight_bits to log the digit size of each heuristic evaluation
+    point: _gcd_cofactors calls it once per point, to bound the digits of h."""
+    points, tight_bits = [], ratfun_mod._tight_bits
+
+    def spy(P, n, size):
+        if sys._getframe(1).f_code.co_name == "_gcd_cofactors":
+            points.append(size)
+        return tight_bits(P, n, size)
+
+    monkeypatch.setattr(ratfun_mod, "_tight_bits", spy)
+    return points
+
+
+def test_heuristic_gcd_skips_an_h_with_a_half_digit(monkeypatch):
+    # A = q^2 + 6 and B = 17q^3 - 4q^2 - 26q - 27 are coprime (B = -128q - 3
+    # mod A), and their widest coefficient, 27, puts the first point at
+    # x = 2**8.  There gcd(A(x), B(x)) = 3 + 128x, whose balanced digits
+    # [3, -128, 1] hold -x/2: no packing holds it, so the point is skipped
+    # before any trial division, and the next, x = 2**16, proves the gcd 1.
+    A, B = [6, 0, 1], [-27, -26, -4, 17]
+    pack = ratfun_mod._pack_int
+    assert math.gcd(pack(A, 1), pack(B, 1)) == 3 + 128 * 2**8
+    points = spy_heuristic_points(monkeypatch)
+    divisors, exact_div = [], LaurentPoly.exact_div
+
+    def div_spy(self, d):
+        divisors.append(_dense(d))
+        return exact_div(self, d)
+
+    monkeypatch.setattr(LaurentPoly, "exact_div", div_spy)
+    got = _checked_cofactors(_prim(P(dict(enumerate(A)))), _prim(P(dict(enumerate(B)))))
+    assert [_dense(p) for p in got] == [[1], A, B]
+    assert points == [1, 2]
+    assert divisors == [[1], [1]]  # both trial divisions at x = 2**16
 
 
 def test_heuristic_gcd_retries_then_falls_back(monkeypatch):
@@ -460,19 +492,14 @@ def test_heuristic_gcd_retries_then_falls_back(monkeypatch):
     A, B = [-22, 23, -2, 1], [50, 1]
     pack = ratfun_mod._pack_int
     assert math.gcd(pack(A, 2), pack(B, 2)) == pack(B, 2) == 2**16 + 50
-    prs_calls, points = [], []
-    prs, digits = ratfun_mod._prs_gcd, ratfun_mod._symmetric_digits
+    prs_calls, prs = [], ratfun_mod._prs_gcd
 
     def spy(*lists):
         prs_calls.append(lists)
         return prs(*lists)
 
-    def point_spy(h, size):
-        points.append(size)
-        return digits(h, size)
-
     monkeypatch.setattr(ratfun_mod, "_prs_gcd", spy)
-    monkeypatch.setattr(ratfun_mod, "_symmetric_digits", point_spy)
+    points = spy_heuristic_points(monkeypatch)
 
     def cofactor_lists(A, B):
         points.clear()

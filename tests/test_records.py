@@ -84,6 +84,13 @@ REFUSALS = [
      "q0 = 1/5 too far from 1: need v_5(1 - q0) >= 1"),
     (PadicContext(5), {"Nmax": 0}, QsymDomainError, "Nmax must be >= 1"),
     (PadicContext(5), {"budget": 0}, QsymDomainError, "budget must be >= 1, got 0"),
+    (SweepConfig(), {"ns": ()}, QsymDomainError, "empty range for n"),
+    (SweepConfig(), {"rs": (5,)}, ResourceLimitError, "r range (5,) outside guard 1..4"),
+    (SweepConfig(), {"xs": (5,)}, ResourceLimitError, "x range (5,) outside guard |x| <= 4"),
+    (SweepConfig(), {"identities": ("nope",)}, QsymDomainError, "unknown identities: ['nope']"),
+    (SweepConfig(), {"sample": -1}, QsymDomainError, "sample must be >= 0, got -1"),
+    (SweepConfig(), {"hs": ()}, QsymDomainError, "empty range for h"),
+    (SweepConfig(), {"h_offsets": ()}, QsymDomainError, "empty range for h"),
 ]
 
 
@@ -171,4 +178,5 @@ def test_pickle_round_trips(record, args):
 
 def test_every_record_is_covered():
     assert {r for r, _, _, _ in CONSTRUCTIONS} == set(RECORDS)
-    assert {type(v) for v, _, _, _ in REFUSALS} == {BetaQuery, WeightedBetaQuery, PadicContext}
+    assert {type(v) for v, _, _, _ in REFUSALS} == {BetaQuery, WeightedBetaQuery, PadicContext,
+                                                   SweepConfig}

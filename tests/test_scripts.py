@@ -51,7 +51,7 @@ def test_verify_identities_battery_validates():
     spec.loader.exec_module(module)  # defines BATTERY; main() is not called
     assert module.BATTERY
     for name, cfg in module.BATTERY:
-        assert cfg.jobs(), name  # jobs() validates the grid against the guards
+        assert cfg.jobs(), name  # each config checked its grid against the guards when built
 
 
 def test_verify_identities_battery_holds_end_to_end():

@@ -8,7 +8,13 @@ import pytest
 
 from composition_kernel import composition_weights
 from fraction_stage_sum import fraction_stage_sum
-from qsym.qbernoulli import DegenerateWeightError, beta_higher, beta_number, beta_weighted
+from qsym.qbernoulli import (
+    DegenerateWeightError,
+    beta_higher,
+    beta_number,
+    beta_weighted,
+    weights,
+)
 import qsym.volkenborn as volkenborn_mod
 from qsym.ratfun import QsymDomainError, ResourceLimitError, eval_rational
 from qsym.volkenborn import (
@@ -153,6 +159,40 @@ def spy_exact_stages(monkeypatch, p) -> list:
 
     monkeypatch.setattr(volkenborn_mod, "_stage_sum", spy)
     return calls
+
+
+# Integer, negative and fractional q0 at the least distance from 1 that
+# PadicContext admits, t = v_p(1 - q0) = 2 at p = 2, else 1; then q0 nearer 1,
+# where the n t term of the floor grows: t = 4 at q0 = 17, 2 at 10 and 26.
+FLOOR_CONTEXTS = [(2, Fraction(5)), (2, Fraction(-3)), (2, Fraction(13)), (3, Fraction(4)),
+                  (3, Fraction(-2)), (3, Fraction(7, 4)), (5, Fraction(6)), (5, Fraction(11, 6)),
+                  (7, Fraction(8)), (2, Fraction(17)), (3, Fraction(10)), (5, Fraction(26))]
+
+
+@pytest.mark.parametrize("p, q0", FLOOR_CONTEXTS)
+def test_every_report_point_clears_the_proved_floor(p, q0):
+    # v_p(S_N - beta) >= N + t - n t - D at every N, t = v_p(1 - q0) and D the
+    # largest sum over k of v_p(m + c_k), m = 0..n, each c_k counted mult times:
+    # S_N - beta = P(Q_N) - P(1) for a Laurent polynomial P in Q = q0^(p^N),
+    # v_p(Q_N - 1) = N + t by lifting the exponent, and the window factors
+    # (1 - q0)^(r - n) / prod_k (1 - q0^(m + c_k)) lose at most n t + D.  The
+    # floor shares only c with the kernel and the closed form.
+    ctx = PadicContext(p=p, q0=q0, Nmax=3, budget=10**40)
+    t = p_valuation(1 - q0, p)
+    points = 0
+    for n, x in itertools.product(range(6), (-2, 0, 1, 3)):
+        cases = [("single", {"n": n, "x": x}, 1, None)]
+        for r in (1, 2, 3):
+            cases.append(("multi", {"n": n, "r": r, "x": x}, r, None))
+            cases += [("weighted", {"n": n, "h": h, "r": r, "x": x}, r, h)
+                      for h in (r, r + 2, -n - 1)]
+        for family, params, r, h in cases:
+            exps, mult = weights(r, h)
+            D = max(sum(mult * p_valuation(m + c, p) for c in exps) for m in range(n + 1))
+            for N, v in convergence_report(family, params, ctx).points:
+                assert v >= N + t - n * t - D, (family, params, N, v)
+                points += 1
+    assert points == 936  # 312 reports of 3 points each: no report is refused
 
 
 @pytest.mark.parametrize("p, q0, nmax", RESIDUE_CONTEXTS)
@@ -446,6 +486,14 @@ def test_bad_stage_degree_or_family_is_a_domain_error():
         riemann_sum_multi(-1, 1, 0, ctx, 1)
     with pytest.raises(QsymDomainError, match="family must be one of"):
         convergence_report("double", {"n": 1}, ctx)
+    # A report takes exactly its family's params, so none is dropped unread
+    # and a missing one is a domain error, not a KeyError.
+    with pytest.raises(QsymDomainError) as info:
+        convergence_report("single", {"n": 2, "r": 3, "h": 9}, ctx)
+    assert str(info.value) == "single takes ['n'], x optional; got ['h', 'n', 'r']"
+    with pytest.raises(QsymDomainError) as info:
+        convergence_report("multi", {"n": 2}, ctx)
+    assert str(info.value) == "multi takes ['n', 'r'], x optional; got ['n']"
 
 
 def test_budget_guard():
