@@ -460,6 +460,26 @@ def spy_heuristic_points(monkeypatch) -> list:
     return points
 
 
+@pytest.mark.parametrize("size", (1, 2, 3))
+def test_symmetric_digits_read_back_every_value(size):
+    # _gcd_cofactors reads h at width size with n = h.bit_length() // (8*size) + 2
+    # digits: its balanced digits in [-x/2, x/2) read back h, and _tight_bits
+    # stays below 8*size exactly when no digit is -x/2, the one packing refuses.
+    x = 2 ** (8 * size)
+    half = x // 2
+    edges = [0, 1, half - 1, half, x - 1, x, half * x - 1, half * x, x * x - 1, half * x * x - 1]
+    for h in edges + [_rng.getrandbits(_rng.randint(1, 300)) for _ in range(200)]:
+        n = h.bit_length() // (8 * size) + 2
+        digits = ratfun_mod._unpack_int(h, n, size)
+        assert sum(d * x**i for i, d in enumerate(digits)) == h
+        assert all(-half <= d < half for d in digits)
+        bits = ratfun_mod._tight_bits(h, n, size)
+        assert bits == max(abs(d) for d in digits).bit_length()
+        assert (bits < 8 * size) == (-half not in digits)
+        if bits < 8 * size:
+            assert ratfun_mod._pack_int(digits, size) == h
+
+
 def test_heuristic_gcd_skips_an_h_with_a_half_digit(monkeypatch):
     # A = q^2 + 6 and B = 17q^3 - 4q^2 - 26q - 27 are coprime (B = -128q - 3
     # mod A), and their widest coefficient, 27, puts the first point at
