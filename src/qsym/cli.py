@@ -74,12 +74,12 @@ def build_parser() -> argparse.ArgumentParser:
     comp.add_argument("family", choices=("beta", "beta-h", "tsum", "tsum-h"))
     comp.add_argument("--n", type=int, required=True)
     comp.add_argument("--r", type=int, default=1)
-    comp.add_argument("--w", type=int, default=1, help="bracket base exponent (beta families)")
-    comp.add_argument("--arg", type=int, default=0, help="scaled polynomial argument")
-    comp.add_argument("--h", type=int, default=None, help="weight parameter (beta-h, tsum-h)")
-    comp.add_argument("--i", type=int, default=0, help="inner index (tsum families)")
-    comp.add_argument("--wlim", type=int, default=1, help="summation limit (tsum families)")
-    comp.add_argument("--base", type=int, default=1, help="base exponent (tsum families)")
+    comp.add_argument("--w", type=int, help="bracket base exponent (beta families)")
+    comp.add_argument("--arg", type=int, help="scaled polynomial argument")
+    comp.add_argument("--h", type=int, help="weight parameter (beta-h, tsum-h)")
+    comp.add_argument("--i", type=int, help="inner index (tsum families)")
+    comp.add_argument("--wlim", type=int, help="summation limit (tsum families)")
+    comp.add_argument("--base", type=int, help="base exponent (tsum families)")
     comp.add_argument("--format", choices=("json", "pretty"), default="json")
 
     ver = sub.add_parser("verify", help="run identity sweeps and report JSON lines")
@@ -113,8 +113,8 @@ def build_parser() -> argparse.ArgumentParser:
     vol = sub.add_parser("volkenborn", help="convergence of stage sums to the closed form")
     vol.add_argument("--family", choices=FAMILIES, default="single")
     vol.add_argument("--n", type=int, required=True)
-    vol.add_argument("--r", type=int, default=1)
-    vol.add_argument("--h", type=int, default=None)
+    vol.add_argument("--r", type=int)
+    vol.add_argument("--h", type=int)
     vol.add_argument("--x", type=int, default=0)
     vol.add_argument("--p", type=int, default=5)
     vol.add_argument("--q0", type=_fraction, help='evaluation point, e.g. "6" or "4/3"')
@@ -124,18 +124,34 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+# The flags each compute family takes besides --n, --r and --format.
+_COMPUTE_FLAGS = {"beta": ("w", "arg"), "beta-h": ("h", "w", "arg"),
+                  "tsum": ("i", "wlim", "base"), "tsum-h": ("i", "h", "wlim", "base")}
+
+
+def _family_flags(args, label: str, takes, defaults: dict) -> dict:
+    """The flags of takes, each as given or else at its default (None: required);
+    the parser leaves every flag of defaults at None, so one given that label does
+    not take is refused, as convergence_report refuses such params."""
+    given = vars(args)
+    for flag, default in defaults.items():
+        if given[flag] is not None and flag not in takes:
+            raise QsymDomainError(f"{label} takes no --{flag}")
+        if given[flag] is None and flag in takes and default is None:
+            raise QsymDomainError(f"{label} needs --{flag}")
+    return {k: d if given[k] is None else given[k] for k, d in defaults.items() if k in takes}
+
+
 def run_compute(args) -> int:
+    vars(args).update(_family_flags(args, args.family, _COMPUTE_FLAGS[args.family],
+                                    {"h": None, "w": 1, "arg": 0, "i": 0, "wlim": 1, "base": 1}))
     if args.family == "beta":
         value = beta_higher(args.n, args.r, args.w, args.arg)
     elif args.family == "beta-h":
-        if args.h is None:
-            raise QsymDomainError("beta-h needs --h")
         value = beta_weighted(args.n, args.h, args.r, args.w, args.arg)
     elif args.family == "tsum":
         value = t_sum(args.n, args.i, args.r, args.wlim, args.base)
     else:
-        if args.h is None:
-            raise QsymDomainError("tsum-h needs --h")
         value = t_sum_h(args.n, args.i, args.h, args.r, args.wlim, args.base)
     value = value.canonical()
     if args.format == "json":
@@ -204,13 +220,8 @@ def run_table(args) -> int:
 
 def run_volkenborn(args) -> int:
     ctx = PadicContext(p=args.p, q0=args.q0, Nmax=args.nmax, budget=args.budget)
-    params = {"n": args.n, "x": args.x}
-    if args.family in ("multi", "weighted"):
-        params["r"] = args.r
-    if args.family == "weighted":
-        if args.h is None:
-            raise QsymDomainError("weighted family needs --h")
-        params["h"] = args.h
+    flags = _family_flags(args, f"{args.family} family", FAMILIES[args.family], {"r": 1, "h": None})
+    params = {"n": args.n, "x": args.x, **flags}
     report = convergence_report(args.family, params, ctx)
     print(report.to_json())
     return EXIT_OK if report.monotone else EXIT_FAIL

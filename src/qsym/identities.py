@@ -5,9 +5,10 @@ never one side from the other -- and certifies equality with exact
 cross-multiplication.  The two sides of the base-swap symmetry checks
 (thm3..thm6) are the same expression instantiated with (w1, w2) swapped,
 so the mirror checks at (w1, w2) and (w2, w1) compare the same two sides.
-The cached ``_side_pair``, keyed by the unordered pair of sides, builds each
-side once and decides each pair by one cross-multiplication, whose verdict
-both mirror checks report: an off-diagonal pair still compares two
+``_side_pair`` keeps each unordered pair of sides for the (identity, n, r, h)
+block it belongs to, the one block a sweep works in, so it builds each side
+once and decides each pair by one cross-multiplication, whose verdict both
+mirror checks report: an off-diagonal pair still compares two
 independently assembled expression trees, and a diagonal check (w1 = w2,
 the same side on both sides) is one side against itself and needs no
 cross-multiplication.  A convolution side (thm4,
@@ -175,17 +176,14 @@ def _convolution_side(n: int, r: int, h, wa: int, wb: int, x: int, twist: int) -
                         bracket_poly(wb, 1, max(r - n, 0)) * b.den)
 
 
-# Serial sweeps run jobs in _GRID_AXES order, (w1, w2, x) innermost, so the mirror
-# check of a pair comes at most |w1s| |w2s| |xs| checks, each adding at most one
-# pair, after it: 9 on the benchmark grid, 8 on verify's default grid.  The 32
-# pairs, at most the 64 sides a per-side cache of the same reach held, keep every
-# partner while |w1s| |w2s| |xs| <= 32.  Past that some mirror checks rebuild
-# their pair (w1s = w2s = 1..5, xs = 0..2 keeps 42 of 60 partners); a bound for
-# the whole GuardLimits box (324 pairs) could hold about 85 MB of sides.
-_PAIR_CACHE_SIZE = 32
+@lru_cache(maxsize=1)
+def _pair_block(identity: str, n: int, r: int, h) -> dict:
+    """The side pairs built so far in one (identity, n, r, h) block, by (x, a, b).
+    A sweep runs (w1, w2, x) innermost (_GRID_AXES), so a mirror check finds its
+    partner's pair in the block in hand, and the reports hold every side it holds."""
+    return {}
 
 
-@lru_cache(maxsize=_PAIR_CACHE_SIZE)
 def _side_pair(identity: str, n: int, r: int, h, x: int, a: tuple, b: tuple) -> tuple:
     """(side a, side b, side a == side b) for side keys a <= b, each (wa, wb, twist)
     naming the (wa, wb) side of a base-swap identity, h being None for thm3 and
@@ -198,11 +196,12 @@ def _side_pair(identity: str, n: int, r: int, h, x: int, a: tuple, b: tuple) -> 
             return _swap_side(n, r, h, wa, wb, x)
         return _convolution_side(n, r, h, wa, wb, x, twist)
 
-    side_a = side(a)
-    if a == b:
-        return side_a, side_a, True
-    side_b = side(b)
-    return side_a, side_b, side_a == side_b
+    pairs = _pair_block(identity, n, r, h)
+    if (x, a, b) not in pairs:
+        side_a = side(a)
+        side_b = side_a if a == b else side(b)
+        pairs[x, a, b] = side_a, side_b, a == b or side_a == side_b
+    return pairs[x, a, b]
 
 
 def _mirror_report(identity: str, params: dict, h, lhs: tuple, rhs: tuple) -> CheckReport:

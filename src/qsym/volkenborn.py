@@ -53,7 +53,8 @@ from fractions import Fraction
 from .qbernoulli import WeightedBetaQuery, weights
 from .ratfun import QsymDomainError, ResourceLimitError
 
-FAMILIES = ("single", "multi", "weighted")
+# The params each family takes besides an optional x, which the CLI lists after n.
+FAMILIES = {"single": ("n",), "multi": ("n", "r"), "weighted": ("n", "r", "h")}
 
 # Largest predicted size, in bits, of the numbers an exact stage sum builds.  At
 # p = 5, q0 = 6 the single family needs 0.70M bits for n = 2, N = 7, 1.4M for n = 5
@@ -294,8 +295,8 @@ def convergence_report(family: str, params: dict, ctx: PadicContext) -> Converge
     as d is before the division, so every point is v_p(E) - v_p(scale d), or inf
     where E = 0.  The one _check_stage at Nmax bounds every stage built."""
     if family not in FAMILIES:
-        raise QsymDomainError(f"family must be one of {FAMILIES}")
-    need = {"single": {"n"}, "multi": {"n", "r"}, "weighted": {"n", "h", "r"}}[family]
+        raise QsymDomainError(f"family must be one of {tuple(FAMILIES)}")
+    need = set(FAMILIES[family])
     if not need <= params.keys() <= need | {"x"}:
         raise QsymDomainError(f"{family} takes {sorted(need)}, x optional; got {sorted(params)}")
     n, x, r, h = params["n"], params.get("x", 0), params.get("r", 1), params.get("h")

@@ -79,6 +79,24 @@ def test_compute_degenerate_weight_exits_2(capsys):
     assert "degenerate" in err
 
 
+# Each command with every flag its family does not take, given at that flag's
+# default where it has one: a given flag is refused, whatever its value.
+COMPUTE_TAKES = {"beta": "w arg", "beta-h": "h w arg", "tsum": "i wlim base",
+                 "tsum-h": "i h wlim base"}
+FOREIGN_FLAGS = [
+    (("compute", family, "--n", "2", *(("--h", "3") if "h" in takes.split() else ()),
+      f"--{flag}", value), f"{family} takes no --{flag}")
+    for family, takes in COMPUTE_TAKES.items()
+    for flag, value in (("h", "3"), ("w", "1"), ("arg", "0"), ("i", "0"), ("wlim", "1"),
+                        ("base", "1"))
+    if flag not in takes.split()
+] + [
+    (("volkenborn", "--family", "single", "--n", "2", "--r", "1"), "single family takes no --r"),
+    (("volkenborn", "--family", "single", "--n", "2", "--h", "9"), "single family takes no --h"),
+    (("volkenborn", "--family", "multi", "--n", "2", "--h", "9"), "multi family takes no --h"),
+]
+
+
 @pytest.mark.parametrize("argv, message", [
     (("compute", "beta-h", "--n", "1", "--r", "1"), "beta-h needs --h"),
     (("compute", "tsum-h", "--n", "2", "--i", "0"), "tsum-h needs --h"),
@@ -87,7 +105,7 @@ def test_compute_degenerate_weight_exits_2(capsys):
     (("compute", "tsum", "--n", "2", "--r", "0"), "order r must be >= 1, got 0"),
     (("compute", "tsum", "--n", "2", "--wlim", "0"), "summation limit must be >= 1, got 0"),
     (("compute", "tsum", "--n", "2", "--base", "0"), "base exponent must be >= 1, got 0"),
-])
+] + FOREIGN_FLAGS)
 def test_missing_or_bad_parameter_exits_2_with_its_message(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
