@@ -118,21 +118,17 @@ def numerator_span_guard(n: int, r: int, w: int, arg: int) -> None:
     ratfun.check_span(span, "predicted numerator")
 
 
-def _term_scalars(n: int, r: int, h: int | None = None) -> list:
-    """(-1)^j C(n,j) prod_k (j+c_k) for j = 0..n: the scalar of closed-form term j."""
-    exps, mult = weights(r, h)
-    return [(-1) ** j * math.comb(n, j) * math.prod(range(j + exps[-1], j + exps[0] + 1)) ** mult
-            for j in range(n + 1)]
-
-
 def _scaffold(ms: range, n: int, r: int, h: int | None):
-    """Denominator (1-q)^n * prod_(m in ms) [m]^mult and per-term cofactors of the
-    closed form in base q, (exps, mult) = weights(r, h): term j divides by the
-    len(exps) factors from [ms[j]]^mult on.  Cofactor j, the product outside that
-    window, is a prefix times a suffix product, so no term needs a division.  The
+    """Denominator (1-q)^n * prod_(m in ms) [m]^mult and per-term pairs (scalar,
+    cofactor) of the closed form in base q, (exps, mult) = weights(r, h): term j
+    has the scalar (-1)^j C(n,j) prod_k (j+c_k) and divides by the len(exps)
+    factors from [ms[j]]^mult on.  Cofactor j, the product outside that window,
+    is a prefix times a suffix product, so no term needs a division.  The
     cofactors share the width that holds their sum with the term scalars, so a
     closed form at a monomial argument re-widths none of them."""
     exps, mult = weights(r, h)
+    scalars = [(-1) ** j * math.comb(n, j)
+               * math.prod(range(j + exps[-1], j + exps[0] + 1)) ** mult for j in range(n + 1)]
     factors = [bracket_poly(m, 1, mult) for m in ms]
     pre = [LaurentPoly.one()]
     for f in factors:
@@ -142,8 +138,8 @@ def _scaffold(ms: range, n: int, r: int, h: int | None):
         suf.append(f * suf[-1])
     suf.reverse()
     cof = ratfun.common_width([pre[j] * suf[j + len(exps)] for j in range(n + 1)],
-                              (sum(map(abs, _term_scalars(n, r, h))) - 1).bit_length())
-    return _ONE_MINUS_Q ** n * pre[-1], tuple(cof)
+                              (sum(map(abs, scalars)) - 1).bit_length())
+    return _ONE_MINUS_Q ** n * pre[-1], tuple(zip(scalars, cof))
 
 
 @lru_cache(maxsize=None)
@@ -151,8 +147,8 @@ def _higher_scaffold(n: int, r: int, w: int):
     """Scaffold of beta_higher(n, r, w, .): factors [m]^r for m = 1..n+1, window width 1."""
     ms = denominator_brackets(n, r, w)  # the span guard runs at base q^w
     if w > 1:  # [m] in base q^w is [m] in base q with q -> q^w
-        den, cof = _higher_scaffold(n, r, 1)
-        return den.inflate(w), tuple(c.inflate(w) for c in cof)
+        den, terms = _higher_scaffold(n, r, 1)
+        return den.inflate(w), tuple((k, c.inflate(w)) for k, c in terms)
     return _scaffold(ms, n, r, None)
 
 
@@ -162,8 +158,8 @@ def _weighted_scaffold(n: int, h: int, r: int, w: int):
     window width r (term j divides by [j + c_k] for every k)."""
     ms = denominator_brackets(n, r, w, h)  # the span guard runs at base q^w
     if w > 1:
-        den, cof = _weighted_scaffold(n, h, r, 1)
-        return den.inflate(w), tuple(c.inflate(w) for c in cof)
+        den, terms = _weighted_scaffold(n, h, r, 1)
+        return den.inflate(w), tuple((k, c.inflate(w)) for k, c in terms)
     return _scaffold(ms, n, r, h)
 
 
@@ -179,18 +175,18 @@ def closed_form(n: int, r: int, w: int, power, h: int | None = None) -> RatFun:
     term's scalar and shift, any other multiplies its cofactor first."""
     if h is None:
         BetaQuery(n, r, w)
-        den, cof = _higher_scaffold(n, r, w)
+        den, scaffold = _higher_scaffold(n, r, w)
     else:
         WeightedBetaQuery(n, h, r, w)
-        den, cof = _weighted_scaffold(n, h, r, w)
+        den, scaffold = _weighted_scaffold(n, h, r, w)
     terms = []
-    for j, scalar in enumerate(_term_scalars(n, r, h)):
+    for j, (scalar, cof) in enumerate(scaffold):
         p = power(j)
         if p.n == 1:  # p = (P / den) q^lo
             k = scalar * p.P if p.den == 1 else Fraction(scalar * p.P, p.den)
-            terms.append((k, p.lo, cof[j]))
+            terms.append((k, p.lo, cof))
         else:
-            terms.append((scalar, 0, cof[j] * p))
+            terms.append((scalar, 0, cof * p))
     return RatFun(ratfun.linear_combination(terms), den)
 
 

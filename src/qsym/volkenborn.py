@@ -58,11 +58,11 @@ FAMILIES = {"single": ("n",), "multi": ("n", "r"), "weighted": ("n", "r", "h")}
 
 # Largest predicted size, in bits, of the numbers an exact stage sum builds.  At
 # p = 5, q0 = 6 the single family needs 0.70M bits for n = 2, N = 7, 1.4M for n = 5
-# and 2.6M for n = 10, whose exact stages take 0.02, 0.10 and 0.50 s on a shared
+# and 2.6M for n = 10, whose exact stages take 0.007, 0.05 and 0.23 s on a shared
 # 2-core machine (CPython 3.11): the products that build the windows K_k, not a gcd,
 # cost superlinearly in this size, and no budget on index tuples bounds it.  A
 # report reads each stage from the kernel's table mod p^K, the whole report taking
-# 0.09 ms for n = 2 and 0.13 ms for n = 5 at Nmax = 7, and builds a stage exactly
+# 0.07 ms for n = 2 and 0.10 ms for n = 5 at Nmax = 7, and builds a stage exactly
 # only as the fallback, which this guard bounds.  An argument x adds the powers
 # q0^(m x): the weighted report n = 2, h = 2, r = 1, N = 1, x = -300000 needs 1.8M
 # bits and takes 0.11 s, nearly all of it the exact closed value (its exact stage
@@ -182,7 +182,7 @@ def _check_stage(ctx: PadicContext, n: int, r: int, x: int, exps: range, N: int)
     return size
 
 
-_StageTable = namedtuple("_StageTable", "a b mult kmax lift scale terms")
+_StageTable = namedtuple("_StageTable", "a b mult kmax lift scale top_z terms")
 
 
 def _stage_table(n: int, x: int, q0: Fraction, exps: range, mult: int) -> _StageTable:
@@ -193,24 +193,26 @@ def _stage_table(n: int, x: int, q0: Fraction, exps: range, mult: int) -> _Stage
         coef lift prod_(k in ks) K_k^mult / (scale (B - A)^z a^i b^j)
 
     with i = i0 + (M-1) di and j = j0 + (M-1) dj; ks holds the |m + c_k|, 0 for
-    a zero window (whose factor is M), and z counts those.  lift = (b -
-    a)^max(r-n, 0), scale = lcm (b - a)^max(n-r, 0), lcm being that of the terms'
-    products of window denominators b^k - a^k, and each term's coef is an integer."""
+    a zero window (whose factor is M), z counts those and top_z is the largest z.
+    lift = (b - a)^max(r-n, 0), scale = lcm (b - a)^max(n-r, 0), lcm being that
+    of the terms' products of window denominators b^k - a^k, and each term's coef
+    is an integer."""
     a, b = q0.numerator, q0.denominator
     r = mult * len(exps)
     dens = {e: b ** abs(e) - a ** abs(e) if e else 1
             for e in range(min(exps), max(exps) + n + 1)}
     rows = []  # (den, coef, ks, z, i0, di, j0, dj), den the term's product of b^k - a^k
     for m in range(n + 1):
-        es = [m + c for c in exps]
-        rows.append((math.prod(dens[e] for e in es) ** mult, (-1) ** m * math.comb(n, m),
-                     [abs(e) for e in es], mult * es.count(0), -m * x,
-                     mult * sum(max(-e, 0) for e in es), m * x - n,
-                     mult * sum(max(e, 0) for e in es) - r))
-    lcm = math.lcm(*(row[0] for row in rows))
+        es, den = [m + c for c in exps], 1
+        for e in es:
+            den *= dens[e]
+        rows.append((den ** mult, (-1) ** m * math.comb(n, m), [abs(e) for e in es],
+                     mult * es.count(0), -m * x, -mult * sum([e for e in es if e < 0]),
+                     m * x - n, mult * sum([e for e in es if e > 0]) - r))
+    lcm = math.lcm(*[row[0] for row in rows])
+    terms = [(coef * (lcm // den), *rest) for den, coef, *rest in rows]
     return _StageTable(a, b, mult, max(-min(exps), max(exps) + n), (b - a) ** max(r - n, 0),
-                       lcm * (b - a) ** max(n - r, 0),
-                       [(coef * (lcm // den), *rest) for den, coef, *rest in rows])
+                       lcm * (b - a) ** max(n - r, 0), max([t[2] for t in terms]), terms)
 
 
 def _stage_sum(table: _StageTable, size: int, mod: int = None) -> tuple:
@@ -218,27 +220,45 @@ def _stage_sum(table: _StageTable, size: int, mod: int = None) -> tuple:
     (num, den), whose denominator keeps B - A only for zero windows.  With mod
     set, both are only congruent to that pair mod it, every power and K_k being
     taken mod it (pow(v, 1, None) is v).  At M = 0, A = B = 1 and K_k = k, so it
-    is the closed value for windows with no e = 0."""
-    a, b, mult, kmax, lift, scale, terms = table
+    is the closed value for windows with no e = 0.
+
+    Only factors that can differ from 1 are taken: B^k and b^e where b != 1,
+    product^mult where mult != 1, (B - A)^(top_z - z) where z != top_z, a^e where
+    e != 0, and a final power where its base is not 1 and its exponent not 0.
+    Each factor skipped is exactly 1 and no term's exponent is negative, top_z,
+    top_i and top_j being maxima, so the pair is the one with every factor taken."""
+    a, b, mult, kmax, lift, scale, top_z, terms = table
     big_a, big_b = pow(a, size, mod), pow(b, size, mod)
     ks, big_bk = [0], 1  # K_0 = 0, K_(k+1) = A K_k + B^k
     for _ in range(kmax):
         ks.append(pow(big_a * ks[-1] + big_bk, 1, mod))
-        big_bk = pow(big_bk * big_b, 1, mod)
+        if b != 1:
+            big_bk = pow(big_bk * big_b, 1, mod)
     ks[0] = size  # a zero window is G(0) = M
     shift = size - 1
-    top_z = max(t[2] for t in terms)
-    top_i = max(t[3] + shift * t[4] for t in terms)  # < 0 only at M = 0
-    top_j = max(t[5] + shift * t[6] for t in terms)
+    top_i = max([t[3] + shift * t[4] for t in terms])  # < 0 only at M = 0
+    top_j = max([t[5] + shift * t[6] for t in terms])
     total, gap = 0, big_b - big_a
     for coef, window, z, i0, di, j0, dj in terms:
         product = 1
         for k in window:
             product *= ks[k]
-        total += (coef * pow(product, mult, mod) * pow(gap, top_z - z, mod)
-                  * pow(a, top_i - i0 - shift * di, mod) * pow(b, top_j - j0 - shift * dj, mod))
-    num = total * lift * pow(a, max(-top_i, 0), mod) * pow(b, max(-top_j, 0), mod)
-    den = pow(gap, top_z, mod) * scale * pow(a, max(top_i, 0), mod) * pow(b, max(top_j, 0), mod)
+        if mult != 1:
+            product = pow(product, mult, mod)
+        if z != top_z:
+            product *= pow(gap, top_z - z, mod)
+        e = top_i - i0 - shift * di
+        if e:
+            product *= pow(a, e, mod)
+        if b != 1:
+            product *= pow(b, top_j - j0 - shift * dj, mod)
+        total += coef * pow(product, 1, mod)  # coef is exact, often far wider than mod
+    num, den = total * lift, scale
+    for v, top in ((gap, top_z), (a, top_i), (b, top_j)):
+        if top > 0 and v != 1:
+            den *= pow(v, top, mod)
+        elif top < 0 and v != 1:
+            num *= pow(v, -top, mod)
     return pow(num, 1, mod), pow(den, 1, mod)
 
 

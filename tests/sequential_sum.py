@@ -19,13 +19,13 @@ def sequential_closed_form(n: int, r: int, w: int, power, h=None) -> RatFun:
     """The closed form of qsym.qbernoulli.closed_form as its term loop was
     written before the fused sum: scale each cofactor, multiply by power(j), add."""
     if h is None:
-        den, cof = _higher_scaffold(n, r, w)
+        den, scaffold = _higher_scaffold(n, r, w)
         factor = lambda j: (j + 1) ** r
     else:
-        den, cof = _weighted_scaffold(n, h, r, w)
+        den, scaffold = _weighted_scaffold(n, h, r, w)
         factor = lambda j: math.prod(j + c for c in range(h, h - r, -1))
     num = LaurentPoly()
-    for j in range(n + 1):
+    for j, (_, cof) in enumerate(scaffold):  # its own scalars, not the scaffold's
         scalar = math.comb(n, j) * factor(j)
-        num = num + cof[j].scale(-scalar if j % 2 else scalar) * power(j)
+        num = num + cof.scale(-scalar if j % 2 else scalar) * power(j)
     return RatFun(num, den)

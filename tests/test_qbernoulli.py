@@ -367,16 +367,19 @@ def _product(polys) -> LaurentPoly:
     return out
 
 
-def _assert_scaffold(scaffold, n, w, windows):
-    """den = (1-q^w)^n * prod(factors) and cof[j] * prod(window j) = prod(factors),
+def _assert_scaffold(scaffold, n, w, windows, factor):
+    """den = (1-q^w)^n * prod(factors), and term j is the pair (scalar, cof) with
+    scalar = (-1)^j C(n,j) factor(j) and cof * prod(window j) = prod(factors),
     factors being the union of the windows with multiplicity one."""
-    den, cof = scaffold
+    den, terms = scaffold
     factors = {m: f for window in windows for m, f in window.items()}
     full = _product(factors.values())
     assert den == LaurentPoly({0: 1, w: -1}) ** n * full
-    assert len(cof) == n + 1
+    assert len(terms) == n + 1
     for j, window in enumerate(windows):
-        assert cof[j] * _product(window.values()) == full, j
+        scalar, cof = terms[j]
+        assert scalar == (-1) ** j * math.comb(n, j) * factor(j), j
+        assert cof * _product(window.values()) == full, j
 
 
 @pytest.mark.parametrize("n", range(4))
@@ -384,7 +387,7 @@ def _assert_scaffold(scaffold, n, w, windows):
 def test_higher_scaffold_windows(n, r, w):
     # term j of beta_higher divides by [j+1]^r
     windows = [{j + 1: bracket_poly(j + 1, w) ** r} for j in range(n + 1)]
-    _assert_scaffold(_higher_scaffold(n, r, w), n, w, windows)
+    _assert_scaffold(_higher_scaffold(n, r, w), n, w, windows, lambda j: (j + 1) ** r)
 
 
 @pytest.mark.parametrize("n", range(4))
@@ -394,7 +397,8 @@ def test_weighted_scaffold_windows(n, r, w):
     for h in (r, r + 2, -n - 1, -n - 3):
         # term j of beta_weighted divides by [j+h-k] for k = 0..r-1
         windows = [{j + h - k: bracket_poly(j + h - k, w) for k in range(r)} for j in range(n + 1)]
-        _assert_scaffold(_weighted_scaffold(n, h, r, w), n, w, windows)
+        _assert_scaffold(_weighted_scaffold(n, h, r, w), n, w, windows,
+                         lambda j: math.prod(j + h - k for k in range(r)))
 
 
 @pytest.mark.parametrize("r, w", [(1, 1), (2, 1), (3, 2), (2, 3)])
