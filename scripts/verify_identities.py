@@ -12,30 +12,20 @@ import argparse
 import sys
 import time
 
-from qsym.cli import run_flushed
-from qsym.identities import SweepConfig, sweep
+from qsym.cli import build_parser, run_flushed, verify_config
+from qsym.identities import sweep
 
-BATTERY = [
-    ("recurrence", SweepConfig(identities=("recurrence",), ns=tuple(range(13)))),
-    ("shift", SweepConfig(identities=("shift",), ns=tuple(range(11)))),
-    ("expansion", SweepConfig(identities=("expansion",), ns=tuple(range(7)), xs=(0, 1, 2, 3))),
-    ("limit-q1", SweepConfig(identities=("limit-q1",), ns=tuple(range(7)), rs=(1, 2, 3), xs=(0, 1, 2))),
-    (
-        "multiplication",
-        SweepConfig(identities=("multiplication",), ns=tuple(range(5)), rs=(1, 2),
-                    w1s=(1, 2, 3, 4), xs=(0, 1, 2)),
-    ),
-    (
-        "thm3+thm4",
-        SweepConfig(identities=("thm3", "thm4"), ns=tuple(range(6)), rs=(1, 2, 3),
-                    w1s=(1, 2, 3), w2s=(1, 2, 3), xs=(0, 1, 2)),
-    ),
-    (
-        "thm5+thm6",
-        SweepConfig(identities=("thm5", "thm6"), ns=tuple(range(5)), rs=(1, 2),
-                    w1s=(1, 2, 3), w2s=(1, 2, 3), xs=(0, 1, 2), h_offsets=(0, 1, 3)),
-    ),
-]
+# Each row is the grid of one qsym verify command, named by its identities.
+BATTERY = [("+".join(args.identity), verify_config(args)) for args in (
+    build_parser().parse_args(["verify", *flags.split()]) for flags in (
+        "--identity recurrence --max-n 12",
+        "--identity shift --max-n 10",
+        "--identity expansion --max-n 6 --max-x 3",
+        "--identity limit-q1 --max-n 6 --max-r 3 --max-x 2",
+        "--identity multiplication --max-n 4 --max-w 4 --max-x 2",
+        "--identity thm3 --identity thm4 --max-n 5 --max-r 3 --max-w 3 --max-x 2",
+        "--identity thm5 --identity thm6 --max-n 4 --max-w 3 --max-x 2",
+    ))]
 
 
 def main() -> int:

@@ -71,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     comp = sub.add_parser("compute", help="evaluate one closed form exactly")
-    comp.add_argument("family", choices=("beta", "beta-h", "tsum", "tsum-h"))
+    comp.add_argument("family", choices=_COMPUTE)
     comp.add_argument("--n", type=int, required=True)
     comp.add_argument("--r", type=int, default=1)
     comp.add_argument("--w", type=int, help="bracket base exponent (beta families)")
@@ -124,7 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-# The flags each compute family takes besides --n, --r and --format.
+# Each compute family's closed form, and the flags it takes besides --n, --r and --format.
+_COMPUTE = {"beta": beta_higher, "beta-h": beta_weighted, "tsum": t_sum, "tsum-h": t_sum_h}
 _COMPUTE_FLAGS = {"beta": ("w", "arg"), "beta-h": ("h", "w", "arg"),
                   "tsum": ("i", "wlim", "base"), "tsum-h": ("i", "h", "wlim", "base")}
 
@@ -143,22 +144,30 @@ def _family_flags(args, label: str, takes, defaults: dict) -> dict:
 
 
 def run_compute(args) -> int:
-    vars(args).update(_family_flags(args, args.family, _COMPUTE_FLAGS[args.family],
-                                    {"h": None, "w": 1, "arg": 0, "i": 0, "wlim": 1, "base": 1}))
-    if args.family == "beta":
-        value = beta_higher(args.n, args.r, args.w, args.arg)
-    elif args.family == "beta-h":
-        value = beta_weighted(args.n, args.h, args.r, args.w, args.arg)
-    elif args.family == "tsum":
-        value = t_sum(args.n, args.i, args.r, args.wlim, args.base)
-    else:
-        value = t_sum_h(args.n, args.i, args.h, args.r, args.wlim, args.base)
-    value = value.canonical()
+    flags = _family_flags(args, args.family, _COMPUTE_FLAGS[args.family],
+                          {"h": None, "w": 1, "arg": 0, "i": 0, "wlim": 1, "base": 1})
+    value = _COMPUTE[args.family](n=args.n, r=args.r, **flags).canonical()
     if args.format == "json":
         print(json.dumps(value.to_json_obj()))
     else:
         print(value)
     return EXIT_OK
+
+
+def verify_config(args) -> SweepConfig:
+    """The grid of a parsed verify command."""
+    return SweepConfig(
+        identities=tuple(args.identity) if args.identity else IDENTITIES,
+        ns=tuple(range(args.max_n + 1)),
+        rs=tuple(range(1, args.max_r + 1)),
+        w1s=tuple(range(1, args.max_w + 1)),
+        w2s=tuple(range(1, args.max_w + 1)),
+        xs=tuple(range(args.max_x + 1)),
+        hs=args.hs,
+        h_offsets=args.h_offsets,
+        sample=args.sample,
+        seed=args.seed,
+    )
 
 
 def run_verify(args) -> int:
@@ -172,21 +181,8 @@ def run_verify(args) -> int:
     if threads < 1:
         raise QsymDomainError(f"worker count (--threads or QSYM_THREADS) must be >= 1, "
                               f"got {threads}")
-    idents = tuple(args.identity) if args.identity else IDENTITIES
-    cfg = SweepConfig(
-        identities=idents,
-        ns=tuple(range(args.max_n + 1)),
-        rs=tuple(range(1, args.max_r + 1)),
-        w1s=tuple(range(1, args.max_w + 1)),
-        w2s=tuple(range(1, args.max_w + 1)),
-        xs=tuple(range(args.max_x + 1)),
-        hs=args.hs,
-        h_offsets=args.h_offsets,
-        sample=args.sample,
-        seed=args.seed,
-    )
     t0 = time.perf_counter()
-    reports = sweep(cfg, threads=threads)
+    reports = sweep(verify_config(args), threads=threads)
     for rep in reports:
         print(rep.to_json_line(verbose=args.verbose))
     failures = sum(not r.holds for r in reports)

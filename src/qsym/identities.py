@@ -5,8 +5,8 @@ never one side from the other -- and certifies equality with exact
 cross-multiplication.  The two sides of the base-swap symmetry checks
 (thm3..thm6) are the same expression instantiated with (w1, w2) swapped,
 so the mirror checks at (w1, w2) and (w2, w1) compare the same two sides.
-``_side_pair`` keeps each unordered pair of sides for the (identity, n, r, h)
-block it belongs to, the one block a sweep works in, so it builds each side
+``_mirror_report`` keeps each unordered pair of sides for the (identity, n, r,
+h) block it belongs to, the one block a sweep works in, so it builds each side
 once and decides each pair by one cross-multiplication, whose verdict both
 mirror checks report: an off-diagonal pair still compares two
 independently assembled expression trees, and a diagonal check (w1 = w2,
@@ -184,31 +184,28 @@ def _pair_block(identity: str, n: int, r: int, h) -> dict:
     return {}
 
 
-def _side_pair(identity: str, n: int, r: int, h, x: int, a: tuple, b: tuple) -> tuple:
-    """(side a, side b, side a == side b) for side keys a <= b, each (wa, wb, twist)
+def _mirror_report(identity: str, params: dict, h, lhs: tuple, rhs: tuple) -> CheckReport:
+    """The report of lhs == rhs for the side keys lhs and rhs, each (wa, wb, twist)
     naming the (wa, wb) side of a base-swap identity, h being None for thm3 and
-    thm4 and twist nonzero only on thm4's lhs; for a == b both are the one side
-    and the verdict is True.  The closed forms and T-sums are looked up as module
-    globals on each call."""
+    thm4 and twist nonzero only on thm4's lhs.  The mirror check keys the same
+    pair, (x, a, b) with a <= b, in the block in hand, so each pair is built and
+    decided once; for a == b both are the one side and the verdict is True.  The
+    side builders are looked up as module globals on each call."""
+    n, r, x = params["n"], params["r"], params["x"]
+
     def side(key):
         wa, wb, twist = key
         if identity in ("thm3", "thm5"):
             return _swap_side(n, r, h, wa, wb, x)
         return _convolution_side(n, r, h, wa, wb, x, twist)
 
+    a, b = sorted((lhs, rhs))
     pairs = _pair_block(identity, n, r, h)
     if (x, a, b) not in pairs:
         side_a = side(a)
         side_b = side_a if a == b else side(b)
         pairs[x, a, b] = side_a, side_b, a == b or side_a == side_b
-    return pairs[x, a, b]
-
-
-def _mirror_report(identity: str, params: dict, h, lhs: tuple, rhs: tuple) -> CheckReport:
-    """The report of lhs == rhs for the side keys lhs and rhs (see _side_pair),
-    read from the pair the mirror check shares."""
-    a, b = sorted((lhs, rhs))
-    side_a, side_b, holds = _side_pair(identity, params["n"], params["r"], h, params["x"], a, b)
+    side_a, side_b, holds = pairs[x, a, b]
     sides = (side_a, side_b) if lhs == a else (side_b, side_a)
     return CheckReport(identity, params, *sides, holds)
 

@@ -230,7 +230,7 @@ class LaurentPoly:
     def scale(self, c) -> LaurentPoly:
         """Multiply every coefficient by the scalar c."""
         if not isinstance(c, (int, Fraction)):
-            c = Fraction(c)
+            raise TypeError(f"scalar must be int or Fraction, got {type(c).__name__}")
         return self._times(c.numerator, c.denominator)
 
     def _times(self, k: int, den: int = 1, shift: int = 0) -> LaurentPoly:
@@ -244,14 +244,16 @@ class LaurentPoly:
 
     def shift(self, k: int) -> LaurentPoly:
         """Multiply by the monomial q**k."""
+        if not isinstance(k, int):
+            raise TypeError(f"shift must be an int, got {type(k).__name__}")
         if k == 0 or not self.n:
             return self
         return _new(self.lo + k, self.P, self.n, self.size, self.bits, self.den, self.g)
 
     def inflate(self, w: int) -> LaurentPoly:
         """The substitution q -> q**w (w >= 1): w times the stride, no digit moved."""
-        if w < 1:
-            raise QsymDomainError(f"inflate wants w >= 1, got {w}")
+        if not isinstance(w, int) or w < 1:
+            raise QsymDomainError(f"inflate wants an integer w >= 1, got {w!r}")
         if w == 1 or not self.n:
             return self
         check_span((self.n - 1) * self.g * w)

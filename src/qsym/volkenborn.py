@@ -32,15 +32,15 @@ rational function built.
 Convergence to the closed form is certified by the p-adic valuations of S_N
 minus c/d being nondecreasing in N.  A report builds the table once, reads c/d
 at M = 0 and, at each M = p^N, forms E = num d - c den, num / den being the
-stage's unreduced pair: mod p^K first, K = Nmax + 64 + v_p(scale) + v_p(d) and
+stage's unreduced pair: mod p^K first, K = Nmax + 64 + 2 v_p(scale) and
 scale = lcm (b - a)^max(n-r, 0), in O(n r + max|c_k|) operations on numbers of
 K digits in base p, and exactly, from the same table, only where that residue
 is 0, that is where S_N agrees with c/d to Nmax + 64 digits.  a and b are p-adic
 units, as v_p(1 - q0) >= 1, and a report has no zero window (WeightedBetaQuery
-refuses a degenerate h), so every stage's den has the valuation of scale and one
-rule gives every point: v_p(S_N - c/d) = v_p(E) - v_p(scale d), or inf where
-E = 0.  The exact E stays unreduced, since for b != 1 the reduced Fraction's gcd
-would cost more than the stage itself.
+refuses a degenerate h), so every stage's den, and d, has the valuation of scale
+and one rule gives every point: v_p(S_N - c/d) = v_p(E) - 2 v_p(scale), or inf
+where E = 0.  The exact E stays unreduced, since for b != 1 the reduced
+Fraction's gcd would cost more than the stage itself.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ FAMILIES = {"single": ("n",), "multi": ("n", "r"), "weighted": ("n", "r", "h")}
 MAX_STAGE_BITS = 2_000_000
 
 # p-adic digits of S_N minus the closed value, past Nmax, that a report reads: its
-# precision is K = Nmax + this + v_p(scale) + v_p(d) (see convergence_report).  The
+# precision is K = Nmax + this + 2 v_p(scale) (see convergence_report).  The
 # count only decides where a report falls back to the exact stage.
 _RESIDUE_DIGITS = 64
 
@@ -306,14 +306,13 @@ class ConvergenceReport(namedtuple("ConvergenceReport", "family params p q0 poin
 def convergence_report(family: str, params: dict, ctx: PadicContext) -> ConvergenceReport:
     """Compare stage sums against the matching closed form at q0 for N = 1..Nmax.
 
-    One table (_stage_table) gives the closed value c / d at M = 0, with no gcd:
-    only the powers of p common to c and d are divided out, so v_p(d) is that of
-    the reduced denominator.  At each M = p^N it gives E = num d - c den, num /
-    den being the stage's unreduced pair, mod p^K, K = Nmax + _RESIDUE_DIGITS +
-    v_p(scale) + v_p(d), and exactly only where that residue is 0, that is where
-    v_p(S_N - c / d) >= Nmax + _RESIDUE_DIGITS.  den is scale times p-adic units,
-    as d is before the division, so every point is v_p(E) - v_p(scale d), or inf
-    where E = 0.  The one _check_stage at Nmax bounds every stage built."""
+    One table (_stage_table) gives the closed value c / d at M = 0, unreduced.
+    At each M = p^N it gives E = num d - c den, num / den being the stage's
+    unreduced pair, mod p^K, K = Nmax + _RESIDUE_DIGITS + 2 v_p(scale), and
+    exactly only where that residue is 0, that is where v_p(S_N - c / d) >= Nmax
+    + _RESIDUE_DIGITS.  den and d are scale times p-adic units, so every point is
+    v_p(E) - 2 v_p(scale), or inf where E = 0.  The one _check_stage at Nmax
+    bounds every stage built."""
     if family not in FAMILIES:
         raise QsymDomainError(f"family must be one of {tuple(FAMILIES)}")
     need = set(FAMILIES[family])
@@ -327,11 +326,8 @@ def convergence_report(family: str, params: dict, ctx: PadicContext) -> Converge
     table = _stage_table(n, x, ctx.q0, exps, mult)
     c, d = _stage_sum(table, 0)
     p = ctx.p
-    v_den = _int_valuation(table.scale, p)
-    shared = min(_int_valuation(c, p), v_den) if c else v_den  # the p in gcd(c, d)
-    c, d = c // p**shared, d // p**shared
-    v_scale = 2 * v_den - shared  # v_p(scale d)
-    mod = p ** (ctx.Nmax + _RESIDUE_DIGITS + v_scale)
+    v = 2 * _int_valuation(table.scale, p)  # v_p(scale d)
+    mod = p ** (ctx.Nmax + _RESIDUE_DIGITS + v)
     points = []
     for N in range(1, ctx.Nmax + 1):
         num, den = _stage_sum(table, p**N, mod)
@@ -339,6 +335,6 @@ def convergence_report(family: str, params: dict, ctx: PadicContext) -> Converge
         if not diff:
             num, den = _stage_sum(table, p**N)
             diff = num * d - c * den
-        points.append((N, _int_valuation(diff, p) - v_scale if diff else math.inf))
+        points.append((N, _int_valuation(diff, p) - v if diff else math.inf))
     monotone = all(points[i + 1][1] >= points[i][1] for i in range(len(points) - 1))
     return ConvergenceReport(family, dict(params), ctx.p, ctx.q0, points, monotone)

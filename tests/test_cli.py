@@ -127,6 +127,17 @@ def test_unmapped_exception_exits_4_with_traceback(capsys, monkeypatch, exc, cod
     assert marker in err and (code == 4) == ("Traceback" in err)
 
 
+def test_cli_module_runs_as_main():
+    # python -m qsym.cli is the same command as python -m qsym: without the
+    # module's __main__ guard it would print nothing and exit 0.
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    procs = [subprocess.run([sys.executable, "-m", module, "--help"], capture_output=True,
+                            text=True, env=env, timeout=60) for module in ("qsym", "qsym.cli")]
+    assert [p.returncode for p in procs] == [0, 0]
+    assert procs[1].stdout == procs[0].stdout and "verify" in procs[0].stdout
+
+
 @pytest.mark.parametrize("argv", ["table --n 0..8 --r 2 --w 2 --arg 0,1", "verify --max-n 3",
                                   "compute beta --n 0"])
 @pytest.mark.parametrize("buffered", [False, True])

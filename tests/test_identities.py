@@ -368,7 +368,7 @@ def side_pairs(reports):
 
 
 def pair_block(job):
-    """The (identity, n, r, h) block of a base-swap job, whose pairs _side_pair keeps."""
+    """The (identity, n, r, h) block of a base-swap job, whose pairs _mirror_report keeps."""
     ident, p = job
     return ident, p["n"], p["r"], p.get("h")
 

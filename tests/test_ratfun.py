@@ -12,6 +12,7 @@ import hypothesis.strategies as st
 from qsym.ratfun import (
     LaurentPoly,
     PoleError,
+    QsymDomainError,
     RatFun,
     ResourceLimitError,
     eval_rational,
@@ -157,6 +158,45 @@ def test_zero_denominator_rejected():
         LaurentPoly({0: 1.5})
     with pytest.raises(TypeError):
         RatFun("x")
+
+
+# A float would become an exponent or a binary fraction: qsym is exact, so the
+# scalar and exponent arguments refuse it, as the constructor and * do.
+
+
+def test_float_shift_is_refused():
+    with pytest.raises(TypeError):
+        ONE_PLUS_Q.shift(0.5)
+
+
+def test_float_scale_is_refused():
+    with pytest.raises(TypeError):
+        ONE_PLUS_Q.scale(0.1)
+
+
+def test_float_inflate_is_refused():
+    with pytest.raises(QsymDomainError):
+        ONE_PLUS_Q.inflate(2.0)
+
+
+def test_exact_div_stops_at_the_mignotte_width(monkeypatch):
+    # Every width passes the remainder test and fails the bound: each quotient
+    # read back has a digit just under half a digit, the divisor 1 + q being
+    # 1 + X at width X.  The width at least doubles up to the cap, where no
+    # integer quotient fits, and the division reports no quotient.
+    sizes = []
+
+    def wide_quotient(a, b):
+        sizes.append(((b - 1).bit_length() - 1) // 8)
+        return (b - 1) // 2 - 1, 0
+
+    monkeypatch.setattr(ratfun_mod, "divmod", wide_quotient, raising=False)
+    dividend = P({e: 1 for e in range(100)})
+    assert dividend.exact_div(ONE_PLUS_Q) is None
+    start, cap = sizes[0], sizes[-1]
+    assert start == max(dividend.size, ONE_PLUS_Q.size) and cap > start
+    assert all(2 * s <= t or t == cap for s, t in zip(sizes, sizes[1:]))
+    assert len(sizes) <= math.ceil(math.log2(cap / start)) + 1
 
 
 def test_span_guard(monkeypatch):
